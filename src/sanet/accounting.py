@@ -165,14 +165,9 @@ def cost_report(spec: ModelSpec, input_hw: int | None = None) -> CostReport:
     return report
 
 
-def count_params(spec: ModelSpec) -> CostReport:
-    """Exact trainable-scalar count; independent of input size."""
-    return cost_report(spec)
-
-
-def count_macs(spec: ModelSpec, input_hw: int | None = None) -> CostReport:
-    """Multiply-accumulate count at the given input size."""
-    return cost_report(spec, input_hw=input_hw)
+# Public names of the one report: parameter counts do not depend on the
+# input size, MAC counts do.
+count_params = count_macs = cost_report
 
 
 def _runtime_units(model) -> list[tuple[str, int]]:
@@ -197,7 +192,7 @@ def verify_against_runtime(spec: ModelSpec, seed: int = 0) -> dict:
     Returns a report dict; ``report["matches"]`` is False when any layer
     disagrees, with the offending layers listed.
     """
-    symbolic = count_params(spec)
+    symbolic = cost_report(spec)
     model = build_model(spec, seed=seed)
     runtime = _runtime_units(model)
     sym = [(b.name, b.params) for b in symbolic.breakdown]

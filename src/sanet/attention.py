@@ -84,6 +84,9 @@ class AttentionConfig:
             raise ConfigError(f"position mode must be one of {POSITION_MODES}")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError("mlp_depth must be 1, 2 or 3")
+        for name in ("r1", "r2", "share"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         FootprintSpec(self.footprint)
 
     def with_footprint(self, k: int) -> "AttentionConfig":
@@ -236,17 +239,6 @@ def _position_map(h: int, w: int, w_pos: Tensor, dtype) -> Tensor:
     return T.linear(grid, w_pos)  # [1, 2, H, W]
 
 
-def _grouped_aggregate(weights: Tensor, values_u: Tensor, dims: AttentionDims) -> Tensor:
-    """Slot-weighted sum with each weight component spanning ``share`` channels.
-
-    ``weights``: [N, groups, K, H, W]; ``values_u``: [N, Cm, K, H, W].
-    """
-    n = values_u.shape[0]
-    if weights.shape[0] != n:
-        weights = T.broadcast_to(weights, (n,) + weights.shape[1:])
-    return T.slot_aggregate(weights, values_u)
-
-
 def _qkv(x: Tensor, params: VectorAttention):
     q = T.linear(x, params.w_query, params.b_query)
     k = T.linear(x, params.w_key, params.b_key)
@@ -303,7 +295,7 @@ def pairwise_attention(x: Tensor, params: VectorAttention,
         rel = T.concat([rel, pos], axis=1)
 
     wts = _apply_mlp(params.mlp, rel)  # [N, groups, K, H, W]
-    return _grouped_aggregate(wts, vu, dims)
+    return T.slot_aggregate(wts, vu)
 
 
 def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
@@ -338,7 +330,7 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     flat = _apply_mlp(params.mlp, rel)  # [N, K * groups, H, W]
     wts = T.reshape(flat, (n, fp.slots, dims.groups, h, w))
     wts = T.transpose(wts, (0, 2, 1, 3, 4))
-    return _grouped_aggregate(wts, vu, dims)
+    return T.slot_aggregate(wts, vu)
 
 
 def scalar_attention(x: Tensor, params: VectorAttention) -> Tensor:

@@ -20,33 +20,30 @@ class Linear(Module):
     """Pointwise channel linear, ``[N, Cin, ...] -> [N, Cout, ...]``."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None = None,
-                 dtype=np.float32, bias: bool = True):
+                 dtype=np.float32):
         super().__init__()
         if rng is None:
             self.w = zeros_param((c_out, c_in), dtype)
         else:
             self.w = kaiming_uniform(rng, (c_out, c_in), c_in, dtype)
-        self.b = zeros_param((c_out,), dtype) if bias else None
+        self.b = zeros_param((c_out,), dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
 
 
 class BatchNorm(Module):
-    def __init__(self, channels: int, dtype=np.float32, momentum: float = 0.1,
-                 eps: float = 1e-5):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.gamma = ones_param((channels,), dtype)
         self.beta = zeros_param((channels,), dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         return T.batch_norm(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=self.training, momentum=self.momentum, eps=self.eps,
+            training=self.training,
         )
 
 
@@ -109,22 +106,19 @@ class Transition(Module):
     """Stage bridge: BN, ReLU, 2x2 stride-2 max pool, channel expansion."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
-                 dtype=np.float32, pool: bool = True):
+                 dtype=np.float32):
         super().__init__()
-        self.pool = pool
         self.bn = BatchNorm(c_in, dtype)
         self.linear = Linear(c_in, c_out, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         h = T.relu(self.bn(x))
-        if self.pool:
-            _, _, height, width = h.shape
-            if height % 2 or width % 2:
-                raise DimensionError(
-                    f"transition pooling needs even spatial extents, got {height}x{width}"
-                )
-            h = T.max_pool(h, 2, 2)
-        return self.linear(h)
+        _, _, height, width = h.shape
+        if height % 2 or width % 2:
+            raise DimensionError(
+                f"transition pooling needs even spatial extents, got {height}x{width}"
+            )
+        return self.linear(T.max_pool(h, 2, 2))
 
 
 class Stem(Module):

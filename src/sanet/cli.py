@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .accounting import count_macs, count_params, verify_against_runtime
+from .accounting import cost_report, verify_against_runtime
 from .data import load_dataset
 from .gradcheck import run_sweep
 from .models import (
@@ -27,6 +27,7 @@ from .models import (
     load_checkpoint,
     load_spec_file,
     named_spec,
+    spec_to_dict,
 )
 from .reference import run_oracle_sweep
 from .robustness import (
@@ -90,20 +91,12 @@ def _emit_manifest(out_dir, command, args, config):
     })
 
 
-def _spec_config(spec) -> dict:
-    from .models import spec_to_dict
-
-    return spec_to_dict(spec)
-
-
 def cmd_count(args) -> int:
     spec = _resolve_spec(args)
     out = args.out or f"runs/count-{spec.name}"
-    _emit_manifest(out, "count", args, {"spec": _spec_config(spec), "input_hw": spec.input_hw})
-    params = count_params(spec)
-    macs = count_macs(spec)
-    payload = params.to_dict()
-    payload["macs"] = macs.macs
+    _emit_manifest(out, "count", args, {"spec": spec_to_dict(spec), "input_hw": spec.input_hw})
+    report = cost_report(spec)
+    payload = report.to_dict()
     if args.verify_runtime:
         payload["runtime_check"] = verify_against_runtime(spec)
         if not payload["runtime_check"]["matches"]:
@@ -112,7 +105,7 @@ def cmd_count(args) -> int:
             return 1
     _write_json(os.path.join(out, "cost.json"), payload)
     with open(os.path.join(out, "cost.txt"), "w") as fh:
-        fh.write(macs.to_table() + "\n")
+        fh.write(report.to_table() + "\n")
     print(f"{spec.name}: params {payload['params']:,} ({payload['params'] / 1e6:.1f}M)  "
           f"macs {payload['macs']:,} ({payload['macs'] / 1e9:.1f}G)  -> {out}")
     return 0
@@ -178,7 +171,7 @@ def cmd_train(args) -> int:
     )
     out = args.out or f"runs/train-{spec.name}-{dataset.name}"
     _emit_manifest(out, "train", args, {
-        "spec": _spec_config(spec), "train": config.to_dict(),
+        "spec": spec_to_dict(spec), "train": config.to_dict(),
         "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
     })
     model = build_model(spec, seed=args.seed)

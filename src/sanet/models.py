@@ -68,9 +68,6 @@ class ModelSpec:
             if self.stages[0].channels != self.stem_channels:
                 raise ConfigError("without a first transition, stage 1 must match the stem width")
 
-    def stage_footprint(self, index: int) -> int:
-        return self.stages[index].footprint
-
 
 def spec_to_dict(spec: ModelSpec) -> dict:
     out = dataclasses.asdict(spec)
@@ -211,15 +208,12 @@ class SANetwork(Module):
             prev = st.channels
         self.classifier = Classifier(prev, spec.classes, rng, dtype)
 
-    def features(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         h = self.stem(x)
         for stage in self.stages:
             for item in stage:
                 h = item(h)
-        return h
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.classifier(self.features(x))
+        return self.classifier(h)
 
 
 class ResNetwork(Module):
@@ -240,15 +234,12 @@ class ResNetwork(Module):
         self.bn_out = BatchNorm(prev, dtype)
         self.classifier = Classifier(prev, spec.classes, rng, dtype)
 
-    def features(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         h = self.stem(x)
         for stage in self.stages:
             for block in stage:
                 h = block(h)
-        return T.relu(self.bn_out(h))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.classifier(self.features(x))
+        return self.classifier(T.relu(self.bn_out(h)))
 
 
 def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Module:

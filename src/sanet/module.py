@@ -60,10 +60,6 @@ class Module:
         for cname, child in self._children.items():
             yield from child.named_buffers(prefix + cname + ".")
 
-    def set_buffer(self, name: str, value: np.ndarray):
-        """Overwrite a registered buffer in place (keeps external references)."""
-        self._buffers[name][...] = value
-
     def train(self, mode: bool = True):
         object.__setattr__(self, "training", mode)
         for child in self._children.values():

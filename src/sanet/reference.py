@@ -18,7 +18,7 @@ from .attention import (
     Conv2d,
     VectorAttention,
 )
-from .tensor import Tensor, no_grad
+from .tensor import ConfigError, Tensor, no_grad
 
 
 def naive_linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -280,6 +280,8 @@ def _random_conv_case(rng: np.random.Generator) -> float:
 def run_oracle_sweep(kind: str | None = None, relation: str | None = None,
                      cases: int = 20, tol: float = 1e-10, seed: int = 0) -> list[dict]:
     """Random-case agreement between fast operators and the naive loops."""
+    if cases < 1:
+        raise ConfigError(f"oracle needs at least one case per operator, got {cases}")
     jobs = []
     if kind in (None, "pairwise"):
         jobs += [("pairwise", r) for r in PAIRWISE_RELATIONS if relation in (None, r)]

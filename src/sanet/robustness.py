@@ -18,6 +18,7 @@ from .data import Dataset
 from .models import predict
 from .module import Module
 from .tensor import DimensionError, Tensor, UsageError
+from .training import top_k_accuracy
 
 MANIPULATIONS = ("none", "cw90", "cw180", "cw270", "upside_down_flip")
 
@@ -103,11 +104,12 @@ def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
             x_adv = np.clip(x_adv, clean[sl] - cfg.eps, clean[sl] + cfg.eps)
             x_adv = np.clip(x_adv, 0.0, 255.0)
             linf = np.max(np.abs(x_adv - clean[sl])) if x_adv.size else 0.0
-            assert linf <= cfg.eps + 1e-3, "perturbation escaped the L-inf ball"
+            if linf > cfg.eps + 1e-3:
+                raise RuntimeError(f"perturbation {linf} escaped the L-inf ball of {cfg.eps}")
         adv[sl] = x_adv
     model.train(was_training)
 
-    logits = predict(model, _normalized_batches(dataset, adv), batch_size=batch_size)
+    logits = predict(model, dataset.normalize(adv), batch_size=batch_size)
     preds = logits.argmax(axis=1)
     return {
         "adv_images": adv,
@@ -116,18 +118,6 @@ def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
         "success": preds == targets,
         "linf": float(np.max(np.abs(adv - clean))) if adv.size else 0.0,
     }
-
-
-def _normalized_batches(dataset: Dataset, pixels: np.ndarray) -> np.ndarray:
-    # predict() expects raw model input; normalize here once
-    return dataset.normalize(pixels)
-
-
-def _top_counts(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    top5 = np.argsort(-logits, axis=1)[:, :5]
-    top1 = float(np.mean(top5[:, 0] == labels))
-    in5 = float(np.mean([labels[i] in top5[i] for i in range(len(labels))]))
-    return top1, in5
 
 
 def manipulation_report(model: Module, dataset: Dataset,
@@ -139,7 +129,7 @@ def manipulation_report(model: Module, dataset: Dataset,
     """
     images, labels = dataset.val_images, dataset.val_labels
     clean_logits = predict(model, dataset.normalize(images), batch_size=batch_size)
-    clean1, clean5 = _top_counts(clean_logits, labels)
+    clean1, clean5 = (top_k_accuracy(clean_logits, labels, k) for k in (1, 5))
     rows = []
     for kind in manipulations:
         if kind == "none":
@@ -147,7 +137,7 @@ def manipulation_report(model: Module, dataset: Dataset,
         else:
             moved = manipulate(images, kind)
             logits = predict(model, dataset.normalize(moved), batch_size=batch_size)
-            top1, top5 = _top_counts(logits, labels)
+            top1, top5 = (top_k_accuracy(logits, labels, k) for k in (1, 5))
         rows.append({
             "manipulation": kind,
             "top1": top1,

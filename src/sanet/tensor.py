@@ -14,8 +14,6 @@ float32 for training.
 
 from __future__ import annotations
 
-import json
-import struct
 from contextlib import contextmanager
 
 import numpy as np
@@ -79,41 +77,17 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self):
         backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -212,11 +186,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _node(data, (a, b), bwd)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; broadcasting lets a weight span channel groups."""
-    return mul(a, b)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -477,6 +446,22 @@ def _windows(data: np.ndarray, k: int, stride: int, pad: int, fill: float) -> np
     return view[:, :, ::stride, ::stride]
 
 
+def _scatter_windows(slot_grads, shape, k: int, stride: int, pad: int, dtype) -> np.ndarray:
+    """Sum window gradients back onto an NCHW input of ``shape``.
+
+    ``slot_grads`` yields one ``[N, C, Ho, Wo]`` gradient per footprint
+    slot, row-major; they are consumed one at a time so no stacked copy of
+    all slots is ever held.
+    """
+    n, c, h, w = shape
+    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
+    for slot, sg in enumerate(slot_grads):
+        dy, dx = divmod(slot, k)
+        ho, wo = sg.shape[2:]
+        buf[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += sg
+    return buf[:, :, pad : pad + h, pad : pad + w]
+
+
 def unfold(x: Tensor, k: int, stride: int = 1, pad: int | None = None) -> Tensor:
     """Gather the k*k spatial neighborhood of every location.
 
@@ -499,15 +484,8 @@ def unfold(x: Tensor, k: int, stride: int = 1, pad: int | None = None) -> Tensor
     data = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, k * k, ho, wo)
 
     def bwd(g):
-        buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        slot = 0
-        for dy in range(k):
-            for dx in range(k):
-                buf[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += g[
-                    :, :, slot
-                ]
-                slot += 1
-        return (buf[:, :, pad : pad + h, pad : pad + w],)
+        slots = (g[:, :, s] for s in range(k * k))
+        return (_scatter_windows(slots, (n, c, h, w), k, stride, pad, g.dtype),)
 
     return _node(data, (x,), bwd)
 
@@ -526,14 +504,8 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
     def bwd(g):
-        buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        slot = 0
-        for dy in range(k):
-            for dx in range(k):
-                sel = g * (arg == slot)
-                buf[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += sel
-                slot += 1
-        return (buf[:, :, pad : pad + h, pad : pad + w],)
+        slots = (g * (arg == s) for s in range(k * k))
+        return (_scatter_windows(slots, (n, c, h, w), k, stride, pad, g.dtype),)
 
     return _node(data, (x,), bwd)
 
@@ -581,42 +553,3 @@ def global_avg_pool(x: Tensor) -> Tensor:
         return (gx.copy(),)
 
     return _node(data, (x,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_TENSOR_MAGIC = b"SANT"
-_DTYPE_CODES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
-
-
-def write_array(fh, arr: np.ndarray):
-    """Append a raw little-endian IEEE-754 buffer to an open file."""
-    code = "<f8" if arr.dtype == np.float64 else "<f4"
-    fh.write(np.ascontiguousarray(arr, dtype=code).tobytes())
-
-
-def save_tensor(path, arr: np.ndarray):
-    """Write one array: magic, length-prefixed JSON shape header, raw buffer."""
-    arr = np.asarray(arr)
-    code = "<f8" if arr.dtype == np.float64 else "<f4"
-    header = json.dumps({"shape": list(arr.shape), "dtype": code}).encode()
-    with open(path, "wb") as fh:
-        fh.write(_TENSOR_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        write_array(fh, arr)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _TENSOR_MAGIC:
-            raise UsageError(f"{path}: not a tensor file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
-        dtype = _DTYPE_CODES[header["dtype"]]
-        shape = tuple(header["shape"])
-        buf = fh.read(int(np.prod(shape)) * dtype.itemsize)
-        arr = np.frombuffer(buf, dtype=dtype).reshape(shape)
-    return arr.astype(arr.dtype.newbyteorder("="))

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, augment_batch
-from .models import save_checkpoint
+from .models import predict, save_checkpoint
 from .module import Module
-from .tensor import Tensor, no_grad
+from .tensor import ConfigError, Tensor
 
 
 class TrainingDiverged(RuntimeError):
@@ -35,7 +35,10 @@ class TrainConfig:
     label_smoothing: float = 0.1
     batch_size: int = 64
     seed: int = 0
-    schedule: str = "cosine"
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,28 +85,18 @@ class SGD:
 
 
 def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Share of rows whose label is among the ``k`` largest logits."""
     top = np.argsort(-logits, axis=1)[:, :k]
-    return float(np.mean([labels[i] in top[i] for i in range(len(labels))]))
+    return float((top == labels[:, None]).any(axis=1).mean())
 
 
-def evaluate(model: Module, dataset: Dataset, split: str = "val",
-             batch_size: int = 256) -> dict:
-    """Eval-mode top-1/top-5 on the center (untouched) images."""
-    images = dataset.val_images if split == "val" else dataset.train_images
-    labels = dataset.val_labels if split == "val" else dataset.train_labels
-    was_training = model.training
-    model.eval()
-    logits = []
-    with no_grad():
-        for start in range(0, len(images), batch_size):
-            x = dataset.normalize(images[start : start + batch_size])
-            logits.append(model.forward(Tensor(x)).data)
-    model.train(was_training)
-    logits = np.concatenate(logits)
+def evaluate(model: Module, dataset: Dataset, batch_size: int = 256) -> dict:
+    """Eval-mode top-1/top-5 on the center (untouched) validation images."""
+    logits = predict(model, dataset.normalize(dataset.val_images), batch_size=batch_size)
     k5 = min(5, dataset.classes)
     return {
-        "top1": top_k_accuracy(logits, labels, 1),
-        "top5": top_k_accuracy(logits, labels, k5),
+        "top1": top_k_accuracy(logits, dataset.val_labels, 1),
+        "top5": top_k_accuracy(logits, dataset.val_labels, k5),
     }
 
 
@@ -116,13 +109,7 @@ class RunReport:
     run_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "history": self.history,
-            "best_top1": self.best_top1,
-            "best_epoch": self.best_epoch,
-            "run_dir": self.run_dir,
-        }
+        return asdict(self)
 
 
 def train(model: Module, dataset: Dataset, config: TrainConfig,

@@ -141,10 +141,10 @@ class TestRuntimeCrossCheck:
         import sanet.accounting as accounting
 
         spec = named_spec("san-tiny")
-        honest = accounting.count_params(spec)
+        honest = accounting.cost_report(spec)
         honest.breakdown[0].params += 7  # corrupt the stem entry
 
-        monkeypatch.setattr(accounting, "count_params", lambda _spec: honest)
+        monkeypatch.setattr(accounting, "cost_report", lambda _spec: honest)
         report = accounting.verify_against_runtime(spec)
         assert not report["matches"]
         assert report["mismatches"][0]["layer"] == "stem"

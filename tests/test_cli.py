@@ -45,6 +45,10 @@ class TestCount:
     def test_unknown_model_exits_2(self, tmp_path):
         assert main(["count", "--model", "van10", "--out", str(tmp_path / "x")]) == 2
 
+    def test_zero_reduction_factor_exits_2(self, tmp_path):
+        assert main(["count", "--model", "san-tiny", "--r1", "0",
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_runtime_verification_flag(self, tmp_path):
         out = tmp_path / "v"
         assert main(["count", "--model", "san-tiny", "--verify-runtime",
@@ -85,6 +89,10 @@ class TestOracleCommand:
         payload = read_json(out / "oracle.json")
         assert payload["passed"] and payload["cases"][0]["name"] == "conv"
 
+    def test_zero_cases_is_config_error(self, tmp_path):
+        assert main(["oracle", "--kind", "conv", "--cases", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+
 
 @pytest.fixture(scope="module")
 def train_run(tmp_path_factory):
@@ -108,6 +116,10 @@ class TestTrainCommand:
         manifest = read_json(train_run / "manifest.json")
         assert manifest["config"]["train"]["epochs"] == 2
         assert manifest["config"]["spec"]["name"] == "san-tiny"
+
+    def test_zero_batch_size_exits_2(self, tmp_path):
+        assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
+                     "--batch-size", "0", "--out", str(tmp_path / "t")]) == 2
 
 
 class TestEvalRobustAttack:

@@ -98,6 +98,14 @@ class TestPgd:
         assert out["linf"] <= 8.0 + 1e-3
         assert out["adv_images"].min() >= 0.0 and out["adv_images"].max() <= 255.0
 
+    def test_ball_escape_raises(self, setup, monkeypatch):
+        """The ball check is an exception, not an assert that ``python -O`` drops."""
+        model, ds = setup
+        images, labels = ds.val_images[:4], ds.val_labels[:4]
+        monkeypatch.setattr(np, "clip", lambda a, lo, hi: a)  # bypass the projection
+        with pytest.raises(RuntimeError, match="L-inf ball"):
+            pgd_attack(model, images, labels, ds, AttackConfig(eps=1.0, step=4.0, iters=1))
+
     def test_targets_must_differ_from_labels(self, setup):
         model, ds = setup
         images, labels = ds.val_images[:4], ds.val_labels[:4]

@@ -169,3 +169,10 @@ class TestTopK:
         labels = np.array([1, 2])
         assert top_k_accuracy(logits, labels, 1) == 0.5
         assert top_k_accuracy(logits, labels, 3) == 1.0
+        rng = np.random.default_rng(9)
+        logits = rng.normal(size=(50, 10))
+        labels = rng.integers(0, 10, 50)
+        for k in (1, 5, 10):
+            top = np.argsort(-logits, axis=1)[:, :k]
+            loop = np.mean([labels[i] in top[i] for i in range(len(labels))])
+            assert top_k_accuracy(logits, labels, k) == loop
