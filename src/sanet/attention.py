@@ -10,9 +10,13 @@ it into an ordinary convolution.  Scalar dot-product attention and a
 direct convolution are included as baselines.
 
 All operators share the same value path: a channel-reducing linear map
-(no bias, so zero-padded locations contribute exactly zero), unfolded
-over the footprint and aggregated slot by slot under weights broadcast
-over groups of ``share`` consecutive channels.
+(no bias, so zero-padded locations contribute exactly zero) whose map is
+aggregated in place by ``slot_aggregate``, one shifted slice per footprint
+slot, under weights broadcast over groups of ``share`` consecutive
+channels.  Pairwise attention with a linear relation (summation,
+subtraction, concatenation) also runs the first perceptron layer once per
+location and gathers only its neighbor term over the footprint; the
+other relations gather the key map and build the relation per slot.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .module import Module, ModuleList, kaiming_uniform, zeros_param
 from .tensor import ConfigError, DimensionError, Tensor
 
 PAIRWISE_RELATIONS = ("summation", "subtraction", "concatenation", "hadamard", "dot")
+# relations linear in the key, over which the first perceptron layer distributes
+LINEAR_RELATIONS = ("summation", "subtraction", "concatenation")
 PATCHWISE_RELATIONS = ("star_product", "clique_product", "concatenation")
 POSITION_MODES = ("none", "absolute", "relative")
 FAMILIES = ("pairwise", "patchwise", "scalar", "conv")
@@ -211,10 +217,13 @@ class _MlpLayer(Module):
 
 def _apply_mlp(layers: ModuleList, v: Tensor) -> Tensor:
     """Linear stack with ReLU between layers, applied along the channel axis."""
-    for i, layer in enumerate(layers):
-        if i > 0:
-            v = T.relu(v)
-        v = T.linear(v, layer.w, layer.b)
+    return _mlp_tail(layers, T.linear(v, layers[0].w, layers[0].b))
+
+
+def _mlp_tail(layers: ModuleList, v: Tensor) -> Tensor:
+    """The layers after the first, each preceded by a ReLU."""
+    for layer in list(layers)[1:]:
+        v = T.linear(T.relu(v), layer.w, layer.b)
     return v
 
 
@@ -258,44 +267,76 @@ def pairwise_attention(x: Tensor, params: VectorAttention,
     position offsets together); being a set operator, the output must
     not depend on it.
     """
-    cfg, dims = params.cfg, params.dims
-    n, _, h, w = x.shape
-    fp = FootprintSpec(cfg.footprint)
+    cfg = params.cfg
     q, k, v = _qkv(x, params)
-    ku = T.unfold(k, fp.k)
-    vu = T.unfold(v, fp.k)
-    if slot_order is not None:
-        ku = T.take(ku, slot_order, axis=2)
-        vu = T.take(vu, slot_order, axis=2)
-    qe = T.reshape(q, (n, dims.d, 1, h, w))
+    p = None
+    if cfg.position != "none":
+        p = _position_map(x.shape[2], x.shape[3], params.w_pos, x.dtype)  # [1, 2, H, W]
+    if cfg.relation in LINEAR_RELATIONS:
+        hidden = _first_layer_by_location(q, k, p, params, slot_order)
+        wts = _mlp_tail(params.mlp, hidden)  # [N, groups, K, H, W]
+    else:
+        wts = _apply_mlp(params.mlp, _gathered_relation(q, k, p, params, slot_order))
+    return T.slot_aggregate(wts, v, cfg.footprint, slots=slot_order)
 
-    if cfg.relation == "summation":
-        rel = T.add(qe, ku)
-    elif cfg.relation == "subtraction":
-        rel = T.sub(qe, ku)
-    elif cfg.relation == "hadamard":
+
+def _gather(t: Tensor, k: int, slot_order) -> Tensor:
+    """``[N, C, H, W] -> [N, C, K, H, W]`` footprint gather, slots re-enumerated."""
+    tu = T.unfold(t, k)
+    return tu if slot_order is None else T.take(tu, slot_order, axis=2)
+
+
+def _first_layer_by_location(q: Tensor, k: Tensor, p: Tensor | None,
+                             params: VectorAttention, slot_order) -> Tensor:
+    """First perceptron layer of a linear relation, ``[N, d1, K, H, W]``.
+
+    The layer distributes over the pair, e.g. for subtraction with
+    relative position ``W[q_i - k_j ; p_i - p_j] + b = (W[q_i ; p_i] + b)
+    - W[k_j ; p_j]``.  The center term and the neighbor term are each one
+    per-location linear map, and only the neighbor term is gathered over
+    the footprint.  The neighbor term has no bias, so an out-of-map slot
+    gathers zero, exactly the layer's value on the zero key and zero
+    position that the gathered relation gives such a slot.
+    """
+    cfg, d = params.cfg, params.dims.d
+    layer = params.mlp[0]
+    n, _, h, w = q.shape
+    key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
+    w_key = T.take(layer.w, key_cols, axis=1)
+    if cfg.relation == "subtraction":
+        w_key = T.neg(w_key)
+    center = T.linear(q, T.take(layer.w, range(d), axis=1), layer.b)
+    neighbor = T.linear(k, w_key)
+    if p is not None:
+        pos_cols = relation_width(cfg, params.dims)
+        pos = T.linear(p, T.take(layer.w, range(pos_cols, pos_cols + 2), axis=1))
+        if cfg.position == "relative":
+            center = T.add(center, pos)
+            neighbor = T.sub(neighbor, pos)
+        else:
+            neighbor = T.add(neighbor, pos)
+    center = T.reshape(center, (n, layer.w.shape[0], 1, h, w))
+    return T.add(center, _gather(neighbor, cfg.footprint, slot_order))
+
+
+def _gathered_relation(q: Tensor, k: Tensor, p: Tensor | None,
+                       params: VectorAttention, slot_order) -> Tensor:
+    """Relation of every (location, slot) pair, ``[N, din, K, H, W]``."""
+    cfg = params.cfg
+    n, d, h, w = q.shape
+    ku = _gather(k, cfg.footprint, slot_order)
+    qe = T.reshape(q, (n, d, 1, h, w))
+    if cfg.relation == "hadamard":
         rel = T.mul(qe, ku)
-    elif cfg.relation == "concatenation":
-        rel = T.concat([T.broadcast_to(qe, ku.shape), ku], axis=1)
     elif cfg.relation == "dot":
         rel = T.sum(T.mul(qe, ku), axis=1, keepdims=True)
-    else:  # pragma: no cover - rejected by AttentionConfig
+    else:  # pragma: no cover - linear relations take the per-location path
         raise ConfigError(cfg.relation)
-
-    if cfg.position != "none":
-        p = _position_map(h, w, params.w_pos, x.dtype)  # [1, 2, H, W]
-        pu = T.unfold(p, fp.k)  # [1, 2, K, H, W]
-        if slot_order is not None:
-            pu = T.take(pu, slot_order, axis=2)
-        if cfg.position == "relative":
-            pos = T.sub(T.reshape(p, (1, 2, 1, h, w)), pu)
-        else:
-            pos = pu
-        pos = T.broadcast_to(pos, (n, 2, fp.slots, h, w))
-        rel = T.concat([rel, pos], axis=1)
-
-    wts = _apply_mlp(params.mlp, rel)  # [N, groups, K, H, W]
-    return T.slot_aggregate(wts, vu)
+    if p is not None:
+        pu = _gather(p, cfg.footprint, slot_order)  # [1, 2, K, H, W]
+        pos = T.sub(T.reshape(p, (1, 2, 1, h, w)), pu) if cfg.position == "relative" else pu
+        rel = T.concat([rel, T.broadcast_to(pos, (n,) + pos.shape[1:])], axis=1)
+    return rel
 
 
 def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
@@ -310,7 +351,6 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     fp = FootprintSpec(cfg.footprint)
     q, k, v = _qkv(x, params)
     ku = T.unfold(k, fp.k)
-    vu = T.unfold(v, fp.k)
 
     if cfg.relation == "star_product":
         qe = T.reshape(q, (n, dims.d, 1, h, w))
@@ -330,7 +370,7 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     flat = _apply_mlp(params.mlp, rel)  # [N, K * groups, H, W]
     wts = T.reshape(flat, (n, fp.slots, dims.groups, h, w))
     wts = T.transpose(wts, (0, 2, 1, 3, 4))
-    return T.slot_aggregate(wts, vu)
+    return T.slot_aggregate(wts, v, fp.k)
 
 
 def scalar_attention(x: Tensor, params: VectorAttention) -> Tensor:
@@ -344,12 +384,11 @@ def scalar_attention(x: Tensor, params: VectorAttention) -> Tensor:
     fp = FootprintSpec(cfg.footprint)
     q, k, v = _qkv(x, params)
     ku = T.unfold(k, fp.k)
-    vu = T.unfold(v, fp.k)
     qe = T.reshape(q, (n, dims.d, 1, h, w))
     scores = T.sum(T.mul(qe, ku), axis=1, keepdims=True)  # [N, 1, K, H, W]
     if cfg.normalize:
         scores = T.softmax(scores, axis=2)
-    return T.slot_aggregate(scores, vu)
+    return T.slot_aggregate(scores, v, fp.k)
 
 
 class Conv2d(Module):

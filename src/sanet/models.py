@@ -301,6 +301,9 @@ def load_checkpoint(path) -> Module:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint ({exc})") from exc
+    try:
         if raw[:4] != _CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         (hlen,) = struct.unpack("<I", raw[4:8])

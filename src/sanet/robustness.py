@@ -9,6 +9,7 @@ only the gradient sign is used, so the pixel-scale step is well-defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import tensor as T
 from .data import Dataset
 from .models import predict
 from .module import Module
-from .tensor import DimensionError, Tensor, UsageError
+from .tensor import ConfigError, DimensionError, Tensor, UsageError
 from .training import top_k_accuracy
 
 MANIPULATIONS = ("none", "cw90", "cw180", "cw270", "upside_down_flip")
@@ -47,8 +48,12 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps < 0 or self.step < 0 or self.iters < 0:
-            raise ValueError("attack budget must be non-negative")
+        budget = (self.eps, self.step)
+        if not all(math.isfinite(v) and v >= 0 for v in budget) or self.iters < 0:
+            raise ConfigError(
+                f"attack budget must be finite and non-negative, got eps={self.eps} "
+                f"step={self.step} iters={self.iters}"
+            )
 
 
 def choose_targets(labels: np.ndarray, classes: int, seed: int) -> np.ndarray:

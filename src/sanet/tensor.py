@@ -510,34 +510,52 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     return _node(data, (x,), bwd)
 
 
-def slot_aggregate(weights: Tensor, values: Tensor) -> Tensor:
-    """Weighted sum over footprint slots with channel-group broadcasting.
+def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None) -> Tensor:
+    """Weighted sum of a value map over each location's k*k footprint.
 
-    ``weights`` is ``[N, G, K, H, W]``, ``values`` is ``[N, Cm, K, H, W]``
-    with ``Cm`` a multiple of ``G``; each weight component scales
-    ``Cm / G`` consecutive value channels:
-    ``out[n, c, h, w] = sum_k weights[n, c // (Cm/G), k, h, w] * values[n, c, k, h, w]``.
+    ``weights`` is ``[N, G, K, H, W]`` with ``K = k*k``, ``values`` is the
+    value map ``[N, Cm, H, W]`` with ``Cm`` a multiple of ``G``; each weight
+    component scales ``Cm / G`` consecutive value channels.  Weight slot
+    ``s`` pairs with footprint slot ``slots[s]`` (row-major offsets,
+    identity by default), and out-of-map neighbors are zero:
+    ``out[n, c, i, j] = sum_s weights[n, c // (Cm/G), s, i, j] * values[n, c, i + dy_s, j + dx_s]``.
+
+    The value map is padded once and read through k*k shifted slices, so no
+    ``[N, Cm, K, H, W]`` gather is built in either direction.
     """
     weights, values = as_tensor(weights), as_tensor(values)
-    n, cm, k2, h, w = values.shape
-    groups = weights.shape[1]
+    if values.data.ndim != 4:
+        raise DimensionError("slot_aggregate expects an NCHW value map")
+    if k < 1 or k % 2 == 0:
+        raise ConfigError(f"footprint side must be odd and positive, got {k}")
+    n, cm, h, w = values.shape
+    groups, k2 = weights.shape[1], k * k
     if weights.shape != (n, groups, k2, h, w) or cm % groups:
         raise DimensionError(
-            f"slot_aggregate: weights {weights.shape} incompatible with values {values.shape}"
+            f"slot_aggregate: weights {weights.shape} incompatible with values "
+            f"{values.shape} and footprint {k}"
         )
-    share = cm // groups
-    v6 = values.data.reshape(n, groups, share, k2, h, w)
-    data = np.einsum(
-        "ngkhw,ngskhw->ngshw", weights.data, v6, optimize=True
-    ).reshape(n, cm, h, w)
+    share, pad = cm // groups, (k - 1) // 2
+    offsets = [divmod(int(s), k) for s in (range(k2) if slots is None else slots)]
+    if sorted(offsets) != [divmod(s, k) for s in range(k2)]:
+        raise DimensionError(f"slot_aggregate: slots must permute range({k2})")
+    padded = np.pad(values.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    v5 = padded.reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
+    out = np.zeros((n, groups, share, h, w), dtype=np.result_type(weights.data, values.data))
+    for s, (dy, dx) in enumerate(offsets):
+        out += weights.data[:, :, s, None] * v5[:, :, :, dy : dy + h, dx : dx + w]
 
     def bwd(g):
-        g6 = g.reshape(n, groups, share, h, w)
-        gw = np.einsum("ngshw,ngskhw->ngkhw", g6, v6, optimize=True)
-        gv = (g6[:, :, :, None] * weights.data[:, :, None]).reshape(values.shape)
+        g5 = g.reshape(n, groups, share, h, w)
+        gw = np.empty(weights.shape, dtype=g.dtype)
+        gv5 = np.zeros_like(v5, dtype=g.dtype)
+        for s, (dy, dx) in enumerate(offsets):
+            gw[:, :, s] = np.einsum("ngshw,ngshw->nghw", g5, v5[:, :, :, dy : dy + h, dx : dx + w])
+            gv5[:, :, :, dy : dy + h, dx : dx + w] += g5 * weights.data[:, :, s, None]
+        gv = gv5.reshape(n, cm, h + 2 * pad, w + 2 * pad)[:, :, pad : pad + h, pad : pad + w]
         return gw, gv
 
-    return _node(data, (weights, values), bwd)
+    return _node(out.reshape(n, cm, h, w), (weights, values), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -39,6 +39,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
+            raise ConfigError(f"base_lr must be finite and non-negative, got {self.base_lr}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -112,10 +114,20 @@ class RunReport:
         return asdict(self)
 
 
+def _check_finite(model: Module, where: str):
+    """Raise ``TrainingDiverged`` naming the first parameter whose gradient
+    or updated value is not finite."""
+    for name, p in model.named_parameters():
+        for kind, arr in (("gradient", p.grad), ("value", p.data)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise TrainingDiverged(f"non-finite {kind} of {name} at {where}")
+
+
 def train(model: Module, dataset: Dataset, config: TrainConfig,
           run_dir: str | None = None, log=None) -> RunReport:
     """SGD training per the config; logs per-epoch metrics, keeps the best
-    checkpoint, and aborts with a diagnostic on a non-finite loss."""
+    checkpoint, and aborts with a diagnostic on a non-finite loss, gradient
+    or parameter, before any checkpoint of that state is written."""
     report = RunReport(config=config, run_dir=run_dir)
     metrics_fh = None
     writer = None
@@ -156,6 +168,7 @@ def train(model: Module, dataset: Dataset, config: TrainConfig,
                 model.zero_grad()
                 loss.backward()
                 optimizer.step(lr)
+                _check_finite(model, f"epoch {epoch} batch {bi} (lr {lr:.6f})")
                 step += 1
                 epoch_loss += loss_value * len(idx)
 

@@ -117,6 +117,13 @@ class TestTrainCommand:
         assert manifest["config"]["train"]["epochs"] == 2
         assert manifest["config"]["spec"]["name"] == "san-tiny"
 
+    def test_nan_lr_exits_2_without_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
+                     "--lr", "nan", "--out", str(out)]) == 2
+        assert "base_lr" in capsys.readouterr().err
+        assert not (out / "best.ckpt").exists()
+
     def test_zero_batch_size_exits_2(self, tmp_path):
         assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
                      "--batch-size", "0", "--out", str(tmp_path / "t")]) == 2
@@ -156,6 +163,17 @@ class TestEvalRobustAttack:
         for rep in reports:
             assert 0.0 <= rep["success_rate"] <= 1.0
             assert rep["linf"] <= 8.0 + 1e-3
+
+    def test_negative_attack_budget_exits_2(self, train_run, tmp_path, capsys):
+        assert main(["attack", "--checkpoint", str(train_run / "best.ckpt"),
+                     "--data", "blobs", "--limit", "200", "--eps", "-1",
+                     "--out", str(tmp_path / "a")]) == 2
+        assert capsys.readouterr().err.startswith("error: attack budget")
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"), "--data", "blobs",
+                     "--out", str(tmp_path / "e4")]) == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         bogus = tmp_path / "bad.ckpt"

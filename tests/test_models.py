@@ -121,6 +121,11 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_unreadable_file_is_reported_as_such(self, tmp_path):
+        for path in (tmp_path / "missing.ckpt", tmp_path):  # absent file, a directory
+            with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+                load_checkpoint(str(path))
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bogus.ckpt")
         with open(path, "wb") as fh:

@@ -15,7 +15,7 @@ from sanet.robustness import (
     manipulation_report,
     pgd_attack,
 )
-from sanet.tensor import DimensionError
+from sanet.tensor import ConfigError, DimensionError
 
 
 class TestManipulations:
@@ -105,6 +105,13 @@ class TestPgd:
         monkeypatch.setattr(np, "clip", lambda a, lo, hi: a)  # bypass the projection
         with pytest.raises(RuntimeError, match="L-inf ball"):
             pgd_attack(model, images, labels, ds, AttackConfig(eps=1.0, step=4.0, iters=1))
+
+    @pytest.mark.parametrize("budget", [{"eps": -1.0}, {"eps": float("nan")},
+                                        {"step": float("nan")}, {"step": float("inf")},
+                                        {"iters": -1}])
+    def test_invalid_budget_is_config_error(self, budget):
+        with pytest.raises(ConfigError):
+            AttackConfig(**budget)
 
     def test_targets_must_differ_from_labels(self, setup):
         model, ds = setup

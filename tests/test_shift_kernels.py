@@ -1,0 +1,244 @@
+"""Two-sided oracle for the shift-based attention kernels.
+
+The operators aggregate values from one padded map (``slot_aggregate``) and
+run the first perceptron layer of a linear relation once per location.
+Here they are compared, forward and backward, with a reference that
+gathers every footprint with ``unfold``, builds the relation slot by slot
+and aggregates the gathered values with the einsum-style weighted slot sum,
+in float64 on random shapes.  A bounded float32-vs-float64 drift check of
+one san-tiny training step closes the file.
+"""
+
+import numpy as np
+import pytest
+
+import sanet.tensor as T
+from sanet.attention import (
+    PAIRWISE_RELATIONS,
+    PATCHWISE_RELATIONS,
+    POSITION_MODES,
+    AttentionConfig,
+    VectorAttention,
+    pairwise_attention,
+    patchwise_attention,
+    position_features,
+    scalar_attention,
+)
+from sanet.data import augment_batch, make_blobs
+from sanet.models import build_model, named_spec
+from sanet.tensor import Tensor
+from sanet.training import SGD, TrainConfig, cross_entropy_smoothed
+
+REL_TOL = 1e-10
+# (N, H, W, k): batch of one, H != W, and a footprint wider than the map
+SHAPES = [(1, 2, 5, 5), (2, 4, 3, 3), (1, 3, 7, 3), (2, 1, 4, 5)]
+
+
+def _gathered_aggregate(wts, vu):
+    """``sum_k wts[n, g, k] * vu[n, g*share + s, k]``: the weighted slot sum
+    over a gathered ``[N, Cm, K, H, W]`` value tensor."""
+    n, cm, k2, h, w = vu.shape
+    g = wts.shape[1]
+    prod = T.mul(T.reshape(wts, (n, g, 1, k2, h, w)), T.reshape(vu, (n, g, cm // g, k2, h, w)))
+    return T.reshape(T.sum(prod, axis=3), (n, cm, h, w))
+
+
+def _mlp(layers, v):
+    for i, layer in enumerate(layers):
+        if i > 0:
+            v = T.relu(v)
+        v = T.linear(v, layer.w, layer.b)
+    return v
+
+
+def _gather(t, k, slot_order):
+    tu = T.unfold(t, k)
+    return tu if slot_order is None else T.take(tu, slot_order, axis=2)
+
+
+def reference_pairwise(x, params, slot_order=None):
+    cfg, d = params.cfg, params.dims.d
+    n, _, h, w = x.shape
+    k = cfg.footprint
+    q = T.linear(x, params.w_query, params.b_query)
+    ku = _gather(T.linear(x, params.w_key, params.b_key), k, slot_order)
+    vu = _gather(T.linear(x, params.w_value), k, slot_order)
+    qe = T.reshape(q, (n, d, 1, h, w))
+    rel = {
+        "summation": lambda: T.add(qe, ku),
+        "subtraction": lambda: T.sub(qe, ku),
+        "hadamard": lambda: T.mul(qe, ku),
+        "concatenation": lambda: T.concat([T.broadcast_to(qe, ku.shape), ku], axis=1),
+        "dot": lambda: T.sum(T.mul(qe, ku), axis=1, keepdims=True),
+    }[cfg.relation]()
+    if cfg.position != "none":
+        p = T.reshape(position_features(h, w, params.w_pos), (1, 2, h, w))
+        pu = _gather(p, k, slot_order)
+        pos = T.sub(T.reshape(p, (1, 2, 1, h, w)), pu) if cfg.position == "relative" else pu
+        rel = T.concat([rel, T.broadcast_to(pos, (n, 2, k * k, h, w))], axis=1)
+    return _gathered_aggregate(_mlp(params.mlp, rel), vu)
+
+
+def reference_patchwise(x, params):
+    cfg, d, groups = params.cfg, params.dims.d, params.dims.groups
+    n, _, h, w = x.shape
+    k, k2 = cfg.footprint, cfg.footprint ** 2
+    q = T.linear(x, params.w_query, params.b_query)
+    ku = T.unfold(T.linear(x, params.w_key, params.b_key), k)
+    vu = T.unfold(T.linear(x, params.w_value), k)
+    if cfg.relation == "star_product":
+        rel = T.sum(T.mul(T.reshape(q, (n, d, 1, h, w)), ku), axis=1)
+    elif cfg.relation == "clique_product":
+        qj = T.reshape(T.unfold(q, k), (n, d, k2, 1, h, w))
+        rel = T.sum(T.mul(qj, T.reshape(ku, (n, d, 1, k2, h, w))), axis=1)
+        rel = T.reshape(rel, (n, k2 * k2, h, w))
+    else:
+        kt = T.transpose(ku, (0, 2, 1, 3, 4))
+        rel = T.concat([q, T.reshape(kt, (n, k2 * d, h, w))], axis=1)
+    wts = T.reshape(_mlp(params.mlp, rel), (n, k2, groups, h, w))
+    return _gathered_aggregate(T.transpose(wts, (0, 2, 1, 3, 4)), vu)
+
+
+def reference_scalar(x, params):
+    cfg, d = params.cfg, params.dims.d
+    n, _, h, w = x.shape
+    q = T.linear(x, params.w_query, params.b_query)
+    ku = T.unfold(T.linear(x, params.w_key, params.b_key), cfg.footprint)
+    vu = T.unfold(T.linear(x, params.w_value), cfg.footprint)
+    scores = T.sum(T.mul(T.reshape(q, (n, d, 1, h, w)), ku), axis=1, keepdims=True)
+    if cfg.normalize:
+        scores = T.softmax(scores, axis=2)
+    return _gathered_aggregate(scores, vu)
+
+
+def _params(rng, k, **cfg):
+    """Float64 layer with every parameter, biases included, drawn at random."""
+    share = int(rng.choice([1, 2, 8]))
+    depth = int(rng.integers(1, 4))
+    params = VectorAttention(16, AttentionConfig(footprint=k, r1=4, r2=2, share=share,
+                                                 mlp_depth=depth, **cfg),
+                             rng, dtype=np.float64)
+    for _, p in params.named_parameters():
+        p.data = rng.normal(scale=0.5, size=p.shape)
+    return params
+
+
+def _output_and_grads(op, x, params, proj):
+    x.grad = None
+    for _, p in params.named_parameters():
+        p.grad = None
+    out = op(x, params)
+    T.sum(T.mul(out, Tensor(proj))).backward()
+    grads = {"x": x.grad.copy()}
+    grads.update({name: p.grad.copy() for name, p in params.named_parameters()})
+    return out.data, grads
+
+
+def _rel_err(got, want):
+    scale = np.abs(want).max()
+    assert scale > 0, "reference is identically zero: the comparison would be vacuous"
+    return np.abs(got - want).max() / scale
+
+
+def _assert_two_sided(op, reference, make_layer, seed):
+    rng = np.random.default_rng(seed)
+    for n, h, w, k in SHAPES:
+        params = make_layer(rng, k)
+        x = Tensor(rng.normal(size=(n, 16, h, w)), requires_grad=True)
+        proj = rng.uniform(-1.0, 1.0, size=(n, params.dims.cm, h, w))
+        got, got_grads = _output_and_grads(op, x, params, proj)
+        want, want_grads = _output_and_grads(reference, x, params, proj)
+        case = f"shape {(n, 16, h, w)} k={k} share={params.cfg.share}"
+        assert _rel_err(got, want) <= REL_TOL, f"output, {case}"
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert _rel_err(got_grads[name], g) <= REL_TOL, f"d/d{name}, {case}"
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["slots", "slot_order"])
+@pytest.mark.parametrize("position", POSITION_MODES)
+@pytest.mark.parametrize("relation", PAIRWISE_RELATIONS)
+def test_pairwise_matches_gathered_reference(relation, position, ordered):
+    def make_layer(rng, k):
+        params = _params(rng, k, relation=relation, position=position)
+        params.slot_order = tuple(rng.permutation(k * k).tolist()) if ordered else None
+        return params
+
+    _assert_two_sided(lambda x, p: pairwise_attention(x, p, slot_order=p.slot_order),
+                      lambda x, p: reference_pairwise(x, p, slot_order=p.slot_order),
+                      make_layer, seed=PAIRWISE_RELATIONS.index(relation))
+
+
+@pytest.mark.parametrize("relation", PATCHWISE_RELATIONS)
+def test_patchwise_matches_gathered_reference(relation):
+    _assert_two_sided(patchwise_attention, reference_patchwise,
+                      lambda rng, k: _params(rng, k, family="patchwise", relation=relation),
+                      seed=10 + PATCHWISE_RELATIONS.index(relation))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_scalar_matches_gathered_reference(normalize):
+    _assert_two_sided(scalar_attention, reference_scalar,
+                      lambda rng, k: _params(rng, k, family="scalar", relation="dot",
+                                             normalize=normalize),
+                      seed=20 + normalize)
+
+
+def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
+    w = Tensor(np.zeros((1, 2, 9, 3, 3)))
+    v = Tensor(np.zeros((1, 4, 3, 3)))
+    with pytest.raises(T.DimensionError):
+        T.slot_aggregate(w, v, 5)
+    with pytest.raises(T.DimensionError):
+        T.slot_aggregate(w, v, 3, slots=[0] * 9)
+
+
+# One float32 training step of san-tiny may drift from the same step in
+# float64 by rounding alone.  Fixed from float32's unit roundoff (6e-8)
+# with room for the step's reductions (batch-norm statistics over 65,536
+# values per channel, 25-slot sums): the loss within 1e-5 of itself, each
+# gradient and updated parameter tensor within 1e-3 (~8,000 ulps) of its
+# largest entry.  Tensors whose exact gradient is zero (a bias feeding batch
+# norm) are measured against 1e-3 of the step's largest entry instead.
+DRIFT_LOSS = 1e-5
+DRIFT_REL = 1e-3
+DRIFT_FLOOR = 1e-3
+
+
+def _drift(got, want):
+    scale = max(np.abs(w).max() for w in want)
+    return max(np.abs(g - w).max() / max(np.abs(w).max(), DRIFT_FLOOR * scale)
+               for g, w in zip(got, want))
+
+
+def test_float32_training_step_stays_near_float64():
+    spec = named_spec("san-tiny")
+    data = make_blobs(train_per_class=8, val_per_class=1, seed=4)
+    x = data.normalize(augment_batch(data.train_images[:64], np.random.default_rng(5)))
+    labels = data.train_labels[:64]
+    cfg = TrainConfig()
+    start = {name: p.data for name, p in build_model(spec, seed=4).named_parameters()}
+    rng = np.random.default_rng(6)
+    for name, w in start.items():
+        # residual units start as the identity; open them so attention is on the path
+        if name.endswith("expand.w"):
+            bound = np.sqrt(6.0 / w.shape[1])
+            start[name] = rng.uniform(-bound, bound, w.shape).astype(np.float32)
+
+    def step(dtype):
+        model = build_model(spec, seed=4, dtype=dtype)
+        for name, p in model.named_parameters():
+            p.data = start[name].astype(dtype)
+        loss = cross_entropy_smoothed(model(Tensor(x.astype(dtype))), labels,
+                                      cfg.label_smoothing)
+        loss.backward()
+        grads = [p.grad.astype(np.float64) for p in model.parameters()]
+        SGD(model.parameters(), cfg.momentum, cfg.weight_decay).step(cfg.base_lr)
+        return float(loss.data), grads, [p.data.astype(np.float64) for p in model.parameters()]
+
+    loss32, grads32, params32 = step(np.float32)
+    loss64, grads64, params64 = step(np.float64)
+    assert all(np.abs(g).max() > 0 for name, g in zip(start, grads64) if ".attention." in name)
+    assert abs(loss32 - loss64) <= DRIFT_LOSS * abs(loss64)
+    assert _drift(grads32, grads64) <= DRIFT_REL
+    assert _drift(params32, params64) <= DRIFT_REL

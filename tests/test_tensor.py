@@ -250,9 +250,15 @@ class TestFiniteDifferences:
 
     def test_slot_aggregate(self):
         rng = np.random.default_rng(25)
-        w = Tensor(rng.normal(size=(2, 3, 4, 2, 2)), requires_grad=True)
-        v = Tensor(rng.normal(size=(2, 6, 4, 2, 2)), requires_grad=True)
-        _fd_case("slot_aggregate", lambda: T.slot_aggregate(w, v), {"w": w, "v": v})
+        for k, hw, slots in [
+            (3, (4, 3), None),
+            (3, (2, 5), [4, 0, 8, 1, 7, 2, 6, 3, 5]),
+            (5, (3, 2), None),  # footprint wider than the map on both axes
+        ]:
+            w = Tensor(rng.normal(size=(2, 3, k * k) + hw), requires_grad=True)
+            v = Tensor(rng.normal(size=(2, 6) + hw), requires_grad=True)
+            _fd_case(f"slot_aggregate/k={k}/{hw}",
+                     lambda: T.slot_aggregate(w, v, k, slots=slots), {"w": w, "v": v})
 
 
 class TestDeterminismAndFiniteness:

@@ -9,7 +9,7 @@ import pytest
 from sanet.data import augment, augment_batch, make_blobs
 from sanet.gradcheck import check_gradients
 from sanet.models import build_model, named_spec
-from sanet.tensor import Tensor
+from sanet.tensor import ConfigError, Tensor
 from sanet.training import (
     SGD,
     TrainConfig,
@@ -161,6 +161,26 @@ class TestTrainLoop:
         model.stem.linear.w.data[...] = 1e38  # overflow on the first batch
         with pytest.raises(TrainingDiverged, match="batch 0"):
             train(model, ds, TrainConfig(epochs=1, batch_size=16, seed=4))
+
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+    def test_invalid_lr_is_config_error(self, lr):
+        with pytest.raises(ConfigError, match="base_lr"):
+            TrainConfig(base_lr=lr)
+
+    def test_non_finite_gradient_aborts_before_any_checkpoint(self, tmp_path, monkeypatch):
+        """A NaN gradient with a finite loss stops training; nothing is saved."""
+        real_step = SGD.step
+
+        def poisoned_step(self, lr):
+            self.params[0].grad = np.full_like(self.params[0].data, np.nan)
+            real_step(self, lr)
+
+        monkeypatch.setattr(SGD, "step", poisoned_step)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient of .* batch 0"):
+            self._tiny_run(tmp_path)
+        assert not (tmp_path / "best.ckpt").exists()
+        assert not (tmp_path / "last.ckpt").exists()
 
 
 class TestTopK:
