@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .attention import AttentionConfig, attention_dims, mlp_widths
-from .blocks import Transition
-from .models import ModelSpec, build_model
+from .models import ModelSpec, build_model, named_units
 from .tensor import ConfigError
 
 
@@ -170,22 +169,6 @@ def cost_report(spec: ModelSpec, input_hw: int | None = None) -> CostReport:
 count_params = count_macs = cost_report
 
 
-def _runtime_units(model) -> list[tuple[str, int]]:
-    units = [("stem", model.stem.param_count())]
-    for si, stage in enumerate(model.stages):
-        bi = 0
-        for item in stage:
-            if isinstance(item, Transition):
-                units.append((f"stage{si + 1}.transition", item.param_count()))
-            else:
-                bi += 1
-                units.append((f"stage{si + 1}.block{bi}", item.param_count()))
-    if hasattr(model, "bn_out"):
-        units.append(("bn_out", model.bn_out.param_count()))
-    units.append(("classifier", model.classifier.param_count()))
-    return units
-
-
 def verify_against_runtime(spec: ModelSpec, seed: int = 0) -> dict:
     """Cross-check symbolic parameter counts against a built model, exactly.
 
@@ -194,7 +177,7 @@ def verify_against_runtime(spec: ModelSpec, seed: int = 0) -> dict:
     """
     symbolic = cost_report(spec)
     model = build_model(spec, seed=seed)
-    runtime = _runtime_units(model)
+    runtime = [(name, unit.param_count()) for name, unit in named_units(model)]
     sym = [(b.name, b.params) for b in symbolic.breakdown]
     mismatches = []
     for (sname, sparams), (rname, rparams) in zip(sym, runtime):

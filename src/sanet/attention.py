@@ -13,14 +13,15 @@ All operators share the same value path: a channel-reducing linear map
 (no bias, so zero-padded locations contribute exactly zero) whose map is
 aggregated in place by ``slot_aggregate``, one shifted slice per footprint
 slot, under weights broadcast over groups of ``share`` consecutive
-channels.  Pairwise attention with a linear relation (summation,
-subtraction, concatenation) also runs the first perceptron layer once per
-location and gathers only its neighbor term over the footprint; the
-other relations gather the key map and build the relation per slot.
+channels.  Pairwise attention, for every relation, splits the first
+perceptron layer into a per-location center map and a bias-free neighbor
+map, and gathers only the neighbor map over the footprint; Hadamard and
+dot add one per-slot term, the layer applied to the query-key product.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +31,6 @@ from .module import Module, ModuleList, kaiming_uniform, zeros_param
 from .tensor import ConfigError, DimensionError, Tensor
 
 PAIRWISE_RELATIONS = ("summation", "subtraction", "concatenation", "hadamard", "dot")
-# relations linear in the key, over which the first perceptron layer distributes
-LINEAR_RELATIONS = ("summation", "subtraction", "concatenation")
 PATCHWISE_RELATIONS = ("star_product", "clique_product", "concatenation")
 POSITION_MODES = ("none", "absolute", "relative")
 FAMILIES = ("pairwise", "patchwise", "scalar", "conv")
@@ -215,11 +214,6 @@ class _MlpLayer(Module):
         self.b = zeros_param((fan_out,), dtype)
 
 
-def _apply_mlp(layers: ModuleList, v: Tensor) -> Tensor:
-    """Linear stack with ReLU between layers, applied along the channel axis."""
-    return _mlp_tail(layers, T.linear(v, layers[0].w, layers[0].b))
-
-
 def _mlp_tail(layers: ModuleList, v: Tensor) -> Tensor:
     """The layers after the first, each preceded by a ReLU."""
     for layer in list(layers)[1:]:
@@ -272,11 +266,7 @@ def pairwise_attention(x: Tensor, params: VectorAttention,
     p = None
     if cfg.position != "none":
         p = _position_map(x.shape[2], x.shape[3], params.w_pos, x.dtype)  # [1, 2, H, W]
-    if cfg.relation in LINEAR_RELATIONS:
-        hidden = _first_layer_by_location(q, k, p, params, slot_order)
-        wts = _mlp_tail(params.mlp, hidden)  # [N, groups, K, H, W]
-    else:
-        wts = _apply_mlp(params.mlp, _gathered_relation(q, k, p, params, slot_order))
+    wts = _mlp_tail(params.mlp, _first_layer(q, k, p, params, slot_order))
     return T.slot_aggregate(wts, v, cfg.footprint, slots=slot_order)
 
 
@@ -286,57 +276,48 @@ def _gather(t: Tensor, k: int, slot_order) -> Tensor:
     return tu if slot_order is None else T.take(tu, slot_order, axis=2)
 
 
-def _first_layer_by_location(q: Tensor, k: Tensor, p: Tensor | None,
-                             params: VectorAttention, slot_order) -> Tensor:
-    """First perceptron layer of a linear relation, ``[N, d1, K, H, W]``.
+def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
+                 params: VectorAttention, slot_order) -> Tensor:
+    """First perceptron layer of every (location, slot) pair, ``[N, d1, K, H, W]``.
 
-    The layer distributes over the pair, e.g. for subtraction with
-    relative position ``W[q_i - k_j ; p_i - p_j] + b = (W[q_i ; p_i] + b)
-    - W[k_j ; p_j]``.  The center term and the neighbor term are each one
-    per-location linear map, and only the neighbor term is gathered over
-    the footprint.  The neighbor term has no bias, so an out-of-map slot
-    gathers zero, exactly the layer's value on the zero key and zero
-    position that the gathered relation gives such a slot.
+    The layer is linear in its input, so it splits into a center map, a
+    neighbor map gathered over the footprint and, for Hadamard and dot, a
+    per-slot product term.  For subtraction with relative position,
+    ``W[q_i - k_j ; p_i - p_j] + b = (W[q_i ; p_i] + b) - W[k_j ; p_j]``;
+    for Hadamard, with ``W = [W_r, W_p]``, ``W[q_i * k_j ; p_i - p_j] + b =
+    (W_r (q_i * k_j) + b) + W_p p_i - W_p p_j``.  The neighbor map has no bias, so an out-of-map
+    slot gathers zero, exactly the layer's share of the zero key and zero
+    position of a zero-padded neighbor.
     """
     cfg, d = params.cfg, params.dims.d
     layer = params.mlp[0]
     n, _, h, w = q.shape
-    key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
-    w_key = T.take(layer.w, key_cols, axis=1)
-    if cfg.relation == "subtraction":
-        w_key = T.neg(w_key)
-    center = T.linear(q, T.take(layer.w, range(d), axis=1), layer.b)
-    neighbor = T.linear(k, w_key)
+    rel_cols = relation_width(cfg, params.dims)
+    terms, center, neighbor = [], None, None
+    if cfg.relation in ("hadamard", "dot"):
+        rel = T.mul(T.reshape(q, (n, d, 1, h, w)), _gather(k, cfg.footprint, slot_order))
+        if cfg.relation == "dot":
+            rel = T.sum(rel, axis=1, keepdims=True)
+        terms.append(T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b))
+    else:
+        key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
+        w_key = T.take(layer.w, key_cols, axis=1)
+        if cfg.relation == "subtraction":
+            w_key = T.neg(w_key)
+        center = T.linear(q, T.take(layer.w, range(d), axis=1), layer.b)
+        neighbor = T.linear(k, w_key)
     if p is not None:
-        pos_cols = relation_width(cfg, params.dims)
-        pos = T.linear(p, T.take(layer.w, range(pos_cols, pos_cols + 2), axis=1))
+        pos = T.linear(p, T.take(layer.w, range(rel_cols, rel_cols + 2), axis=1))
         if cfg.position == "relative":
-            center = T.add(center, pos)
-            neighbor = T.sub(neighbor, pos)
+            center = pos if center is None else T.add(center, pos)
+            neighbor = T.neg(pos) if neighbor is None else T.sub(neighbor, pos)
         else:
-            neighbor = T.add(neighbor, pos)
-    center = T.reshape(center, (n, layer.w.shape[0], 1, h, w))
-    return T.add(center, _gather(neighbor, cfg.footprint, slot_order))
-
-
-def _gathered_relation(q: Tensor, k: Tensor, p: Tensor | None,
-                       params: VectorAttention, slot_order) -> Tensor:
-    """Relation of every (location, slot) pair, ``[N, din, K, H, W]``."""
-    cfg = params.cfg
-    n, d, h, w = q.shape
-    ku = _gather(k, cfg.footprint, slot_order)
-    qe = T.reshape(q, (n, d, 1, h, w))
-    if cfg.relation == "hadamard":
-        rel = T.mul(qe, ku)
-    elif cfg.relation == "dot":
-        rel = T.sum(T.mul(qe, ku), axis=1, keepdims=True)
-    else:  # pragma: no cover - linear relations take the per-location path
-        raise ConfigError(cfg.relation)
-    if p is not None:
-        pu = _gather(p, cfg.footprint, slot_order)  # [1, 2, K, H, W]
-        pos = T.sub(T.reshape(p, (1, 2, 1, h, w)), pu) if cfg.position == "relative" else pu
-        rel = T.concat([rel, T.broadcast_to(pos, (n,) + pos.shape[1:])], axis=1)
-    return rel
+            neighbor = pos if neighbor is None else T.add(neighbor, pos)
+    if center is not None:
+        terms.append(T.reshape(center, (center.shape[0], layer.w.shape[0], 1, h, w)))
+    if neighbor is not None:
+        terms.append(_gather(neighbor, cfg.footprint, slot_order))
+    return functools.reduce(T.add, terms)
 
 
 def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
@@ -367,7 +348,8 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     else:  # pragma: no cover - rejected by AttentionConfig
         raise ConfigError(cfg.relation)
 
-    flat = _apply_mlp(params.mlp, rel)  # [N, K * groups, H, W]
+    first = params.mlp[0]
+    flat = _mlp_tail(params.mlp, T.linear(rel, first.w, first.b))  # [N, K * groups, H, W]
     wts = T.reshape(flat, (n, fp.slots, dims.groups, h, w))
     wts = T.transpose(wts, (0, 2, 1, 3, 4))
     return T.slot_aggregate(wts, v, fp.k)

@@ -6,7 +6,8 @@ version, argv) beside its outputs, and all outputs are plain JSON/CSV
 with no timestamps, so reruns with identical arguments reproduce
 identical files.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success; 1 verification failure or diverged training; 2
+usage, config or file-system error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .robustness import (
     manipulation_report,
 )
 from .tensor import ConfigError, UsageError
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, TrainingDiverged, evaluate, train
 
 DATA_ROOT_ENV = "SANET_DATA_ROOT"
 
@@ -81,7 +82,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _emit_manifest(out_dir, command, args, config):
+def _emit_manifest(out_dir, command, config):
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
@@ -94,7 +95,7 @@ def _emit_manifest(out_dir, command, args, config):
 def cmd_count(args) -> int:
     spec = _resolve_spec(args)
     out = args.out or f"runs/count-{spec.name}"
-    _emit_manifest(out, "count", args, {"spec": spec_to_dict(spec), "input_hw": spec.input_hw})
+    _emit_manifest(out, "count", {"spec": spec_to_dict(spec), "input_hw": spec.input_hw})
     report = cost_report(spec)
     payload = report.to_dict()
     if args.verify_runtime:
@@ -113,7 +114,7 @@ def cmd_count(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     out = args.out or "runs/gradcheck"
-    _emit_manifest(out, "gradcheck", args, {
+    _emit_manifest(out, "gradcheck", {
         "kind": args.kind, "relation": args.relation, "position": args.position,
         "tol": args.tol, "seed": args.seed,
     })
@@ -136,7 +137,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_oracle(args) -> int:
     out = args.out or "runs/oracle"
-    _emit_manifest(out, "oracle", args, {
+    _emit_manifest(out, "oracle", {
         "kind": args.kind, "relation": args.relation, "cases": args.cases,
         "tol": args.tol, "seed": args.seed,
     })
@@ -170,7 +171,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size, seed=args.seed,
     )
     out = args.out or f"runs/train-{spec.name}-{dataset.name}"
-    _emit_manifest(out, "train", args, {
+    _emit_manifest(out, "train", {
         "spec": spec_to_dict(spec), "train": config.to_dict(),
         "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
     })
@@ -191,9 +192,9 @@ def cmd_eval(args) -> int:
     dataset = _resolve_data(args)
     model = _load_model_for_eval(args)
     out = args.out or "runs/eval"
-    _emit_manifest(out, "eval", args, {"checkpoint": args.checkpoint,
-                                       "data": {"kind": args.data, "limit": args.limit,
-                                                "seed": args.seed}})
+    _emit_manifest(out, "eval", {"checkpoint": args.checkpoint,
+                                 "data": {"kind": args.data, "limit": args.limit,
+                                          "seed": args.seed}})
     metrics = evaluate(model, dataset)
     _write_json(os.path.join(out, "eval.json"), metrics)
     print(f"top1 {metrics['top1']:.4f}  top5 {metrics['top5']:.4f} -> {out}")
@@ -205,7 +206,7 @@ def cmd_robust(args) -> int:
     model = _load_model_for_eval(args)
     manipulations = MANIPULATIONS if args.manipulation is None else (args.manipulation,)
     out = args.out or "runs/robust"
-    _emit_manifest(out, "robust", args, {
+    _emit_manifest(out, "robust", {
         "checkpoint": args.checkpoint, "manipulations": list(manipulations),
         "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
     })
@@ -228,7 +229,7 @@ def cmd_attack(args) -> int:
     model = _load_model_for_eval(args)
     cfg = AttackConfig(eps=args.eps, step=args.step, iters=args.iters, seed=args.seed)
     out = args.out or f"runs/attack-n{cfg.iters}"
-    _emit_manifest(out, "attack", args, {
+    _emit_manifest(out, "attack", {
         "checkpoint": args.checkpoint,
         "attack": {"eps": cfg.eps, "step": cfg.step, "iters": cfg.iters, "seed": cfg.seed,
                    "count": args.count},
@@ -322,9 +323,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, UsageError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, UsageError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

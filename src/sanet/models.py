@@ -250,6 +250,25 @@ def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Module:
     return SANetwork(spec, rng, dtype)
 
 
+def named_units(model: Module) -> list[tuple[str, Module]]:
+    """``(CostReport name, module)`` for every unit of a built network, in
+    forward order: stem, ``stageN.transition`` / ``stageN.blockM``, then
+    ``bn_out`` (ResNet only) and the classifier."""
+    units = [("stem", model.stem)]
+    for si, stage in enumerate(model.stages):
+        bi = 0
+        for item in stage:
+            if isinstance(item, Transition):
+                units.append((f"stage{si + 1}.transition", item))
+            else:
+                bi += 1
+                units.append((f"stage{si + 1}.block{bi}", item))
+    if isinstance(model, ResNetwork):
+        units.append(("bn_out", model.bn_out))
+    units.append(("classifier", model.classifier))
+    return units
+
+
 def predict(model: Module, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Eval-mode logits for a raw image batch, without recording a graph."""
     was_training = model.training

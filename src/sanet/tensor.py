@@ -74,9 +74,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         backward(self)
 
@@ -212,14 +209,6 @@ def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _node(data, (a,), bwd)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return scale(sum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -462,21 +451,20 @@ def _scatter_windows(slot_grads, shape, k: int, stride: int, pad: int, dtype) ->
     return buf[:, :, pad : pad + h, pad : pad + w]
 
 
-def unfold(x: Tensor, k: int, stride: int = 1, pad: int | None = None) -> Tensor:
+def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
     """Gather the k*k spatial neighborhood of every location.
 
     Output is ``[N, C, K, Ho, Wo]`` with ``K = k*k``; slot ordering is
-    row-major over the footprint, and out-of-bounds slots are zero.  With
-    the default padding ``(k - 1) // 2`` and stride 1 the spatial extent
-    is preserved.
+    row-major over the footprint, and out-of-bounds slots are zero.  The
+    map is zero-padded by ``(k - 1) // 2``, so with stride 1 the spatial
+    extent is preserved.
     """
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError("unfold expects an NCHW tensor")
     if k < 1 or k % 2 == 0:
         raise ConfigError(f"footprint side must be odd and positive, got {k}")
-    if pad is None:
-        pad = (k - 1) // 2
+    pad = (k - 1) // 2
     n, c, h, w = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)

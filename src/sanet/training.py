@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, augment_batch
-from .models import predict, save_checkpoint
+from .models import named_units, predict, save_checkpoint
 from .module import Module
 from .tensor import ConfigError, Tensor
 
@@ -39,8 +39,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
-            raise ConfigError(f"base_lr must be finite and non-negative, got {self.base_lr}")
+        for name in ("base_lr", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ConfigError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,12 +119,14 @@ class RunReport:
 
 
 def _check_finite(model: Module, where: str):
-    """Raise ``TrainingDiverged`` naming the first parameter whose gradient
-    or updated value is not finite."""
-    for name, p in model.named_parameters():
-        for kind, arr in (("gradient", p.grad), ("value", p.data)):
-            if arr is not None and not np.isfinite(arr).all():
-                raise TrainingDiverged(f"non-finite {kind} of {name} at {where}")
+    """Raise ``TrainingDiverged`` naming the first parameter, in forward
+    order and by its cost-report unit, whose gradient or updated value is
+    not finite."""
+    for unit, module in named_units(model):
+        for name, p in module.named_parameters(unit + "."):
+            for kind, arr in (("gradient", p.grad), ("value", p.data)):
+                if arr is not None and not np.isfinite(arr).all():
+                    raise TrainingDiverged(f"non-finite {kind} of {name} at {where}")
 
 
 def train(model: Module, dataset: Dataset, config: TrainConfig,

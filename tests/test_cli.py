@@ -3,9 +3,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from sanet.cli import main
+from sanet.models import build_model, named_spec
+from sanet.training import SGD
 
 
 def read_json(path):
@@ -48,6 +51,12 @@ class TestCount:
     def test_zero_reduction_factor_exits_2(self, tmp_path):
         assert main(["count", "--model", "san-tiny", "--r1", "0",
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_out_under_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["count", "--model", "san-tiny", "--out", str(blocker / "c")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_runtime_verification_flag(self, tmp_path):
         out = tmp_path / "v"
@@ -127,6 +136,34 @@ class TestTrainCommand:
     def test_zero_batch_size_exits_2(self, tmp_path):
         assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
                      "--batch-size", "0", "--out", str(tmp_path / "t")]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--momentum", "nan"), ("--weight-decay", "-1"),
+                                            ("--label-smoothing", "1.5")])
+    def test_invalid_optimizer_setting_exits_2_without_run_dir(self, tmp_path, capsys,
+                                                               flag, value):
+        out = tmp_path / "t"
+        assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
+                     flag, value, "--out", str(out)]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverged_training_exits_1_naming_the_unit(self, tmp_path, capsys, monkeypatch):
+        names = [n for n, _ in build_model(named_spec("san-tiny")).named_parameters()]
+        poisoned = names.index("stages.1.1.attention.w_key")
+        real_step = SGD.step
+
+        def poisoned_step(self, lr):
+            self.params[poisoned].grad = np.full_like(self.params[poisoned].data, np.nan)
+            real_step(self, lr)
+
+        monkeypatch.setattr(SGD, "step", poisoned_step)
+        out = tmp_path / "t"
+        assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "non-finite gradient of stage2.block1.attention.w_key" in err
+        assert not (out / "best.ckpt").exists()
 
 
 class TestEvalRobustAttack:

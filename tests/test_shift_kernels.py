@@ -1,7 +1,7 @@
 """Two-sided oracle for the shift-based attention kernels.
 
 The operators aggregate values from one padded map (``slot_aggregate``) and
-run the first perceptron layer of a linear relation once per location.
+split the first pairwise perceptron layer into per-location maps.
 Here they are compared, forward and backward, with a reference that
 gathers every footprint with ``unfold``, builds the relation slot by slot
 and aggregates the gathered values with the einsum-style weighted slot sum,

@@ -234,7 +234,6 @@ class TestFiniteDifferences:
         _fd_case("relu", lambda: T.relu(x), {"x": x})
         _fd_case("softmax", lambda: T.softmax(x, axis=1), {"x": x})
         _fd_case("log_softmax", lambda: T.log_softmax(x, axis=1), {"x": x})
-        _fd_case("mean", lambda: T.mean(x, axis=1), {"x": x})
 
     def test_broadcast_binary_and_structural(self):
         rng = np.random.default_rng(24)

@@ -168,6 +168,14 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="base_lr"):
             TrainConfig(base_lr=lr)
 
+    @pytest.mark.parametrize("field,value", [
+        ("momentum", float("nan")), ("momentum", -0.5), ("weight_decay", float("inf")),
+        ("weight_decay", -1.0), ("label_smoothing", 1.0), ("label_smoothing", -0.1),
+    ])
+    def test_invalid_optimizer_setting_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
     def test_non_finite_gradient_aborts_before_any_checkpoint(self, tmp_path, monkeypatch):
         """A NaN gradient with a finite loss stops training; nothing is saved."""
         real_step = SGD.step
