@@ -124,6 +124,8 @@ def make_blobs(classes: int = 10, train_per_class: int = 100,
 
 def load_dataset(kind: str, root: str | None = None, limit: int | None = None,
                  seed: int = 0) -> Dataset:
+    if limit is not None and limit < 1:
+        raise ConfigError(f"dataset limit must be at least 1, got {limit}")
     if kind == "cifar10":
         if root is None:
             raise ConfigError("cifar10 needs a dataset root (flag or data-root env)")

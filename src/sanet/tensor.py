@@ -425,16 +425,6 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _windows(data: np.ndarray, k: int, stride: int, pad: int, fill: float) -> np.ndarray:
-    """View an NCHW array as ``[N, C, Ho, Wo, k, k]`` windows."""
-    if pad > 0:
-        data = np.pad(
-            data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill
-        )
-    view = sliding_window_view(data, (k, k), axis=(2, 3))
-    return view[:, :, ::stride, ::stride]
-
-
 def _scatter_windows(slot_grads, shape, k: int, stride: int, pad: int, dtype) -> np.ndarray:
     """Sum window gradients back onto an NCHW input of ``shape``.
 
@@ -468,7 +458,8 @@ def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
     n, c, h, w = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
-    win = _windows(x.data, k, stride, pad, 0.0)
+    src = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad > 0 else x.data
+    win = sliding_window_view(src, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     data = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, k * k, ho, wo)
 
     def bwd(g):
@@ -479,17 +470,38 @@ def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
 
 
 def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
-    """Max pooling; gradient routes to the first maximal slot per window."""
+    """Max pooling; gradient routes to the first maximal slot per window.
+
+    The input is padded once with ``-inf`` and the window maximum is folded
+    over its k*k strided slices, so no ``[N, C, Ho, Wo, k*k]`` window copy
+    is built.  A NaN in a window wins over every number, as with ``argmax``.
+    The winning slot of each window is recorded only when the output goes
+    on the tape.
+    """
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError("max_pool expects an NCHW tensor")
+    if k < 1 or stride < 1 or pad < 0:
+        raise ConfigError(f"max_pool: bad window {k}, stride {stride} or pad {pad}")
     n, c, h, w = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
-    win = _windows(x.data, k, stride, pad, -np.inf)
-    flat = win.reshape(n, c, ho, wo, k * k)
-    arg = flat.argmax(axis=-1)
-    data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+    src = np.pad(x.data, pads, constant_values=-np.inf) if pad > 0 else x.data
+    taped = _grad_enabled and x.requires_grad
+    data = src[:, :, : stride * ho : stride, : stride * wo : stride].copy()
+    arg = np.zeros(data.shape, np.min_scalar_type(k * k - 1)) if taped else None
+    for s in range(1, k * k):
+        dy, dx = divmod(s, k)
+        sl = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
+        if taped:
+            # a later slot wins only if it is greater, or NaN over a number;
+            # slots rise, so a win always raises the recorded index
+            better = ~(sl <= data) & (data == data)
+            np.maximum(arg, better * arg.dtype.type(s), out=arg)
+        # on a tie np.maximum keeps its second operand, the earlier slot; of
+        # two NaNs it keeps the first, so only a NaN payload can differ from argmax
+        np.maximum(sl, data, out=data)
 
     def bwd(g):
         slots = (g * (arg == s) for s in range(k * k))

@@ -147,6 +147,15 @@ class TestTrainCommand:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("limit,epochs,field", [("20", "0", "epochs"), ("0", "1", "limit")])
+    def test_empty_run_exits_2_without_run_dir(self, tmp_path, capsys, limit, epochs, field):
+        out = tmp_path / "t"
+        assert main(["train", "--model", "san-tiny", "--limit", limit, "--epochs", epochs,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and field in err
+        assert not out.exists()
+
     def test_diverged_training_exits_1_naming_the_unit(self, tmp_path, capsys, monkeypatch):
         names = [n for n, _ in build_model(named_spec("san-tiny")).named_parameters()]
         poisoned = names.index("stages.1.1.attention.w_key")
@@ -206,6 +215,20 @@ class TestEvalRobustAttack:
                      "--data", "blobs", "--limit", "200", "--eps", "-1",
                      "--out", str(tmp_path / "a")]) == 2
         assert capsys.readouterr().err.startswith("error: attack budget")
+
+    def test_zero_attack_count_exits_2(self, train_run, tmp_path, capsys):
+        assert main(["attack", "--checkpoint", str(train_run / "best.ckpt"),
+                     "--data", "blobs", "--limit", "200", "--count", "0",
+                     "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: attack count")
+
+    def test_zero_limit_exits_2_for_eval(self, train_run, tmp_path, capsys):
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", str(train_run / "best.ckpt"),
+                     "--data", "blobs", "--limit", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: dataset limit")
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"), "--data", "blobs",

@@ -5,12 +5,15 @@ split the first pairwise perceptron layer into per-location maps.
 Here they are compared, forward and backward, with a reference that
 gathers every footprint with ``unfold``, builds the relation slot by slot
 and aggregates the gathered values with the einsum-style weighted slot sum,
-in float64 on random shapes.  A bounded float32-vs-float64 drift check of
-one san-tiny training step closes the file.
+in float64 on random shapes.  ``max_pool``, which folds the window maximum
+over strided slices, is compared bit for bit with an ``argmax`` over copied
+windows.  A bounded float32-vs-float64 drift check of one san-tiny training
+step closes the file.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import sanet.tensor as T
 from sanet.attention import (
@@ -191,6 +194,64 @@ def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
         T.slot_aggregate(w, v, 5)
     with pytest.raises(T.DimensionError):
         T.slot_aggregate(w, v, 3, slots=[0] * 9)
+
+
+def reference_max_pool(x, k, stride, pad):
+    """Window maximum through a copied window stack, plus its gradient map.
+
+    ``argmax`` over the ``[N, C, Ho, Wo, k*k]`` copy picks the first maximal
+    slot (a NaN beats every number).  The returned function routes an output
+    gradient to that slot's input, summed slot by slot in row-major order.
+    """
+    n, c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
+    windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = windows.shape[2:4]
+    flat = windows.reshape(n, c, ho, wo, k * k)
+    arg = flat.argmax(axis=-1)
+
+    def route(g):
+        gx = np.zeros_like(padded)
+        for s in range(k * k):
+            dy, dx = divmod(s, k)
+            gx[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += g * (arg == s)
+        return gx[:, :, pad : pad + h, pad : pad + w]
+
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], route
+
+
+def _bits(a):
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_matches_argmax_reference_bit_for_bit(dtype):
+    """Integer-valued maps with signed zeros make ties common; every fifth
+    case holds one NaN.  Output and input gradient must equal the reference
+    bit for bit, and the untaped output must equal the taped one."""
+    rng = np.random.default_rng(30)
+    for case in range(60):
+        k, stride, pad = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 2))
+        h, w = rng.choice(np.arange(max(1, k - 2 * pad), 10), size=2, replace=False)
+        x = rng.integers(-2, 3, size=(int(rng.integers(1, 3)), 3, h, w)).astype(dtype)
+        x[x == 0] *= rng.choice(np.array([-1, 1], dtype), size=int((x == 0).sum()))
+        if case % 5 == 0:
+            x.flat[rng.integers(x.size)] = np.nan
+        label = f"case {case}: shape {x.shape} k={k} stride={stride} pad={pad}"
+        want, route = reference_max_pool(x, k, stride, pad)
+        g = rng.normal(size=want.shape).astype(dtype)
+
+        xt = Tensor(x, requires_grad=True)
+        out = T.max_pool(xt, k, stride, pad)
+        assert out.shape == want.shape and out.dtype == want.dtype, label
+        with np.errstate(invalid="ignore"):  # the loss itself may be NaN
+            T.sum(T.mul(out, Tensor(g))).backward()
+        with T.no_grad():
+            untaped = T.max_pool(Tensor(x), k, stride, pad)
+
+        assert np.array_equal(_bits(out.data), _bits(want)), f"output, {label}"
+        assert np.array_equal(_bits(xt.grad), _bits(route(g))), f"gradient, {label}"
+        assert np.array_equal(_bits(untaped.data), _bits(out.data)), f"no_grad output, {label}"
 
 
 # One float32 training step of san-tiny may drift from the same step in

@@ -99,6 +99,11 @@ class TestElementwiseAndPooling:
         with pytest.raises(DimensionError):
             T.max_pool(Tensor(np.zeros((1, 1, 1, 1))), 2, 2)
 
+    @pytest.mark.parametrize("k,stride,pad", [(0, 1, 0), (2, 0, 0), (2, 2, -1)])
+    def test_bad_window_rejected(self, k, stride, pad):
+        with pytest.raises(ConfigError):
+            T.max_pool(Tensor(np.zeros((1, 1, 4, 4))), k, stride, pad)
+
     def test_softmax_symmetry(self):
         out = T.softmax(Tensor(np.array([[0.0, 0.0]])), axis=1)
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-12)

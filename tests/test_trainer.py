@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sanet.data import augment, augment_batch, make_blobs
+from sanet.data import augment, augment_batch, load_dataset, make_blobs
 from sanet.gradcheck import check_gradients
 from sanet.models import build_model, named_spec
 from sanet.tensor import ConfigError, Tensor
@@ -175,6 +175,15 @@ class TestTrainLoop:
     def test_invalid_optimizer_setting_is_config_error(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
+
+    def test_zero_epochs_is_config_error(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("kind", ["blobs", "cifar10"])
+    def test_zero_limit_is_config_error(self, tmp_path, kind):
+        with pytest.raises(ConfigError, match="dataset limit"):
+            load_dataset(kind, root=str(tmp_path), limit=0)
 
     def test_non_finite_gradient_aborts_before_any_checkpoint(self, tmp_path, monkeypatch):
         """A NaN gradient with a finite loss stops training; nothing is saved."""
