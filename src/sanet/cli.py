@@ -35,6 +35,7 @@ from .robustness import (
     MANIPULATIONS,
     AttackConfig,
     attack_report,
+    check_attack_count,
     format_manipulation_table,
     manipulation_report,
 )
@@ -228,6 +229,7 @@ def cmd_attack(args) -> int:
     dataset = _resolve_data(args)
     model = _load_model_for_eval(args)
     cfg = AttackConfig(eps=args.eps, step=args.step, iters=args.iters, seed=args.seed)
+    check_attack_count(args.count)
     out = args.out or f"runs/attack-n{cfg.iters}"
     _emit_manifest(out, "attack", {
         "checkpoint": args.checkpoint,

@@ -34,6 +34,13 @@ class CheckpointError(RuntimeError):
     """The checkpoint file is corrupt or incompatible."""
 
 
+def _require_positive(spec, fields):
+    for name in fields:
+        value = getattr(spec, name)
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class StageSpec:
     """One resolution stage: channel width, block count, footprint side.
@@ -46,6 +53,9 @@ class StageSpec:
     channels: int
     blocks: int
     footprint: int = 7
+
+    def __post_init__(self):
+        _require_positive(self, ("channels", "blocks"))
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class ModelSpec:
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if not self.stages:
             raise ConfigError("model needs at least one stage")
+        _require_positive(self, ("stem_channels", "classes", "input_hw"))
         if self.arch == "san" and not self.first_transition:
             if self.stages[0].channels != self.stem_channels:
                 raise ConfigError("without a first transition, stage 1 must match the stem width")

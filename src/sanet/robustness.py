@@ -164,11 +164,16 @@ def format_manipulation_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def check_attack_count(count: int) -> None:
+    """Reject an attack over fewer than one image."""
+    if count < 1:
+        raise ConfigError(f"attack count must be at least 1, got {count}")
+
+
 def attack_report(model: Module, dataset: Dataset, cfg: AttackConfig,
                   count: int = 500, batch_size: int = 64) -> dict:
     """Attack a fixed seeded subset of the validation split."""
-    if count < 1:
-        raise ConfigError(f"attack count must be at least 1, got {count}")
+    check_attack_count(count)
     n = min(count, len(dataset.val_images))
     rng = np.random.default_rng(cfg.seed)
     idx = np.sort(rng.choice(len(dataset.val_images), size=n, replace=False))

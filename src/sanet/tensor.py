@@ -4,8 +4,11 @@ Everything higher up in the library (attention operators, blocks, models,
 training) is composed from the primitives in this module.  Each primitive
 records its inputs and a backward closure on the output tensor; calling
 ``backward`` on a scalar loss walks the recorded graph once in reverse
-topological order and accumulates gradients into every tensor that
-requires them.
+topological order and accumulates gradients into every leaf that requires
+them.  The walk consumes the graph: each intermediate node releases its
+parents, closure and gradient as soon as it has been processed, so only
+the leaves and the loss keep ``grad``, and a second backward through the
+same graph raises ``UsageError``.
 
 Feature maps use NCHW layout throughout.  Two dtypes are supported:
 float64 for verification (gradient checks, oracle comparisons) and
@@ -110,11 +113,22 @@ def _node(data: np.ndarray, parents, backward_fn) -> Tensor:
     return out
 
 
+def _consumed(g):
+    """Stands in for the closure of a node that a backward call has processed."""
+    raise UsageError("backward: the graph was consumed by an earlier backward call")
+
+
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
     The graph is traversed in reverse topological order; every node is
     visited exactly once.  ``loss`` must be a scalar produced on the tape.
+
+    The walk consumes the graph: each interior node drops its parents, its
+    backward closure and its gradient as soon as it has been processed, so
+    the tape is freed while backward runs.  Afterwards only the leaves and
+    ``loss`` hold a ``grad``, and a second backward through any part of the
+    consumed graph raises ``UsageError``.
     """
     if loss.data.size != 1:
         raise UsageError("backward requires a scalar loss")
@@ -131,6 +145,8 @@ def backward(loss: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:
+            _consumed(None)  # raises UsageError
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -138,11 +154,18 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        fn, parents = node._backward, node._parents
+        if fn is None:  # a leaf keeps its grad
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
+        node._backward, node._parents = _consumed, ()
+        if node.grad is None:
+            continue
+        grads = fn(node.grad)
+        if node is not loss:
+            node.grad = None
+        for parent, g in zip(parents, grads):
             if g is None or not parent.requires_grad:
                 continue
             # accumulation is never in place: a grad array may be shared
@@ -376,10 +399,15 @@ def batch_norm(
         return _node(data, (x, gamma, beta), bwd)
 
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    centered = x.data - running_mean.reshape(shape)
-    data = gamma.data.reshape(shape) * inv_std.reshape(shape) * centered + beta.data.reshape(shape)
+    mean = running_mean.reshape(shape).copy()  # the buffer may move before backward
+    # one full-size buffer, promoted up front so the in-place steps never downcast
+    dtype = np.result_type(x.data, mean, gamma.data, inv_std, beta.data)
+    data = (x.data - mean).astype(dtype, copy=False)
+    data *= gamma.data.reshape(shape) * inv_std.reshape(shape)
+    data += beta.data.reshape(shape)
 
     def bwd_eval(g):
+        centered = x.data - mean
         dgamma = (g * centered * inv_std.reshape(shape)).sum(axis=axes)
         dbeta = g.sum(axis=axes)
         dx = g * (gamma.data * inv_std).reshape(shape)

@@ -106,16 +106,6 @@ class TestStructuralProperties:
             if "block" in name or name == "stem":
                 assert large[name] == 4 * macs
 
-    def test_zero_block_model_is_stem_plus_classifier(self):
-        spec = ModelSpec(name="degenerate", arch="san",
-                         stages=(StageSpec(16, 0, 3),), stem_channels=16,
-                         classes=10, input_hw=32,
-                         attention=named_spec("san-tiny").attention,
-                         first_transition=False)
-        report = count_macs(spec)
-        assert report.macs == 3 * 16 * 32 * 32 + 16 * 10
-        assert [b.name for b in report.breakdown] == ["stem", "classifier"]
-
     def test_breakdown_totals_are_consistent(self):
         report = count_params(named_spec("san19"))
         assert report.params == sum(b.params for b in report.breakdown)

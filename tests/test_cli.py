@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sanet.cli import main
-from sanet.models import build_model, named_spec
+from sanet.models import build_model, named_spec, spec_to_dict
 from sanet.training import SGD
 
 
@@ -57,6 +57,18 @@ class TestCount:
         blocker.write_text("")
         assert main(["count", "--model", "san-tiny", "--out", str(blocker / "c")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_spec_file_with_zero_widths_exits_2(self, tmp_path, capsys):
+        spec = spec_to_dict(named_spec("san-tiny"))
+        spec["stem_channels"] = 0
+        for stage in spec["stages"]:
+            stage["channels"] = 0
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "c"
+        assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
+        assert "channels must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_verification_flag(self, tmp_path):
         out = tmp_path / "v"
@@ -217,11 +229,13 @@ class TestEvalRobustAttack:
         assert capsys.readouterr().err.startswith("error: attack budget")
 
     def test_zero_attack_count_exits_2(self, train_run, tmp_path, capsys):
+        out = tmp_path / "a"
         assert main(["attack", "--checkpoint", str(train_run / "best.ckpt"),
                      "--data", "blobs", "--limit", "200", "--count", "0",
-                     "--out", str(tmp_path / "a")]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: attack count")
+        assert not out.exists()
 
     def test_zero_limit_exits_2_for_eval(self, train_run, tmp_path, capsys):
         out = tmp_path / "e"

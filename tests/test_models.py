@@ -44,6 +44,15 @@ class TestSpecs:
         spec = named_spec("san-tiny", family="patchwise")
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
+    @pytest.mark.parametrize("field", ["channels", "blocks", "stem_channels", "classes",
+                                       "input_hw"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_size_below_one_rejected(self, field, value):
+        d = spec_to_dict(named_spec("san-tiny"))
+        (d["stages"][1] if field in ("channels", "blocks") else d)[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
+            spec_from_dict(d)
+
 
 class TestBuild:
     def test_tiny_forward_shape(self):

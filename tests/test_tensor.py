@@ -1,12 +1,17 @@
 """Primitive operations: exact semantics, gradients, and serialization."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 import sanet.tensor as T
 from sanet.gradcheck import check_gradients
+from sanet.models import build_model, named_spec
 from sanet.reference import naive_linear
 from sanet.tensor import ConfigError, DimensionError, Tensor, UsageError
+from sanet.training import cross_entropy_smoothed
 
 
 class TestLinear:
@@ -80,6 +85,36 @@ class TestBatchNorm:
                            training=False).data
         expected = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv + 1e-5).reshape(1, 2, 1, 1)
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype,affine_dtype", [(np.float32, np.float32),
+                                                    (np.float64, np.float64),
+                                                    (np.float32, np.float64)])
+    def test_eval_matches_out_of_place_formula_bitwise(self, dtype, affine_dtype):
+        """The in-place eval path equals gamma*inv_std*(x - mean) + beta bit for bit."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(1.0, 3.0, size=(2, 4, 5, 6)).astype(dtype)
+        gamma = rng.normal(size=4).astype(affine_dtype)
+        beta = rng.normal(size=4).astype(affine_dtype)
+        rm, rv = rng.normal(size=4).astype(dtype), rng.uniform(0.1, 4.0, 4).astype(dtype)
+        proj = rng.normal(size=x.shape).astype(np.result_type(dtype, affine_dtype))
+        shape = (1, 4, 1, 1)
+        inv_std = 1.0 / np.sqrt(rv + 1e-5)
+        centered = x - rm.reshape(shape)
+        want = gamma.reshape(shape) * inv_std.reshape(shape) * centered + beta.reshape(shape)
+        want_grads = (proj * (gamma * inv_std).reshape(shape),
+                      (proj * centered * inv_std.reshape(shape)).sum(axis=(0, 2, 3)),
+                      proj.sum(axis=(0, 2, 3)))
+
+        leaves = [Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                  Tensor(beta, requires_grad=True)]
+        out = T.batch_norm(*leaves, rm, rv, training=False)
+        rm += 1.0  # a buffer that moves after forward must not reach backward
+        T.sum(T.mul(out, Tensor(proj))).backward()
+        assert out.dtype == want.dtype
+        np.testing.assert_array_equal(out.data, want)
+        for leaf, g in zip(leaves, want_grads):
+            assert leaf.grad.dtype == g.dtype
+            np.testing.assert_array_equal(leaf.grad, g)
 
 
 class TestElementwiseAndPooling:
@@ -194,6 +229,124 @@ class TestBackward:
         x = Tensor(np.array([2.0]), requires_grad=True)
         T.sum(T.add(x, x)).backward()
         np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_second_backward_raises_consumed(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        loss = T.sum(T.mul(x, x))
+        loss.backward()
+        with pytest.raises(UsageError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_backward_through_consumed_subgraph_raises(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        h = T.mul(x, x)
+        T.sum(h).backward()
+        with pytest.raises(UsageError, match="consumed"):
+            T.sum(T.scale(h, 2.0)).backward()
+        np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_intermediates_are_freed_when_backward_returns(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = T.mul(x, x)
+        r = T.relu(h)
+        # Tensor has no __weakref__ slot, so watch what the nodes own
+        watched = [weakref.ref(obj) for obj in (h.data, h._backward, r.data, r._backward)]
+        loss = T.sum(r)
+        del h, r
+        loss.backward()
+        assert [ref() for ref in watched] == [None] * len(watched)
+
+    def test_branch_without_gradient_is_released(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = T.mul(x, x)
+        r = T.relu(h)
+        r._backward = lambda g: (None,)  # h receives no gradient
+        closure = weakref.ref(h._backward)
+        loss = T.sum(r)
+        loss.backward()
+        assert closure() is None and h._parents == ()
+        assert h.grad is None and x.grad is None
+        with pytest.raises(UsageError, match="consumed"):
+            T.sum(h).backward()
+
+    def test_leaves_and_loss_keep_grad_intermediates_release_it(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
+        h = T.mul(x, w)
+        loss = T.sum(h)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, w.data)
+        np.testing.assert_array_equal(w.grad, x.data)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        assert h.grad is None and h._parents == ()
+        assert loss._parents == ()
+
+    def test_sibling_gradients_add_up(self):
+        """A node read by three consumers gets the sum of their gradients."""
+        x = Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)
+        h = T.mul(x, x)
+        T.sum(T.add(T.mul(h, h), h)).backward()
+        np.testing.assert_array_equal(x.grad, 4 * x.data**3 + 2 * x.data)
+
+    def test_tiny_step_leaves_under_1mib_live(self):
+        model, x, labels = _tiny_step(batch=8)
+        tracemalloc.start()
+        try:
+            loss = cross_entropy_smoothed(model(x), labels)
+            loss.backward()
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live < 2**20, f"{live / 2**20:.1f} MiB live after backward"
+
+    def test_tiny_step_gradients_match_keep_everything_walk(self):
+        grads = []
+        for walk in (T.backward, _keep_everything_backward):
+            model, x, labels = _tiny_step(batch=8)
+            walk(cross_entropy_smoothed(model(x), labels))
+            grads.append([p.grad for p in model.parameters()])
+        assert all(g is not None and np.abs(g).max() > 0 for g in grads[1])
+        for got, want in zip(*grads):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def _tiny_step(batch):
+    """A san-tiny model with its residual units opened, plus one seeded batch."""
+    model = build_model(named_spec("san-tiny"), seed=4)
+    rng = np.random.default_rng(6)
+    for name, p in model.named_parameters():
+        # residual units start as the identity; open them so attention is on the path
+        if name.endswith("expand.w"):
+            bound = np.sqrt(6.0 / p.shape[1])
+            p.data = rng.uniform(-bound, bound, p.shape).astype(p.dtype)
+    x = Tensor(rng.normal(size=(batch, 3, 32, 32)).astype(np.float32))
+    return model, x, rng.integers(0, 10, batch)
+
+
+def _keep_everything_backward(loss):
+    """The walk before backward consumed the graph: every node keeps its tape."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is not None and parent.requires_grad:
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def _fd_case(name, build, leaves):
