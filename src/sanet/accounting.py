@@ -12,7 +12,7 @@ biases, batch-norm affines, and position linears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .attention import AttentionConfig, attention_dims, mlp_widths
 from .models import ModelSpec, build_model, named_units
@@ -41,16 +41,7 @@ class CostReport:
         return sum(item.macs for item in self.breakdown)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "input_hw": self.input_hw,
-            "params": self.params,
-            "macs": self.macs,
-            "breakdown": [
-                {"name": b.name, "params": b.params, "macs": b.macs}
-                for b in self.breakdown
-            ],
-        }
+        return {**asdict(self), "params": self.params, "macs": self.macs}
 
     def to_table(self) -> str:
         width = max([len(b.name) for b in self.breakdown] + [len("layer"), len("total")])

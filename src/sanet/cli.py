@@ -4,7 +4,9 @@ Subcommands: count, gradcheck, oracle, train, eval, robust, attack.
 Every run writes a ``manifest.json`` (resolved configuration, package
 version, argv) beside its outputs, and all outputs are plain JSON/CSV
 with no timestamps, so reruns with identical arguments reproduce
-identical files.
+identical files.  Every command validates its arguments, data,
+checkpoint and model spec before it writes the manifest, so a rejected
+invocation leaves no output directory.
 
 Exit codes: 0 success; 1 verification failure or diverged training; 2
 usage, config or file-system error.
@@ -14,13 +16,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import asdict, fields
+from functools import partial
 
 from . import __version__
 from .accounting import cost_report, verify_against_runtime
+from .attention import AttentionConfig
 from .data import load_dataset
-from .gradcheck import run_sweep
+from .gradcheck import plan_sweep
 from .models import (
     MODEL_NAMES,
     CheckpointError,
@@ -30,12 +36,11 @@ from .models import (
     named_spec,
     spec_to_dict,
 )
-from .reference import run_oracle_sweep
+from .reference import plan_oracle_sweep
 from .robustness import (
     MANIPULATIONS,
     AttackConfig,
     attack_report,
-    check_attack_count,
     format_manipulation_table,
     manipulation_report,
 )
@@ -69,12 +74,8 @@ def _resolve_spec(args, classes: int | None = None):
                 f"spec file declares {spec.classes} classes, dataset has {classes}"
             )
         return spec
-    return named_spec(
-        args.model, family=args.family, relation=args.relation,
-        footprint=args.footprint, mlp_depth=args.mlp_depth,
-        r1=args.r1, r2=args.r2, share=args.share, position=args.position,
-        classes=classes,
-    )
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(AttentionConfig)}
+    return named_spec(args.model, classes=classes, **overrides)
 
 
 def _write_json(path, payload):
@@ -95,17 +96,16 @@ def _emit_manifest(out_dir, command, config):
 
 def cmd_count(args) -> int:
     spec = _resolve_spec(args)
+    report = cost_report(spec)
     out = args.out or f"runs/count-{spec.name}"
     _emit_manifest(out, "count", {"spec": spec_to_dict(spec), "input_hw": spec.input_hw})
-    report = cost_report(spec)
     payload = report.to_dict()
     if args.verify_runtime:
         payload["runtime_check"] = verify_against_runtime(spec)
-        if not payload["runtime_check"]["matches"]:
-            _write_json(os.path.join(out, "cost.json"), payload)
-            print("symbolic/runtime parameter mismatch", file=sys.stderr)
-            return 1
     _write_json(os.path.join(out, "cost.json"), payload)
+    if args.verify_runtime and not payload["runtime_check"]["matches"]:
+        print("symbolic/runtime parameter mismatch", file=sys.stderr)
+        return 1
     with open(os.path.join(out, "cost.txt"), "w") as fh:
         fh.write(report.to_table() + "\n")
     print(f"{spec.name}: params {payload['params']:,} ({payload['params'] / 1e6:.1f}M)  "
@@ -113,49 +113,37 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    out = args.out or "runs/gradcheck"
-    _emit_manifest(out, "gradcheck", {
-        "kind": args.kind, "relation": args.relation, "position": args.position,
-        "tol": args.tol, "seed": args.seed,
-    })
-    results = run_sweep(kind=args.kind, relation=args.relation,
-                        position=args.position, tol=args.tol, seed=args.seed)
-    if not results:
-        raise ConfigError("gradcheck filter matched no cases")
-    payload = {"tol": args.tol, "cases": [r.to_dict() for r in results],
-               "passed": all(r.passed for r in results)}
-    _write_json(os.path.join(out, "gradcheck.json"), payload)
+def _verify(args, command: str, config: dict, plan, line: str) -> int:
+    """Shared body of ``gradcheck`` and ``oracle``: validate ``--tol`` and
+    select the cases before the manifest, then run, write and report them."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"tol must be finite and non-negative, got {args.tol}")
+    checks = plan(tol=args.tol, seed=args.seed)
+    out = args.out or f"runs/{command}"
+    _emit_manifest(out, command, {**config, "tol": args.tol, "seed": args.seed})
+    results = [check() for check in checks]
+    passed = all(r["passed"] for r in results)
+    _write_json(os.path.join(out, f"{command}.json"),
+                {"tol": args.tol, "cases": results, "passed": passed})
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<34} max rel err {r.max_rel_error:.3e}")
-    if not payload["passed"]:
-        worst = max(results, key=lambda r: r.max_rel_error)
-        print(f"gradient check failed: {worst.name} at {worst.max_rel_error:.3e}",
-              file=sys.stderr)
+        print(("PASS  " if r["passed"] else "FAIL  ") + line.format(**r))
+    if not passed:
+        failed = ", ".join(r["name"] for r in results if not r["passed"])
+        print(f"{command} failed: {failed}", file=sys.stderr)
         return 1
     return 0
+
+
+def cmd_gradcheck(args) -> int:
+    config = {"kind": args.kind, "relation": args.relation, "position": args.position}
+    return _verify(args, "gradcheck", config, partial(plan_sweep, **config),
+                   "{name:<34} max rel err {max_rel_error:.3e}")
 
 
 def cmd_oracle(args) -> int:
-    out = args.out or "runs/oracle"
-    _emit_manifest(out, "oracle", {
-        "kind": args.kind, "relation": args.relation, "cases": args.cases,
-        "tol": args.tol, "seed": args.seed,
-    })
-    results = run_oracle_sweep(kind=args.kind, relation=args.relation,
-                               cases=args.cases, tol=args.tol, seed=args.seed)
-    if not results:
-        raise ConfigError("oracle filter matched no cases")
-    payload = {"tol": args.tol, "cases": results,
-               "passed": all(r["passed"] for r in results)}
-    _write_json(os.path.join(out, "oracle.json"), payload)
-    for r in results:
-        print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']:<28} "
-              f"max abs diff {r['max_abs_diff']:.3e} over {r['cases']} cases")
-    if not payload["passed"]:
-        print("oracle comparison failed", file=sys.stderr)
-        return 1
-    return 0
+    config = {"kind": args.kind, "relation": args.relation, "cases": args.cases}
+    return _verify(args, "oracle", config, partial(plan_oracle_sweep, **config),
+                   "{name:<28} max abs diff {max_abs_diff:.3e} over {cases} cases")
 
 
 def _resolve_data(args):
@@ -171,31 +159,35 @@ def cmd_train(args) -> int:
         weight_decay=args.weight_decay, label_smoothing=args.label_smoothing,
         batch_size=args.batch_size, seed=args.seed,
     )
+    model = build_model(spec, seed=args.seed)
     out = args.out or f"runs/train-{spec.name}-{dataset.name}"
     _emit_manifest(out, "train", {
         "spec": spec_to_dict(spec), "train": config.to_dict(),
         "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
     })
-    model = build_model(spec, seed=args.seed)
     report = train(model, dataset, config, run_dir=out, log=print)
     _write_json(os.path.join(out, "report.json"), report.to_dict())
     print(f"best val top-1 {report.best_top1:.4f} (epoch {report.best_epoch}) -> {out}")
     return 0
 
 
-def _load_model_for_eval(args):
+def _open_eval(args, command: str, default_out: str, **config):
+    """Shared preamble of ``eval``, ``robust`` and ``attack``: load the data and
+    checkpoint, then write the manifest.  Callers validate their config first."""
+    dataset = _resolve_data(args)
     if args.checkpoint is None:
         raise ConfigError("this command needs --checkpoint")
-    return load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)
+    out = args.out or default_out
+    _emit_manifest(out, command, {
+        "checkpoint": args.checkpoint, **config,
+        "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
+    })
+    return dataset, model, out
 
 
 def cmd_eval(args) -> int:
-    dataset = _resolve_data(args)
-    model = _load_model_for_eval(args)
-    out = args.out or "runs/eval"
-    _emit_manifest(out, "eval", {"checkpoint": args.checkpoint,
-                                 "data": {"kind": args.data, "limit": args.limit,
-                                          "seed": args.seed}})
+    dataset, model, out = _open_eval(args, "eval", "runs/eval")
     metrics = evaluate(model, dataset)
     _write_json(os.path.join(out, "eval.json"), metrics)
     print(f"top1 {metrics['top1']:.4f}  top5 {metrics['top5']:.4f} -> {out}")
@@ -203,14 +195,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_robust(args) -> int:
-    dataset = _resolve_data(args)
-    model = _load_model_for_eval(args)
     manipulations = MANIPULATIONS if args.manipulation is None else (args.manipulation,)
-    out = args.out or "runs/robust"
-    _emit_manifest(out, "robust", {
-        "checkpoint": args.checkpoint, "manipulations": list(manipulations),
-        "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
-    })
+    dataset, model, out = _open_eval(args, "robust", "runs/robust",
+                                     manipulations=list(manipulations))
     rows = manipulation_report(model, dataset, manipulations=manipulations)
     _write_json(os.path.join(out, "robust.json"), {"rows": rows})
     with open(os.path.join(out, "robust.csv"), "w") as fh:
@@ -226,18 +213,11 @@ def cmd_robust(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    dataset = _resolve_data(args)
-    model = _load_model_for_eval(args)
-    cfg = AttackConfig(eps=args.eps, step=args.step, iters=args.iters, seed=args.seed)
-    check_attack_count(args.count)
-    out = args.out or f"runs/attack-n{cfg.iters}"
-    _emit_manifest(out, "attack", {
-        "checkpoint": args.checkpoint,
-        "attack": {"eps": cfg.eps, "step": cfg.step, "iters": cfg.iters, "seed": cfg.seed,
-                   "count": args.count},
-        "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
-    })
-    report = attack_report(model, dataset, cfg, count=args.count)
+    cfg = AttackConfig(eps=args.eps, step=args.step, iters=args.iters, seed=args.seed,
+                       count=args.count)
+    dataset, model, out = _open_eval(args, "attack", f"runs/attack-n{cfg.iters}",
+                                     attack=asdict(cfg))
+    report = attack_report(model, dataset, cfg)
     _write_json(os.path.join(out, "attack.json"), report)
     print(f"eps {cfg.eps} step {cfg.step} iters {cfg.iters}: "
           f"success rate {report['success_rate']:.3f}  "
@@ -324,6 +304,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except (ConfigError, UsageError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

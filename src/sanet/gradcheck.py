@@ -3,12 +3,14 @@
 Each check builds a scalar probe ``loss = sum(output * projection)`` with
 a fixed random projection, computes analytic leaf gradients with one
 backward pass, then re-derives every leaf coordinate's gradient from two
-forward evaluations at ``x +- h``.  Checks run in float64.
+forward evaluations at ``x +- h``.  Checks run in float64.  This sweep
+and the naive-loop oracle share one case filter, ``select_cases``, and one
+plain-dict result record, ``result_record``, in which a NaN error fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .attention import (
     Conv2d,
     VectorAttention,
 )
-from .tensor import Tensor, no_grad
+from .tensor import ConfigError, Tensor, no_grad
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -29,25 +31,23 @@ CHECK_SHAPE = (1, 16, 5, 5)
 CHECK_FOOTPRINT = 3
 
 
-@dataclass
-class CaseResult:
-    name: str
-    max_rel_error: float
-    tol: float
-    per_leaf: dict = field(default_factory=dict)
+def select_cases(table, label: str, kind: str | None = None,
+                 relation: str | None = None, position: str | None = None) -> list:
+    """Matching ``(kind, relation, position)`` rows.  A relation filter drops
+    rows without a relation; a position filter narrows only rows with one."""
+    rows = [(k, r, p) for k, r, p in table
+            if kind in (None, k) and relation in (None, r)
+            and (position is None or p in (None, position))]
+    if not rows:
+        raise ConfigError(f"{label} filter matched no cases")
+    return rows
 
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tol
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_rel_error": self.max_rel_error,
-            "tol": self.tol,
-            "passed": self.passed,
-            "per_leaf": self.per_leaf,
-        }
+def result_record(name: str, metric: str, errors, tol: float, **extra) -> dict:
+    """A verification case: ``metric`` is the worst of ``errors``, folded so
+    that a NaN error is the worst and fails the case."""
+    worst = float(np.max(list(errors), initial=0.0))
+    return {"name": name, metric: worst, "tol": tol, "passed": worst <= tol, **extra}
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -60,7 +60,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def check_gradients(build, leaves: dict[str, Tensor], name: str = "case",
                     h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
-                    seed: int = 0) -> CaseResult:
+                    seed: int = 0) -> dict:
     """Compare backward() gradients of ``build()`` against finite differences.
 
     ``build`` must return the operator output as a function of the current
@@ -84,7 +84,7 @@ def check_gradients(build, leaves: dict[str, Tensor], name: str = "case",
         with no_grad():
             return float((build().data * proj).sum())
 
-    result = CaseResult(name=name, max_rel_error=0.0, tol=tol)
+    per_leaf = {}
     for lname, leaf in leaves.items():
         flat = leaf.data.reshape(-1)
         numeric = np.zeros_like(flat)
@@ -96,10 +96,8 @@ def check_gradients(build, leaves: dict[str, Tensor], name: str = "case",
             f_minus = probe()
             flat[i] = orig
             numeric[i] = (f_plus - f_minus) / (2.0 * h)
-        err = relative_error(analytic[lname].reshape(-1), numeric)
-        result.per_leaf[lname] = err
-        result.max_rel_error = max(result.max_rel_error, err)
-    return result
+        per_leaf[lname] = relative_error(analytic[lname].reshape(-1), numeric)
+    return result_record(name, "max_rel_error", per_leaf.values(), tol, per_leaf=per_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +114,29 @@ def _check_config(family: str, relation: str, position: str = "none",
     )
 
 
+def _case(name: str, module, rng: np.random.Generator):
+    """``(name, build, leaves)`` for ``module`` on a probe input drawn now."""
+    x = Tensor(rng.normal(0.0, 1.0, CHECK_SHAPE), requires_grad=True)
+    return name, (lambda: module.forward(x)), {"x": x, **dict(module.named_parameters())}
+
+
 def attention_case(family: str, relation: str, position: str = "none",
                    normalize: bool = False, seed: int = 7):
     cfg = _check_config(family, relation, position, normalize)
     rng = np.random.default_rng(seed)
     params = VectorAttention(CHECK_SHAPE[1], cfg, rng, dtype=np.float64)
-    x = Tensor(rng.normal(0.0, 1.0, CHECK_SHAPE), requires_grad=True)
-    leaves = {"x": x}
-    leaves.update(dict(params.named_parameters()))
     tag = f"{family}/{relation}"
     if family == "pairwise":
         tag += f"/{position}"
     if family == "scalar":
         tag = f"scalar/{'softmax' if normalize else 'raw'}"
-    return tag, (lambda: params.forward(x)), leaves
+    return _case(tag, params, rng)
 
 
 def conv_case(seed: int = 7):
     rng = np.random.default_rng(seed)
     conv = Conv2d(CHECK_SHAPE[1], 8, CHECK_FOOTPRINT, bias=True, rng=rng, dtype=np.float64)
-    x = Tensor(rng.normal(0.0, 1.0, CHECK_SHAPE), requires_grad=True)
-    leaves = {"x": x}
-    leaves.update(dict(conv.named_parameters()))
-    return "conv/3x3", (lambda: conv.forward(x)), leaves
+    return _case("conv/3x3", conv, rng)
 
 
 def block_cases(seed: int = 7):
@@ -149,53 +147,42 @@ def block_cases(seed: int = 7):
     sab = SelfAttentionBlock(CHECK_SHAPE[1], cfg, rng, dtype=np.float64)
     # zero-initialized expansion would mask the attention path in the check
     sab.expand.w.data[...] = rng.normal(0.0, 0.2, sab.expand.w.shape)
-    x1 = Tensor(rng.normal(0.0, 1.0, CHECK_SHAPE), requires_grad=True)
-    leaves1 = {"x": x1}
-    leaves1.update(dict(sab.named_parameters()))
-
+    attention = _case("block/self-attention", sab, rng)
     bott = Bottleneck(CHECK_SHAPE[1], 4, rng=rng, dtype=np.float64)
     bott.conv3.kernel.data[...] = rng.normal(0.0, 0.2, bott.conv3.kernel.shape)
-    x2 = Tensor(rng.normal(0.0, 1.0, CHECK_SHAPE), requires_grad=True)
-    leaves2 = {"x": x2}
-    leaves2.update(dict(bott.named_parameters()))
+    return [attention, _case("block/bottleneck", bott, rng)]
 
-    return [
-        ("block/self-attention", (lambda: sab.forward(x1)), leaves1),
-        ("block/bottleneck", (lambda: bott.forward(x2)), leaves2),
-    ]
+
+SWEEP_CASES = (
+    [("pairwise", rel, pos) for rel in PAIRWISE_RELATIONS for pos in POSITION_MODES]
+    + [("patchwise", rel, None) for rel in PATCHWISE_RELATIONS]
+    + [("scalar", None, None), ("conv", None, None), ("block", None, None)]
+)
 
 
 def sweep_cases(kind: str | None = None, relation: str | None = None,
                 position: str | None = None, seed: int = 7):
     """Every operator/relation/position combination, optionally filtered."""
     cases = []
-    if kind in (None, "pairwise"):
-        for rel in PAIRWISE_RELATIONS:
-            if relation is not None and rel != relation:
-                continue
-            for pos in POSITION_MODES:
-                if position is not None and pos != position:
-                    continue
-                cases.append(attention_case("pairwise", rel, position=pos, seed=seed))
-    if kind in (None, "patchwise"):
-        for rel in PATCHWISE_RELATIONS:
-            if relation is not None and rel != relation:
-                continue
-            cases.append(attention_case("patchwise", rel, seed=seed))
-    if kind in (None, "scalar") and relation is None:
-        cases.append(attention_case("scalar", "dot", normalize=False, seed=seed))
-        cases.append(attention_case("scalar", "dot", normalize=True, seed=seed))
-    if kind in (None, "conv") and relation is None:
-        cases.append(conv_case(seed=seed))
-    if kind in (None, "block") and relation is None:
-        cases.extend(block_cases(seed=seed))
+    for k, rel, pos in select_cases(SWEEP_CASES, "gradcheck", kind, relation, position):
+        if k == "scalar":
+            cases += [attention_case(k, "dot", normalize=n, seed=seed) for n in (False, True)]
+        elif k == "conv":
+            cases.append(conv_case(seed=seed))
+        elif k == "block":
+            cases += block_cases(seed=seed)
+        else:
+            cases.append(attention_case(k, rel, position=pos or "none", seed=seed))
     return cases
 
 
+def plan_sweep(kind: str | None = None, relation: str | None = None,
+               position: str | None = None, tol: float = DEFAULT_TOL, seed: int = 7) -> list:
+    """Select the cases now; return one zero-argument check per case."""
+    return [partial(check_gradients, build, leaves, name=name, tol=tol, seed=seed)
+            for name, build, leaves in sweep_cases(kind, relation, position, seed=seed)]
+
+
 def run_sweep(kind: str | None = None, relation: str | None = None,
-              position: str | None = None, tol: float = DEFAULT_TOL,
-              h: float = DEFAULT_STEP, seed: int = 7) -> list[CaseResult]:
-    results = []
-    for name, build, leaves in sweep_cases(kind, relation, position, seed=seed):
-        results.append(check_gradients(build, leaves, name=name, h=h, tol=tol, seed=seed))
-    return results
+              position: str | None = None, tol: float = DEFAULT_TOL, seed: int = 7) -> list[dict]:
+    return [check() for check in plan_sweep(kind, relation, position, tol, seed)]

@@ -81,9 +81,7 @@ class ModelSpec:
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
-    out = dataclasses.asdict(spec)
-    out["stages"] = [dataclasses.asdict(s) for s in spec.stages]
-    return out
+    return dataclasses.asdict(spec)
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
@@ -118,32 +116,20 @@ RESNET_BLOCKS = {
 MODEL_NAMES = tuple(SAN_BLOCKS) + tuple(RESNET_BLOCKS) + ("san-tiny",)
 
 
-def named_spec(
-    name: str,
-    family: str | None = None,
-    relation: str | None = None,
-    footprint: int | None = None,
-    mlp_depth: int | None = None,
-    r1: int | None = None,
-    r2: int | None = None,
-    share: int | None = None,
-    position: str | None = None,
-    normalize: bool | None = None,
-    classes: int | None = None,
-) -> ModelSpec:
+def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
     """Resolve a model name plus attention overrides into a full spec.
 
-    A footprint override applies to every stage after the first; the
-    first stage keeps its small 3x3 footprint (full-resolution stages are
-    memory-bound).
+    ``overrides`` are ``AttentionConfig`` fields; those that are not None
+    replace the model's defaults, and a family override without a relation
+    takes that family's default relation.  A footprint override applies
+    to every stage after the first; the first stage keeps its small 3x3
+    footprint (full-resolution stages are memory-bound).
     """
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if name in RESNET_BLOCKS:
-        for label, value in [("family", family), ("relation", relation),
-                             ("footprint", footprint), ("gamma-depth", mlp_depth),
-                             ("r1", r1), ("r2", r2), ("share", share),
-                             ("position-mode", position)]:
-            if value is not None:
-                raise ConfigError(f"{name} is convolutional; {label} does not apply")
+        if overrides:
+            raise ConfigError(f"{name} is convolutional; "
+                              + "; ".join(f"{k} does not apply" for k in overrides))
         stages = tuple(
             StageSpec(w, b, 3) for w, b in zip(RESNET_WIDTHS, RESNET_BLOCKS[name])
         )
@@ -152,48 +138,31 @@ def named_spec(
 
     if name in SAN_BLOCKS:
         base = AttentionConfig()
-        tiny = False
         blocks = SAN_BLOCKS[name]
         channels, footprints = SAN_CHANNELS, SAN_FOOTPRINTS
         default_classes, input_hw, stem, first_transition = 1000, 224, 64, True
     elif name == "san-tiny":
         base = AttentionConfig(r1=4, r2=2, share=2)
-        tiny = True
         blocks = (1, 1, 1)
         channels, footprints = (16, 32, 64), (3, 5, 5)
         default_classes, input_hw, stem, first_transition = 10, 32, 16, False
     else:
         raise ConfigError(f"unknown model {name!r} (expected one of {MODEL_NAMES})")
 
-    cfg = AttentionConfig(
-        family=family if family is not None else base.family,
-        relation=relation if relation is not None else _default_relation(family, base),
-        footprint=base.footprint,
-        r1=r1 if r1 is not None else base.r1,
-        r2=r2 if r2 is not None else base.r2,
-        share=share if share is not None else base.share,
-        mlp_depth=mlp_depth if mlp_depth is not None else base.mlp_depth,
-        position=position if position is not None else base.position,
-        normalize=normalize if normalize is not None else base.normalize,
-    )
-    if footprint is not None:
-        footprints = (footprints[0],) + (footprint,) * (len(blocks) - 1)
+    family_relation = {"patchwise": "concatenation", "scalar": "dot"}.get(overrides.get("family"))
+    if family_relation is not None:
+        overrides.setdefault("relation", family_relation)
+    if "footprint" in overrides:
+        footprints = (footprints[0],) + (overrides.pop("footprint"),) * (len(blocks) - 1)
     stages = tuple(
         StageSpec(c, b, f) for c, b, f in zip(channels, blocks, footprints)
     )
     return ModelSpec(
         name=name, arch="san", stages=stages, stem_channels=stem,
         classes=classes if classes is not None else default_classes,
-        input_hw=input_hw, attention=cfg, first_transition=first_transition,
+        input_hw=input_hw, attention=dataclasses.replace(base, **overrides),
+        first_transition=first_transition,
     )
-
-
-def _default_relation(family: str | None, base: AttentionConfig) -> str:
-    if family == "patchwise":
-        return "concatenation"
-    if family == "scalar":
-        return "dot"
-    return base.relation
 
 
 # ---------------------------------------------------------------------------

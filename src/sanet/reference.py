@@ -9,6 +9,8 @@ Everything runs on raw numpy arrays.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .attention import (
@@ -18,6 +20,7 @@ from .attention import (
     Conv2d,
     VectorAttention,
 )
+from .gradcheck import result_record, select_cases
 from .tensor import ConfigError, Tensor, no_grad
 
 
@@ -277,31 +280,35 @@ def _random_conv_case(rng: np.random.Generator) -> float:
     return float(np.max(np.abs(fast - naive_conv2d(x, conv.kernel.data, bias, stride=stride))))
 
 
+ORACLE_CASES = (
+    [("pairwise", rel, None) for rel in PAIRWISE_RELATIONS]
+    + [("patchwise", rel, None) for rel in PATCHWISE_RELATIONS]
+    + [("scalar", None, None), ("conv", None, None)]
+)
+
+
+def _oracle_case(family: str, rel: str | None, cases: int, tol: float, seed) -> dict:
+    rng = np.random.default_rng(seed)
+    if family == "conv":
+        name, draw = "conv", partial(_random_conv_case, rng)
+    else:
+        rel = rel or "dot"
+        name, draw = f"{family}/{rel}", partial(_random_attention_case, family, rel, rng)
+    diffs = [draw() for _ in range(cases)]
+    return result_record(name, "max_abs_diff", diffs, tol, cases=cases)
+
+
+def plan_oracle_sweep(kind: str | None = None, relation: str | None = None,
+                      cases: int = 20, tol: float = 1e-10, seed: int = 0) -> list:
+    """Select the operators now; return one zero-argument comparison each."""
+    if cases < 1:
+        raise ConfigError(f"oracle needs at least one case per operator, got {cases}")
+    rows = select_cases(ORACLE_CASES, "oracle", kind, relation)
+    return [partial(_oracle_case, family, rel, cases, tol, [seed, index])
+            for index, (family, rel, _) in enumerate(rows)]
+
+
 def run_oracle_sweep(kind: str | None = None, relation: str | None = None,
                      cases: int = 20, tol: float = 1e-10, seed: int = 0) -> list[dict]:
     """Random-case agreement between fast operators and the naive loops."""
-    if cases < 1:
-        raise ConfigError(f"oracle needs at least one case per operator, got {cases}")
-    jobs = []
-    if kind in (None, "pairwise"):
-        jobs += [("pairwise", r) for r in PAIRWISE_RELATIONS if relation in (None, r)]
-    if kind in (None, "patchwise"):
-        jobs += [("patchwise", r) for r in PATCHWISE_RELATIONS if relation in (None, r)]
-    if kind in (None, "scalar") and relation is None:
-        jobs.append(("scalar", "dot"))
-    if kind in (None, "conv") and relation is None:
-        jobs.append(("conv", "conv"))
-
-    results = []
-    for job_index, (family, rel) in enumerate(jobs):
-        rng = np.random.default_rng([seed, job_index])
-        worst = 0.0
-        for _ in range(cases):
-            if family == "conv":
-                worst = max(worst, _random_conv_case(rng))
-            else:
-                worst = max(worst, _random_attention_case(family, rel, rng))
-        name = f"{family}/{rel}" if family != "conv" else "conv"
-        results.append({"name": name, "cases": cases, "max_abs_diff": worst,
-                        "tol": tol, "passed": worst <= tol})
-    return results
+    return [compare() for compare in plan_oracle_sweep(kind, relation, cases, tol, seed)]

@@ -10,7 +10,7 @@ only the gradient sign is used, so the pixel-scale step is well-defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,12 +40,14 @@ def manipulate(images: np.ndarray, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Targeted PGD budget: ``eps``/``step`` on the 0..255 pixel scale."""
+    """Targeted PGD budget: ``eps``/``step`` on the 0..255 pixel scale,
+    over ``count`` validation images (fewer when the split is smaller)."""
 
     eps: float = 8.0
     step: float = 4.0
     iters: int = 2
     seed: int = 0
+    count: int = 500
 
     def __post_init__(self):
         budget = (self.eps, self.step)
@@ -54,6 +56,8 @@ class AttackConfig:
                 f"attack budget must be finite and non-negative, got eps={self.eps} "
                 f"step={self.step} iters={self.iters}"
             )
+        if self.count < 1:
+            raise ConfigError(f"attack count must be at least 1, got {self.count}")
 
 
 def choose_targets(labels: np.ndarray, classes: int, seed: int) -> np.ndarray:
@@ -164,17 +168,10 @@ def format_manipulation_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def check_attack_count(count: int) -> None:
-    """Reject an attack over fewer than one image."""
-    if count < 1:
-        raise ConfigError(f"attack count must be at least 1, got {count}")
-
-
 def attack_report(model: Module, dataset: Dataset, cfg: AttackConfig,
-                  count: int = 500, batch_size: int = 64) -> dict:
+                  batch_size: int = 64) -> dict:
     """Attack a fixed seeded subset of the validation split."""
-    check_attack_count(count)
-    n = min(count, len(dataset.val_images))
+    n = min(cfg.count, len(dataset.val_images))
     rng = np.random.default_rng(cfg.seed)
     idx = np.sort(rng.choice(len(dataset.val_images), size=n, replace=False))
     images = dataset.val_images[idx]
@@ -185,10 +182,7 @@ def attack_report(model: Module, dataset: Dataset, cfg: AttackConfig,
     result = pgd_attack(model, images, labels, dataset, cfg, batch_size=batch_size)
     adv_top1 = float(np.mean(result["predictions"] == labels))
     return {
-        "eps": cfg.eps,
-        "step": cfg.step,
-        "iters": cfg.iters,
-        "seed": cfg.seed,
+        **asdict(cfg),
         "count": int(n),
         "clean_top1": clean_top1,
         "success_rate": float(np.mean(result["success"])),

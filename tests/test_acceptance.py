@@ -108,10 +108,10 @@ class TestCriterion3Gradients:
         t0 = time.perf_counter()
         results = run_sweep(tol=1e-4)
         elapsed = time.perf_counter() - t0
-        worst = max(results, key=lambda r: r.max_rel_error)
+        worst = max(results, key=lambda r: r["max_rel_error"])
         report("3 (gradient suite)",
-               all(r.passed for r in results) and len(results) == 23 and elapsed < 300,
-               f"{len(results)} cases, worst {worst.name} at {worst.max_rel_error:.2e}, "
+               all(r["passed"] for r in results) and len(results) == 23 and elapsed < 300,
+               f"{len(results)} cases, worst {worst['name']} at {worst['max_rel_error']:.2e}, "
                f"{elapsed:.1f}s")
 
 
@@ -234,9 +234,9 @@ class TestCriterion7Robustness:
     def test_attack_contracts_on_trained_model(self, trained_tiny, blobs_dataset):
         model, train_report = trained_tiny
         two = attack_report(model, blobs_dataset,
-                            AttackConfig(eps=8, step=4, iters=2, seed=7), count=500)
+                            AttackConfig(eps=8, step=4, iters=2, seed=7, count=500))
         four = attack_report(model, blobs_dataset,
-                             AttackConfig(eps=8, step=2, iters=4, seed=7), count=500)
+                             AttackConfig(eps=8, step=2, iters=4, seed=7, count=500))
         monotone = four["success_rate"] >= two["success_rate"]
         damaging = (two["top1_under_attack"] < two["clean_top1"]
                     and four["top1_under_attack"] < four["clean_top1"])

@@ -25,6 +25,16 @@ def snapshot(out_dir):
     return files
 
 
+def write_tiny_spec(tmp_path, edit):
+    """A san-tiny spec file with ``edit`` applied to the spec and every stage."""
+    spec = spec_to_dict(named_spec("san-tiny"))
+    for part in (spec, *spec["stages"]):
+        part.update({k: v for k, v in edit.items() if k in part})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
 class TestCount:
     def test_san19_pairwise_subtraction(self, tmp_path):
         out = tmp_path / "c"
@@ -58,16 +68,17 @@ class TestCount:
         assert main(["count", "--model", "san-tiny", "--out", str(blocker / "c")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_spec_file_with_zero_widths_exits_2(self, tmp_path, capsys):
-        spec = spec_to_dict(named_spec("san-tiny"))
-        spec["stem_channels"] = 0
-        for stage in spec["stages"]:
-            stage["channels"] = 0
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+    @pytest.mark.parametrize("edit,message", [
+        ({"stem_channels": 0, "channels": 0}, "channels must be at least 1"),
+        ({"footprint": 4}, "footprint side must be one of"),
+        ({"input_hw": 33}, "transition needs an even extent, got 33"),
+    ], ids=["zero-widths", "footprint-4", "input-hw-33"])
+    def test_bad_spec_file_exits_2_without_run_dir(self, tmp_path, capsys, edit, message):
+        path = write_tiny_spec(tmp_path, edit)
         out = tmp_path / "c"
         assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
-        assert "channels must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_runtime_verification_flag(self, tmp_path):
@@ -95,8 +106,10 @@ class TestGradcheckCommand:
         assert payload["passed"]
 
     def test_empty_filter_is_config_error(self, tmp_path):
+        out = tmp_path / "g2"
         assert main(["gradcheck", "--kind", "conv", "--relation", "subtraction",
-                     "--out", str(tmp_path / "g2")]) == 2
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestOracleCommand:
@@ -111,8 +124,31 @@ class TestOracleCommand:
         assert payload["passed"] and payload["cases"][0]["name"] == "conv"
 
     def test_zero_cases_is_config_error(self, tmp_path):
-        assert main(["oracle", "--kind", "conv", "--cases", "0",
-                     "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["oracle", "--kind", "conv", "--cases", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["gradcheck", "--tol", "nan"], ["gradcheck", "--tol", "inf"],
+                                  ["oracle", "--cases", "1", "--tol", "-1"]],
+                         ids=["gradcheck-nan", "gradcheck-inf", "oracle-negative"])
+def test_bad_tol_exits_2_without_run_dir(tmp_path, capsys, argv):
+    out = tmp_path / "v"
+    assert main(argv + ["--kind", "conv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: tol must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--kind", "conv", "--cases", "1"],
+                                  ["train", "--model", "san-tiny", "--limit", "20",
+                                   "--epochs", "1"]], ids=["oracle", "train"])
+def test_negative_seed_exits_2_without_run_dir(tmp_path, capsys, argv):
+    out = tmp_path / "s"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: seed must be non-negative")
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +202,14 @@ class TestTrainCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_unbuildable_spec_file_exits_2_without_run_dir(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["train", "--spec-file", str(write_tiny_spec(tmp_path, {"footprint": 4})),
+                     "--limit", "20", "--epochs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "footprint side must be one of" in err
         assert not out.exists()
 
     def test_diverged_training_exits_1_naming_the_unit(self, tmp_path, capsys, monkeypatch):

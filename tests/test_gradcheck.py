@@ -1,9 +1,12 @@
 """The gradient-check harness itself: sweep composition, error metric, and
 its ability to catch a wrong gradient."""
 
+import json
+
 import numpy as np
 
 import sanet.tensor as T
+from sanet.cli import main
 from sanet.gradcheck import relative_error, run_sweep, sweep_cases
 
 
@@ -22,6 +25,12 @@ class TestSweepComposition:
         assert [name for name, _, _ in only] == ["patchwise/clique_product"]
         only = sweep_cases(kind="pairwise", relation="dot", position="absolute")
         assert [name for name, _, _ in only] == ["pairwise/dot/absolute"]
+        # a relation filter drops the cases that have no relation
+        only = sweep_cases(relation="dot")
+        assert [name for name, _, _ in only] == [f"pairwise/dot/{p}"
+                                                 for p in ("none", "absolute", "relative")]
+        # a position filter narrows only pairwise cases
+        assert len(sweep_cases(kind="patchwise", position="none")) == 3
 
 
 class TestRelativeError:
@@ -35,24 +44,39 @@ class TestRelativeError:
         assert abs(relative_error(a, b) - 0.1 / 1000.1) < 1e-12
 
 
+def _sabotage_relu(monkeypatch, corrupt):
+    """Pass every gradient that relu's backward returns through ``corrupt``."""
+    true_relu = T.relu
+
+    def sabotaged_relu(x):
+        out = true_relu(x)
+        if out._backward is not None:
+            original = out._backward
+            out._backward = lambda g: tuple(
+                None if gr is None else corrupt(gr) for gr in original(g)
+            )
+        return out
+
+    monkeypatch.setattr(T, "relu", sabotaged_relu)
+
+
 class TestDetection:
     def test_wrong_sign_gradient_is_detected(self, monkeypatch):
         """Flipping one primitive's backward must fail the sweep."""
-        true_relu = T.relu
-
-        def sabotaged_relu(x):
-            out = true_relu(x)
-            if out._backward is not None:
-                original = out._backward
-                out._backward = lambda g: tuple(
-                    None if gr is None else -gr for gr in original(g)
-                )
-            return out
-
-        monkeypatch.setattr(T, "relu", sabotaged_relu)
+        _sabotage_relu(monkeypatch, lambda gr: -gr)
         results = run_sweep(kind="pairwise", relation="subtraction", position="none")
-        assert any(not r.passed for r in results)
+        assert any(not r["passed"] for r in results)
+
+    def test_nan_gradient_fails_the_case_and_the_command(self, monkeypatch, tmp_path):
+        """A NaN error is the worst error, never one that max() skips."""
+        _sabotage_relu(monkeypatch, lambda gr: np.full_like(gr, np.nan))
+        [result] = run_sweep(kind="pairwise", relation="subtraction", position="none")
+        assert not result["passed"] and np.isnan(result["max_rel_error"])
+        out = tmp_path / "g"
+        assert main(["gradcheck", "--kind", "pairwise", "--relation", "subtraction",
+                     "--position-mode", "none", "--out", str(out)]) == 1
+        assert json.loads((out / "gradcheck.json").read_text())["passed"] is False
 
     def test_honest_gradients_pass_the_same_case(self):
         results = run_sweep(kind="pairwise", relation="subtraction", position="none")
-        assert all(r.passed for r in results)
+        assert all(r["passed"] for r in results)

@@ -39,6 +39,8 @@ class TestSpecs:
     def test_resnet_rejects_attention_overrides(self):
         with pytest.raises(ConfigError):
             named_spec("resnet26", relation="subtraction")
+        with pytest.raises(ConfigError, match="mlp_depth does not apply"):
+            named_spec("resnet26", mlp_depth=2)
 
     def test_spec_dict_round_trip(self):
         spec = named_spec("san-tiny", family="patchwise")

@@ -1,6 +1,10 @@
 """Vectorized operators against the naive per-pixel, per-slot loops."""
 
+import numpy as np
+
+from sanet.attention import VectorAttention
 from sanet.reference import run_oracle_sweep
+from sanet.tensor import Tensor
 
 
 class TestOracleSweep:
@@ -22,3 +26,13 @@ class TestOracleSweep:
         a = run_oracle_sweep(cases=3, seed=2)
         b = run_oracle_sweep(cases=3, seed=2)
         assert a == b
+
+    def test_nan_output_fails_the_case(self, monkeypatch):
+        """An operator that outputs NaN disagrees with its loop by NaN, which
+        must fail the case instead of folding away to a zero difference."""
+        real_forward = VectorAttention.forward
+        monkeypatch.setattr(VectorAttention, "forward",
+                            lambda self, x: Tensor(np.full_like(real_forward(self, x).data,
+                                                                np.nan)))
+        [result] = run_oracle_sweep(kind="pairwise", relation="subtraction", cases=2)
+        assert not result["passed"] and np.isnan(result["max_abs_diff"])

@@ -108,7 +108,7 @@ class TestPgd:
 
     @pytest.mark.parametrize("budget", [{"eps": -1.0}, {"eps": float("nan")},
                                         {"step": float("nan")}, {"step": float("inf")},
-                                        {"iters": -1}])
+                                        {"iters": -1}, {"count": 0}])
     def test_invalid_budget_is_config_error(self, budget):
         with pytest.raises(ConfigError):
             AttackConfig(**budget)
@@ -163,7 +163,7 @@ class TestReports:
         ds = make_blobs(train_per_class=5, val_per_class=5, seed=9)
         model = build_model(named_spec("san-tiny"), seed=9)
         model.eval()
-        report = attack_report(model, ds, AttackConfig(eps=4, step=2, iters=1), count=10)
+        report = attack_report(model, ds, AttackConfig(eps=4, step=2, iters=1, count=10))
         assert report["count"] == 10
         assert 0.0 <= report["success_rate"] <= 1.0
         assert report["linf"] <= 4.0 + 1e-3
@@ -174,10 +174,10 @@ class TestTrainedModelBehavior:
         """More iterations cannot hurt the attacker; accuracy drops under attack."""
         model, report = trained_tiny
         assert report.best_top1 >= 0.9
-        two = attack_report(model, blobs_dataset, AttackConfig(eps=8, step=4, iters=2),
-                            count=100)
-        four = attack_report(model, blobs_dataset, AttackConfig(eps=8, step=2, iters=4),
-                             count=100)
+        two = attack_report(model, blobs_dataset,
+                            AttackConfig(eps=8, step=4, iters=2, count=100))
+        four = attack_report(model, blobs_dataset,
+                             AttackConfig(eps=8, step=2, iters=4, count=100))
         assert four["success_rate"] >= two["success_rate"]
         for rep in (two, four):
             assert rep["top1_under_attack"] < rep["clean_top1"]

@@ -351,7 +351,7 @@ def _keep_everything_backward(loss):
 
 def _fd_case(name, build, leaves):
     result = check_gradients(build, leaves, name=name)
-    assert result.passed, f"{name}: rel error {result.max_rel_error:.2e}"
+    assert result["passed"], f"{name}: rel error {result['max_rel_error']:.2e}"
 
 
 class TestFiniteDifferences:

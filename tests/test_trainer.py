@@ -77,7 +77,7 @@ class TestSmoothedCrossEntropy:
             lambda: cross_entropy_smoothed(logits, labels, smoothing=0.1),
             {"logits": logits}, name="smoothed-ce",
         )
-        assert result.passed, result.max_rel_error
+        assert result["passed"], result["max_rel_error"]
 
     def test_invalid_smoothing_rejected(self):
         with pytest.raises(ValueError):
