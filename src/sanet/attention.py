@@ -15,8 +15,9 @@ aggregated in place by ``slot_aggregate``, one shifted slice per footprint
 slot, under weights broadcast over groups of ``share`` consecutive
 channels.  Pairwise attention, for every relation, splits the first
 perceptron layer into a per-location center map and a bias-free neighbor
-map, and gathers only the neighbor map over the footprint; Hadamard and
-dot add one per-slot term, the layer applied to the query-key product.
+map, and gathers only the neighbor map over the footprint, straight onto
+the center map in one buffer; Hadamard and dot add one per-slot term,
+the layer applied to the query-key product.
 """
 
 from __future__ import annotations
@@ -270,12 +271,6 @@ def pairwise_attention(x: Tensor, params: VectorAttention,
     return T.slot_aggregate(wts, v, cfg.footprint, slots=slot_order)
 
 
-def _gather(t: Tensor, k: int, slot_order) -> Tensor:
-    """``[N, C, H, W] -> [N, C, K, H, W]`` footprint gather, slots re-enumerated."""
-    tu = T.unfold(t, k)
-    return tu if slot_order is None else T.take(tu, slot_order, axis=2)
-
-
 def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
                  params: VectorAttention, slot_order) -> Tensor:
     """First perceptron layer of every (location, slot) pair, ``[N, d1, K, H, W]``.
@@ -287,7 +282,8 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     for Hadamard, with ``W = [W_r, W_p]``, ``W[q_i * k_j ; p_i - p_j] + b =
     (W_r (q_i * k_j) + b) + W_p p_i - W_p p_j``.  The neighbor map has no bias, so an out-of-map
     slot gathers zero, exactly the layer's share of the zero key and zero
-    position of a zero-padded neighbor.
+    position of a zero-padded neighbor.  The neighbor map is gathered onto
+    the center map (plus the product term) in one buffer by ``unfold``.
     """
     cfg, d = params.cfg, params.dims.d
     layer = params.mlp[0]
@@ -295,7 +291,7 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     rel_cols = relation_width(cfg, params.dims)
     terms, center, neighbor = [], None, None
     if cfg.relation in ("hadamard", "dot"):
-        rel = T.mul(T.reshape(q, (n, d, 1, h, w)), _gather(k, cfg.footprint, slot_order))
+        rel = T.mul(T.reshape(q, (n, d, 1, h, w)), T.unfold(k, cfg.footprint, slots=slot_order))
         if cfg.relation == "dot":
             rel = T.sum(rel, axis=1, keepdims=True)
         terms.append(T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b))
@@ -315,9 +311,10 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
             neighbor = pos if neighbor is None else T.add(neighbor, pos)
     if center is not None:
         terms.append(T.reshape(center, (center.shape[0], layer.w.shape[0], 1, h, w)))
-    if neighbor is not None:
-        terms.append(_gather(neighbor, cfg.footprint, slot_order))
-    return functools.reduce(T.add, terms)
+    base = functools.reduce(T.add, terms)
+    if neighbor is None:
+        return base
+    return T.unfold(neighbor, cfg.footprint, slots=slot_order, base=base)
 
 
 def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:

@@ -2,8 +2,9 @@
 bottlenecks, stage transitions, stems, and the classifier head.
 
 All residual blocks are pre-activation (normalize and rectify before the
-operator) and zero-initialize their final expansion map, so a freshly
-built block is exactly the identity.
+operator; ``BatchNorm`` does both in one primitive) and zero-initialize
+their final expansion map, so a freshly built block is exactly the
+identity.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
+    """Batch normalization followed by a ReLU, ``max(gamma * xhat + beta, 0)``.
+
+    Every normalization in these networks feeds a rectifier, so the two are
+    one primitive (``tensor.batch_norm``) and no pre-activation copy is kept.
+    """
+
     def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.gamma = ones_param((channels,), dtype)
@@ -66,9 +73,9 @@ class SelfAttentionBlock(Module):
         self.expand = Linear(dims.cm, channels, rng=None, dtype=dtype)  # zero init
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.relu(self.bn_in(x))
+        h = self.bn_in(x)
         h = self.attention(h)
-        h = T.relu(self.bn_mid(h))
+        h = self.bn_mid(h)
         return T.add(x, self.expand(h))
 
 
@@ -92,11 +99,11 @@ class Bottleneck(Module):
             self.proj = None
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.relu(self.bn1(x))
+        h = self.bn1(x)
         h = self.conv1(h)
-        h = T.relu(self.bn2(h))
+        h = self.bn2(h)
         h = self.conv2(h)
-        h = T.relu(self.bn3(h))
+        h = self.bn3(h)
         h = self.conv3(h)
         shortcut = x if self.proj is None else self.proj(x)
         return T.add(shortcut, h)
@@ -112,7 +119,7 @@ class Transition(Module):
         self.linear = Linear(c_in, c_out, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.relu(self.bn(x))
+        h = self.bn(x)
         _, _, height, width = h.shape
         if height % 2 or width % 2:
             raise DimensionError(

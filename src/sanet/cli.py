@@ -8,8 +8,8 @@ identical files.  Every command validates its arguments, data,
 checkpoint and model spec before it writes the manifest, so a rejected
 invocation leaves no output directory.
 
-Exit codes: 0 success; 1 verification failure or diverged training; 2
-usage, config or file-system error.
+Exit codes: 0 success; 1 verification failure, diverged training or
+non-finite logits; 2 usage, config or file-system error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .gradcheck import plan_sweep
 from .models import (
     MODEL_NAMES,
     CheckpointError,
+    NonFiniteLogits,
     build_model,
     load_checkpoint,
     load_spec_file,
@@ -50,6 +51,12 @@ from .training import TrainConfig, TrainingDiverged, evaluate, train
 DATA_ROOT_ENV = "SANET_DATA_ROOT"
 
 
+# AttentionConfig field -> the flag that sets it
+_ATTENTION_FLAGS = {"family": "--attention", "relation": "--relation", "footprint": "--footprint",
+                    "mlp_depth": "--gamma-depth", "r1": "--r1", "r2": "--r2",
+                    "share": "--share", "position": "--position-mode"}
+
+
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--model", default="san10", help=f"one of {', '.join(MODEL_NAMES)}")
     p.add_argument("--spec-file", default=None, help="JSON model spec (overrides --model)")
@@ -67,14 +74,18 @@ def _add_model_args(p: argparse.ArgumentParser):
 
 
 def _resolve_spec(args, classes: int | None = None):
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(AttentionConfig)}
     if args.spec_file is not None:
+        given = [_ATTENTION_FLAGS[name] for name, value in overrides.items() if value is not None]
+        if given:
+            raise ConfigError(f"--spec-file fixes the attention configuration, so "
+                              f"{', '.join(given)} cannot be given with it")
         spec = load_spec_file(args.spec_file)
         if classes is not None and spec.classes != classes:
             raise ConfigError(
                 f"spec file declares {spec.classes} classes, dataset has {classes}"
             )
         return spec
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(AttentionConfig)}
     return named_spec(args.model, classes=classes, **overrides)
 
 
@@ -312,6 +323,9 @@ def main(argv=None) -> int:
         return 2
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 1
+    except NonFiniteLogits as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .attention import AttentionConfig
 from .blocks import (
     BatchNorm,
@@ -32,6 +31,10 @@ from .tensor import ConfigError, Tensor, no_grad
 
 class CheckpointError(RuntimeError):
     """The checkpoint file is corrupt or incompatible."""
+
+
+class NonFiniteLogits(ArithmeticError):
+    """The network produced a NaN or infinite logit, so no accuracy can be read."""
 
 
 def _require_positive(spec, fields):
@@ -219,7 +222,7 @@ class ResNetwork(Module):
         for stage in self.stages:
             for block in stage:
                 h = block(h)
-        return self.classifier(T.relu(self.bn_out(h)))
+        return self.classifier(self.bn_out(h))
 
 
 def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Module:
@@ -250,7 +253,11 @@ def named_units(model: Module) -> list[tuple[str, Module]]:
 
 
 def predict(model: Module, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode logits for a raw image batch, without recording a graph."""
+    """Eval-mode logits for a raw image batch, without recording a graph.
+
+    Raises ``NonFiniteLogits`` if any logit is NaN or infinite: every score
+    read from such logits (top-k, attack success) would be meaningless.
+    """
     was_training = model.training
     model.eval()
     outs = []
@@ -259,7 +266,11 @@ def predict(model: Module, images: np.ndarray, batch_size: int = 64) -> np.ndarr
             chunk = Tensor(images[start : start + batch_size])
             outs.append(model.forward(chunk).data)
     model.train(was_training)
-    return np.concatenate(outs, axis=0)
+    logits = np.concatenate(outs, axis=0)
+    bad = int((~np.isfinite(logits)).any(axis=1).sum())
+    if bad:
+        raise NonFiniteLogits(f"non-finite logits for {bad} of {len(logits)} images")
+    return logits
 
 
 # ---------------------------------------------------------------------------

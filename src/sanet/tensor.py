@@ -20,7 +20,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DimensionError(ValueError):
@@ -360,12 +359,15 @@ def batch_norm(
     momentum: float = 0.1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Per-channel batch normalization over an NCHW feature map.
+    """Per-channel batch normalization over an NCHW feature map, rectified.
 
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place with the given momentum; eval mode
     normalizes with the running buffers.  ``eps`` keeps the zero-variance
-    case finite.
+    case finite.  The ReLU that follows every normalization in these
+    networks is applied in place, ``out = max(gamma * xhat + beta, 0)``, so
+    no pre-activation copy is kept: the backward masks the incoming
+    gradient with ``out > 0`` and then differentiates the normalization.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4:
@@ -384,10 +386,16 @@ def batch_norm(
         running_var *= 1.0 - momentum
         running_var += momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
-        data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+        # each full-size step works in place, as in eval mode below
+        xhat = x.data - mu.reshape(shape)
+        xhat *= inv_std.reshape(shape)
+        data = gamma.data.reshape(shape) * xhat
+        data = data.astype(np.result_type(data, beta.data), copy=False)
+        data += beta.data.reshape(shape)
+        np.maximum(data, 0, out=data)
 
         def bwd(g):
+            g = g * (data > 0)
             dgamma = (g * xhat).sum(axis=axes)
             dbeta = g.sum(axis=axes)
             dxhat = g * gamma.data.reshape(shape)
@@ -405,8 +413,10 @@ def batch_norm(
     data = (x.data - mean).astype(dtype, copy=False)
     data *= gamma.data.reshape(shape) * inv_std.reshape(shape)
     data += beta.data.reshape(shape)
+    np.maximum(data, 0, out=data)
 
     def bwd_eval(g):
+        g = g * (data > 0)
         centered = x.data - mean
         dgamma = (g * centered * inv_std.reshape(shape)).sum(axis=axes)
         dbeta = g.sum(axis=axes)
@@ -469,32 +479,75 @@ def _scatter_windows(slot_grads, shape, k: int, stride: int, pad: int, dtype) ->
     return buf[:, :, pad : pad + h, pad : pad + w]
 
 
-def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
+def _slot_offsets(k: int, slots, who: str) -> list[tuple[int, int]]:
+    """Footprint offset ``(dy, dx)`` of each slot: row-major by default, or
+    footprint slot ``slots[s]`` for slot ``s``; ``slots`` must permute range(k*k)."""
+    k2 = k * k
+    offsets = [divmod(int(s), k) for s in (range(k2) if slots is None else slots)]
+    if sorted(offsets) != [divmod(s, k) for s in range(k2)]:
+        raise DimensionError(f"{who}: slots must permute range({k2})")
+    return offsets
+
+
+def unfold(x: Tensor, k: int, stride: int = 1, slots=None, base: Tensor | None = None) -> Tensor:
     """Gather the k*k spatial neighborhood of every location.
 
-    Output is ``[N, C, K, Ho, Wo]`` with ``K = k*k``; slot ordering is
-    row-major over the footprint, and out-of-bounds slots are zero.  The
-    map is zero-padded by ``(k - 1) // 2``, so with stride 1 the spatial
-    extent is preserved.
+    Output is ``[N, C, K, Ho, Wo]`` with ``K = k*k``; slot ``s`` holds
+    footprint slot ``slots[s]`` (row-major offsets, identity by default),
+    and out-of-bounds slots are zero.  The map is zero-padded by
+    ``(k - 1) // 2``, so with stride 1 the spatial extent is preserved.
+
+    ``base``, when given, is broadcast against the windows and added to
+    them in the same buffer: the result is ``add(base, unfold(x, ...))``
+    with no separate window tensor.  Its batch may exceed ``x``'s, as for a
+    batch-1 position map under a batch-N addend; the window gradient is
+    then summed over the batch before it is scattered back.
     """
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError("unfold expects an NCHW tensor")
     if k < 1 or k % 2 == 0:
         raise ConfigError(f"footprint side must be odd and positive, got {k}")
+    offsets = _slot_offsets(k, slots, "unfold")
     pad = (k - 1) // 2
     n, c, h, w = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
+    shape = (n, c, k * k, ho, wo)
     src = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad > 0 else x.data
-    win = sliding_window_view(src, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    data = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, k * k, ho, wo)
+    if base is None and k == 1:
+        data = src[:, :, None, ::stride, ::stride]  # one slot: a view, no copy
+        data.flags.writeable = False
+    else:
+        out_shape, dtype = shape, src.dtype
+        if base is not None:
+            base = as_tensor(base)
+            out_shape, dtype = _addend_shape(shape, base.shape), np.result_type(src, base.data)
+        data = np.empty(out_shape, dtype)
+        for s, (dy, dx) in enumerate(offsets):
+            data[:, :, s] = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
+        if base is not None:
+            data += base.data
+    footprint_order = np.argsort([dy * k + dx for dy, dx in offsets])
 
     def bwd(g):
-        slots = (g[:, :, s] for s in range(k * k))
-        return (_scatter_windows(slots, (n, c, h, w), k, stride, pad, g.dtype),)
+        gw = _unbroadcast(g, shape)
+        per_slot = (gw[:, :, pos] for pos in footprint_order)
+        gx = _scatter_windows(per_slot, (n, c, h, w), k, stride, pad, g.dtype)
+        return (gx,) if base is None else (gx, _unbroadcast(g, base.shape))
 
-    return _node(data, (x,), bwd)
+    return _node(data, (x,) if base is None else (x, base), bwd)
+
+
+def _addend_shape(shape, addend) -> tuple:
+    """Shape of ``shape`` and ``addend`` broadcast together, which must stay 5-d."""
+    try:
+        out = np.broadcast_shapes(shape, addend)
+    except ValueError:
+        out = ()
+    if len(out) != len(shape):
+        raise DimensionError(f"unfold: addend {addend} does not broadcast onto windows {shape}")
+    return out
 
 
 def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
@@ -564,9 +617,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None) -> Tenso
             f"{values.shape} and footprint {k}"
         )
     share, pad = cm // groups, (k - 1) // 2
-    offsets = [divmod(int(s), k) for s in (range(k2) if slots is None else slots)]
-    if sorted(offsets) != [divmod(s, k) for s in range(k2)]:
-        raise DimensionError(f"slot_aggregate: slots must permute range({k2})")
+    offsets = _slot_offsets(k, slots, "slot_aggregate")
     padded = np.pad(values.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     v5 = padded.reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
     out = np.zeros((n, groups, share, h, w), dtype=np.result_type(weights.data, values.data))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, augment_batch
-from .models import named_units, predict, save_checkpoint
+from .models import NonFiniteLogits, named_units, predict, save_checkpoint
 from .module import Module
 from .tensor import ConfigError, Tensor
 
@@ -134,8 +134,9 @@ def _check_finite(model: Module, where: str):
 def train(model: Module, dataset: Dataset, config: TrainConfig,
           run_dir: str | None = None, log=None) -> RunReport:
     """SGD training per the config; logs per-epoch metrics, keeps the best
-    checkpoint, and aborts with a diagnostic on a non-finite loss, gradient
-    or parameter, before any checkpoint of that state is written."""
+    checkpoint, and aborts with a diagnostic on a non-finite loss, gradient,
+    parameter or validation logit, before any checkpoint of that state is
+    written."""
     report = RunReport(config=config, run_dir=run_dir)
     metrics_fh = None
     writer = None
@@ -180,7 +181,10 @@ def train(model: Module, dataset: Dataset, config: TrainConfig,
                 step += 1
                 epoch_loss += loss_value * len(idx)
 
-            metrics = evaluate(model, dataset)
+            try:
+                metrics = evaluate(model, dataset)
+            except NonFiniteLogits as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch} validation") from exc
             row = {
                 "epoch": epoch,
                 "lr": lr,

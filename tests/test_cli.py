@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sanet.cli import main
-from sanet.models import build_model, named_spec, spec_to_dict
+from sanet.models import build_model, named_spec, save_checkpoint, spec_to_dict
 from sanet.training import SGD
 
 
@@ -79,6 +79,22 @@ class TestCount:
         assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["count", "train"])
+    def test_attention_flags_with_spec_file_exit_2_without_run_dir(self, tmp_path, capsys,
+                                                                   command):
+        """A spec file fixes the attention configuration; flags that would
+        change it are rejected, not silently ignored."""
+        out = tmp_path / "c"
+        argv = [command, "--spec-file", str(write_tiny_spec(tmp_path, {})),
+                "--relation", "dot", "--r1", "1", "--out", str(out)]
+        if command == "train":
+            argv += ["--limit", "20", "--epochs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --spec-file")
+        assert "--relation" in err and "--r1" in err
         assert not out.exists()
 
     def test_runtime_verification_flag(self, tmp_path):
@@ -212,6 +228,17 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and "footprint side must be one of" in err
         assert not out.exists()
 
+    def test_non_finite_logits_exit_1_without_checkpoint(self, tmp_path, capsys):
+        """With lr 1e30 every parameter stays finite but every validation
+        logit is NaN: no accuracy may be read from them or checkpointed."""
+        out = tmp_path / "t"
+        assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
+                     "--lr", "1e30", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: training diverged: non-finite logits for ")
+        assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
+
     def test_diverged_training_exits_1_naming_the_unit(self, tmp_path, capsys, monkeypatch):
         names = [n for n, _ in build_model(named_spec("san-tiny")).named_parameters()]
         poisoned = names.index("stages.1.1.attention.w_key")
@@ -231,7 +258,24 @@ class TestTrainCommand:
         assert not (out / "best.ckpt").exists()
 
 
+@pytest.fixture(scope="module")
+def overflowing_checkpoint(tmp_path_factory):
+    """A san-tiny checkpoint whose parameters are all finite but whose logits overflow."""
+    model = build_model(named_spec("san-tiny"), seed=3)
+    model.classifier.linear.w.data[:] = 3e38
+    path = tmp_path_factory.mktemp("ckpt") / "overflow.ckpt"
+    save_checkpoint(model, path)
+    return path
+
+
 class TestEvalRobustAttack:
+    @pytest.mark.parametrize("command", ["eval", "robust", "attack"])
+    def test_non_finite_logits_exit_1(self, overflowing_checkpoint, tmp_path, capsys, command):
+        assert main([command, "--checkpoint", str(overflowing_checkpoint), "--data", "blobs",
+                     "--limit", "20", "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: non-finite logits for ")
+
     def test_eval_checkpoint(self, train_run, tmp_path):
         out = tmp_path / "e"
         assert main(["eval", "--checkpoint", str(train_run / "best.ckpt"),

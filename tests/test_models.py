@@ -5,11 +5,14 @@ import os
 import numpy as np
 import pytest
 
+import sanet.tensor as T
 from sanet.models import (
     CheckpointError,
+    NonFiniteLogits,
     build_model,
     load_checkpoint,
     named_spec,
+    predict,
     save_checkpoint,
     spec_from_dict,
     spec_to_dict,
@@ -93,6 +96,27 @@ class TestBuild:
         x = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
         with no_grad():
             assert model.forward(x).shape == (1, 10)
+
+    @pytest.mark.parametrize("name,calls", [("san-tiny", 3), ("san10", 10), ("resnet26", 0)])
+    def test_relu_runs_only_inside_the_weight_mlp(self, monkeypatch, name, calls):
+        """``batch_norm`` rectifies in place, so the only ReLUs left are the
+        hidden layers of the attention-weight perceptron: attention layers
+        times (mlp_depth - 1) for a SAN, none for a ResNet."""
+        spec = named_spec(name)
+        if spec.arch == "san":
+            assert calls == sum(st.blocks for st in spec.stages) * (spec.attention.mlp_depth - 1)
+        model = build_model(spec, seed=0)
+        relu, seen = T.relu, []
+        monkeypatch.setattr(T, "relu", lambda x: seen.append(x.shape) or relu(x))
+        predict(model, np.random.default_rng(3).normal(size=(1, 3, 32, 32)).astype(np.float32))
+        assert len(seen) == calls
+
+    def test_predict_rejects_non_finite_logits(self):
+        model = build_model(named_spec("san-tiny"), seed=0)
+        images = np.zeros((3, 3, 32, 32), dtype=np.float32)
+        images[1, 0, 5, 5] = np.nan
+        with pytest.raises(NonFiniteLogits, match="non-finite logits for 1 of 3 images"):
+            predict(model, images, batch_size=2)
 
 
 class TestCheckpoints:

@@ -41,20 +41,22 @@ class TestLinear:
 
 
 class TestBatchNorm:
+    """``batch_norm`` normalizes and rectifies: ``max(gamma * xhat + beta, 0)``."""
+
     def _buffers(self, c):
         return np.zeros(c), np.ones(c)
 
     def test_constant_input_returns_shift_in_train_mode(self):
-        """Zero variance collapses to the learned shift (epsilon-guarded)."""
+        """Zero variance collapses to the rectified learned shift (epsilon-guarded)."""
         rm, rv = self._buffers(3)
         beta = np.array([1.0, -2.0, 0.5])
         out = T.batch_norm(Tensor(np.full((2, 3, 4, 4), 7.0)), Tensor(np.ones(3)),
                            Tensor(beta), rm, rv, training=True)
-        np.testing.assert_allclose(out.data, np.broadcast_to(beta.reshape(1, 3, 1, 1),
+        np.testing.assert_allclose(out.data, np.broadcast_to(np.maximum(beta, 0).reshape(1, 3, 1, 1),
                                                              (2, 3, 4, 4)), atol=1e-9)
 
     def test_standardized_input_passes_through(self):
-        """Input already standardized (epsilon included) is a fixed point."""
+        """Input already standardized (epsilon included) is a fixed point, rectified."""
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 3, 8, 8))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
@@ -62,17 +64,22 @@ class TestBatchNorm:
         rm, rv = self._buffers(3)
         out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                            rm, rv, training=True)
-        np.testing.assert_allclose(out.data, x, atol=1e-6)
+        np.testing.assert_allclose(out.data, np.maximum(x, 0), atol=1e-6)
 
     def test_train_output_statistics_match_affine(self):
+        """The output rectifies an affine map whose batch statistics are (beta, gamma)."""
         rng = np.random.default_rng(3)
         x = rng.normal(3.0, 2.5, size=(8, 4, 6, 6))
         gamma = rng.uniform(0.5, 2.0, 4)
         beta = rng.normal(size=4)
         rm, rv = self._buffers(4)
         out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=True).data
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), beta, atol=1e-5)
-        np.testing.assert_allclose(out.std(axis=(0, 2, 3)), gamma, atol=1e-5)
+        axes, shape = (0, 2, 3), (1, 4, 1, 1)
+        xhat = (x - x.mean(axis=axes, keepdims=True)) / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
+        affine = gamma.reshape(shape) * xhat + beta.reshape(shape)
+        np.testing.assert_allclose(affine.mean(axis=axes), beta, atol=1e-5)
+        np.testing.assert_allclose(affine.std(axis=axes), gamma, atol=1e-5)
+        np.testing.assert_allclose(out, np.maximum(affine, 0), atol=1e-5)
 
     def test_running_stats_update_and_eval_path(self):
         rng = np.random.default_rng(4)
@@ -84,13 +91,13 @@ class TestBatchNorm:
         out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
                            training=False).data
         expected = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv + 1e-5).reshape(1, 2, 1, 1)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out, np.maximum(expected, 0), atol=1e-12)
 
     @pytest.mark.parametrize("dtype,affine_dtype", [(np.float32, np.float32),
                                                     (np.float64, np.float64),
                                                     (np.float32, np.float64)])
     def test_eval_matches_out_of_place_formula_bitwise(self, dtype, affine_dtype):
-        """The in-place eval path equals gamma*inv_std*(x - mean) + beta bit for bit."""
+        """The in-place eval path equals max(gamma*inv_std*(x - mean) + beta, 0) bit for bit."""
         rng = np.random.default_rng(5)
         x = rng.normal(1.0, 3.0, size=(2, 4, 5, 6)).astype(dtype)
         gamma = rng.normal(size=4).astype(affine_dtype)
@@ -100,10 +107,12 @@ class TestBatchNorm:
         shape = (1, 4, 1, 1)
         inv_std = 1.0 / np.sqrt(rv + 1e-5)
         centered = x - rm.reshape(shape)
-        want = gamma.reshape(shape) * inv_std.reshape(shape) * centered + beta.reshape(shape)
-        want_grads = (proj * (gamma * inv_std).reshape(shape),
-                      (proj * centered * inv_std.reshape(shape)).sum(axis=(0, 2, 3)),
-                      proj.sum(axis=(0, 2, 3)))
+        pre = gamma.reshape(shape) * inv_std.reshape(shape) * centered + beta.reshape(shape)
+        want = np.maximum(pre, 0)
+        masked = proj * (pre > 0)
+        want_grads = (masked * (gamma * inv_std).reshape(shape),
+                      (masked * centered * inv_std.reshape(shape)).sum(axis=(0, 2, 3)),
+                      masked.sum(axis=(0, 2, 3)))
 
         leaves = [Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
                   Tensor(beta, requires_grad=True)]
@@ -111,10 +120,100 @@ class TestBatchNorm:
         rm += 1.0  # a buffer that moves after forward must not reach backward
         T.sum(T.mul(out, Tensor(proj))).backward()
         assert out.dtype == want.dtype
+        assert 0 < np.sum(want == 0) < want.size  # both sides of the rectifier are exercised
         np.testing.assert_array_equal(out.data, want)
         for leaf, g in zip(leaves, want_grads):
             assert leaf.grad.dtype == g.dtype
             np.testing.assert_array_equal(leaf.grad, g)
+
+    @staticmethod
+    def _relu_bn_reference(x, gamma, beta, rm, rv, training, proj):
+        """Batch norm, in the formula of each mode, then a separate ReLU,
+        forward and backward, in plain numpy."""
+        axes, shape = (0, 2, 3), (1, -1, 1, 1)
+        if training:
+            inv_std = 1.0 / np.sqrt(x.var(axis=axes) + 1e-5)
+            xhat = (x - x.mean(axis=axes).reshape(shape)) * inv_std.reshape(shape)
+            pre = gamma.reshape(shape) * xhat + beta.reshape(shape)
+            g = proj * (pre > 0)  # relu's backward
+            dxhat = g * gamma.reshape(shape)
+            m1 = dxhat.mean(axis=axes).reshape(shape)
+            m2 = (dxhat * xhat).mean(axis=axes).reshape(shape)
+            grads = (inv_std.reshape(shape) * (dxhat - m1 - xhat * m2),
+                     (g * xhat).sum(axis=axes), g.sum(axis=axes))
+        else:
+            inv_std = 1.0 / np.sqrt(rv + 1e-5)
+            centered = x - rm.reshape(shape)
+            pre = (gamma * inv_std).reshape(shape) * centered + beta.reshape(shape)
+            g = proj * (pre > 0)  # relu's backward
+            grads = (g * (gamma * inv_std).reshape(shape),
+                     (g * centered * inv_std.reshape(shape)).sum(axis=axes), g.sum(axis=axes))
+        return np.maximum(pre, 0), grads
+
+    def _run(self, x, gamma, beta, rm, rv, training, proj):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = T.batch_norm(*leaves, rm.copy(), rv.copy(), training=training)
+        T.sum(T.mul(out, Tensor(proj))).backward()
+        return out.data, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype,affine_dtype", [(np.float32, np.float32),
+                                                    (np.float64, np.float64),
+                                                    (np.float32, np.float64)])
+    def test_backward_matches_relu_after_batch_norm_bitwise(self, training, dtype, affine_dtype):
+        rng = np.random.default_rng(30)
+        x = rng.normal(0.5, 2.0, size=(3, 4, 5, 6)).astype(dtype)
+        gamma = rng.normal(size=4).astype(affine_dtype)
+        beta = rng.normal(size=4).astype(affine_dtype)
+        rm, rv = rng.normal(size=4).astype(dtype), rng.uniform(0.5, 2.0, 4).astype(dtype)
+        proj = rng.normal(size=x.shape).astype(np.result_type(dtype, affine_dtype))
+        want, want_grads = self._relu_bn_reference(x, gamma, beta, rm, rv, training, proj)
+        out, grads = self._run(x, gamma, beta, rm, rv, training, proj)
+        assert 0 < np.sum(want == 0) < want.size
+        assert out.dtype == want.dtype
+        np.testing.assert_array_equal(out, want)
+        for got, g in zip(grads, want_grads):
+            assert got.dtype == g.dtype
+            np.testing.assert_array_equal(got, g)
+
+    def test_train_output_takes_the_widest_dtype(self):
+        """A float64 shift on float32 input and scale gives float64, as the
+        out-of-place ``gamma * xhat + beta`` would."""
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        gamma = rng.normal(size=3).astype(np.float32)
+        beta = rng.normal(size=3)
+        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(3), np.ones(3),
+                           training=True).data
+        axes, shape = (0, 2, 3), (1, 3, 1, 1)
+        inv_std = 1.0 / np.sqrt(x.var(axis=axes) + 1e-5)
+        xhat = (x - x.mean(axis=axes).reshape(shape)) * inv_std.reshape(shape)
+        want = np.maximum(gamma.reshape(shape) * xhat + beta.reshape(shape), 0)
+        assert out.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_clipped_outputs_pass_no_gradient(self, training):
+        """A gradient that arrives only where the output was clipped moves nothing."""
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(2, 3, 4, 4))
+        gamma, beta = rng.uniform(0.5, 1.5, 3), rng.normal(size=3)
+        rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(),
+                           training=training).data
+        proj = rng.normal(size=x.shape) * (out == 0)
+        assert np.any(proj != 0)
+        _, grads = self._run(x, gamma, beta, rm, rv, training, proj)
+        for g in grads:
+            np.testing.assert_array_equal(g, np.zeros_like(g))
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_nan_input_gives_nan_output(self, training):
+        x = np.random.default_rng(32).normal(size=(2, 3, 4, 4))
+        x[1, 2, 0, 3] = np.nan
+        out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                           np.zeros(3), np.ones(3), training=training).data
+        assert np.isnan(out[1, 2, 0, 3])
 
 
 class TestElementwiseAndPooling:
@@ -188,6 +287,48 @@ class TestUnfold:
     def test_even_footprint_rejected(self):
         with pytest.raises(ConfigError):
             T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 2)
+
+    @pytest.mark.parametrize("kwargs", [{"slots": [0, 1, 2, 3, 4, 5, 6, 7, 7]},
+                                        {"slots": [0, 1, 2]},
+                                        {"base": Tensor(np.zeros((1, 1, 4, 4, 4)))},
+                                        {"base": Tensor(np.zeros((3, 1, 1, 1, 1, 1)))}],
+                             ids=["repeated-slot", "short-slots", "slot-mismatch", "6d-addend"])
+    def test_bad_slots_or_addend_rejected(self, kwargs):
+        with pytest.raises(DimensionError):
+            T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 3, **kwargs)
+
+    @pytest.mark.parametrize("k,x_batch,base_shape,slots", [
+        (3, 2, (2, 3, 1, 4, 5), None),
+        (3, 2, (2, 3, 9, 4, 5), None),
+        (3, 1, (2, 3, 9, 4, 5), None),
+        (3, 1, (2, 3, 1, 4, 5), [4, 0, 8, 1, 7, 2, 6, 3, 5]),
+        (1, 2, (2, 3, 1, 4, 5), None),
+        (5, 2, (2, 3, 25, 4, 5), list(np.random.default_rng(33).permutation(25))),
+    ], ids=["center-addend", "per-slot-addend", "batch1-neighbor", "batch1-permuted",
+            "k1-view", "permuted-k5"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_addend_matches_take_then_add_bitwise(self, k, x_batch, base_shape, slots, dtype):
+        """``unfold(x, slots=, base=)`` equals ``add(base, take(unfold(x), slots))``
+        bit for bit, forward and backward.  A batch-1 neighbor under a batch-N
+        addend (the position-only neighbor of Hadamard and dot) must sum its
+        gradient over the batch before scattering, as the separate add does."""
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(x_batch, 3, 4, 5)).astype(dtype)
+        base = rng.normal(size=base_shape).astype(dtype)
+        proj = rng.normal(size=(2, 3, k * k, 4, 5)).astype(dtype)
+        results = []
+        for fused in (False, True):
+            xt, bt = Tensor(x, requires_grad=True), Tensor(base, requires_grad=True)
+            if fused:
+                out = T.unfold(xt, k, slots=slots, base=bt)
+            else:
+                u = T.unfold(xt, k)
+                out = T.add(bt, u if slots is None else T.take(u, slots, axis=2))
+            T.sum(T.mul(out, Tensor(proj))).backward()
+            results.append((out.data, xt.grad, bt.grad))
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_one_hot_slot_weight_is_a_shift(self):
         """Weighting a single slot reproduces a zero-padded spatial shift."""
