@@ -15,9 +15,10 @@ aggregated in place by ``slot_aggregate``, one shifted slice per footprint
 slot, under weights broadcast over groups of ``share`` consecutive
 channels.  Pairwise attention, for every relation, splits the first
 perceptron layer into a per-location center map and a bias-free neighbor
-map, and gathers only the neighbor map over the footprint, straight onto
-the center map in one buffer; Hadamard and dot add one per-slot term,
-the layer applied to the query-key product.
+map (Hadamard and dot add one per-slot term, the layer applied to the
+query-key product) and passes both, with the other perceptron layers, to
+``slot_aggregate``, which builds each slot's weights in turn and again in
+backward, so no per-(location, slot) perceptron array stays on the tape.
 """
 
 from __future__ import annotations
@@ -267,23 +268,27 @@ def pairwise_attention(x: Tensor, params: VectorAttention,
     p = None
     if cfg.position != "none":
         p = _position_map(x.shape[2], x.shape[3], params.w_pos, x.dtype)  # [1, 2, H, W]
-    wts = _mlp_tail(params.mlp, _first_layer(q, k, p, params, slot_order))
-    return T.slot_aggregate(wts, v, cfg.footprint, slots=slot_order)
+    base, neighbor = _first_layer(q, k, p, params, slot_order)
+    tail = [(layer.w, layer.b) for layer in list(params.mlp)[1:]]
+    return T.slot_aggregate(base, v, cfg.footprint, slots=slot_order,
+                            neighbor=neighbor, mlp=tail)
 
 
 def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
-                 params: VectorAttention, slot_order) -> Tensor:
-    """First perceptron layer of every (location, slot) pair, ``[N, d1, K, H, W]``.
+                 params: VectorAttention, slot_order):
+    """First perceptron layer of every (location, slot) pair, split in two.
 
     The layer is linear in its input, so it splits into a center map, a
-    neighbor map gathered over the footprint and, for Hadamard and dot, a
+    neighbor map read over the footprint and, for Hadamard and dot, a
     per-slot product term.  For subtraction with relative position,
     ``W[q_i - k_j ; p_i - p_j] + b = (W[q_i ; p_i] + b) - W[k_j ; p_j]``;
     for Hadamard, with ``W = [W_r, W_p]``, ``W[q_i * k_j ; p_i - p_j] + b =
     (W_r (q_i * k_j) + b) + W_p p_i - W_p p_j``.  The neighbor map has no bias, so an out-of-map
     slot gathers zero, exactly the layer's share of the zero key and zero
-    position of a zero-padded neighbor.  The neighbor map is gathered onto
-    the center map (plus the product term) in one buffer by ``unfold``.
+    position of a zero-padded neighbor.  Returns ``(base, neighbor)``: the
+    center map ``[N, d1, 1, H, W]`` (plus the ``[N, d1, K, H, W]`` product
+    term for Hadamard and dot) and the neighbor map ``[N or 1, d1, H, W]``
+    or None, for ``slot_aggregate`` to add slot by slot.
     """
     cfg, d = params.cfg, params.dims.d
     layer = params.mlp[0]
@@ -311,10 +316,7 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
             neighbor = pos if neighbor is None else T.add(neighbor, pos)
     if center is not None:
         terms.append(T.reshape(center, (center.shape[0], layer.w.shape[0], 1, h, w)))
-    base = functools.reduce(T.add, terms)
-    if neighbor is None:
-        return base
-    return T.unfold(neighbor, cfg.footprint, slots=slot_order, base=base)
+    return functools.reduce(T.add, terms), neighbor
 
 
 def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:

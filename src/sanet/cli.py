@@ -73,7 +73,7 @@ def _add_model_args(p: argparse.ArgumentParser):
                    choices=["none", "absolute", "relative"], dest="position")
 
 
-def _resolve_spec(args, classes: int | None = None):
+def _resolve_spec(args, classes: int | None = None, side: int | None = None):
     overrides = {f.name: getattr(args, f.name, None) for f in fields(AttentionConfig)}
     if args.spec_file is not None:
         given = [_ATTENTION_FLAGS[name] for name, value in overrides.items() if value is not None]
@@ -84,6 +84,10 @@ def _resolve_spec(args, classes: int | None = None):
         if classes is not None and spec.classes != classes:
             raise ConfigError(
                 f"spec file declares {spec.classes} classes, dataset has {classes}"
+            )
+        if side is not None and spec.input_hw != side:
+            raise ConfigError(
+                f"spec file declares input_hw {spec.input_hw}, dataset images are {side}x{side}"
             )
         return spec
     return named_spec(args.model, classes=classes, **overrides)
@@ -164,7 +168,7 @@ def _resolve_data(args):
 
 def cmd_train(args) -> int:
     dataset = _resolve_data(args)
-    spec = _resolve_spec(args, classes=dataset.classes)
+    spec = _resolve_spec(args, dataset.classes, dataset.train_images.shape[-1])
     config = TrainConfig(
         epochs=args.epochs, base_lr=args.lr, momentum=args.momentum,
         weight_decay=args.weight_decay, label_smoothing=args.label_smoothing,

@@ -261,7 +261,8 @@ def predict(model: Module, images: np.ndarray, batch_size: int = 64) -> np.ndarr
     was_training = model.training
     model.eval()
     outs = []
-    with no_grad():
+    # an overflow is reported below as non-finite logits, not as numpy warnings
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(images), batch_size):
             chunk = Tensor(images[start : start + batch_size])
             outs.append(model.forward(chunk).data)

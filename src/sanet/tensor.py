@@ -489,19 +489,13 @@ def _slot_offsets(k: int, slots, who: str) -> list[tuple[int, int]]:
     return offsets
 
 
-def unfold(x: Tensor, k: int, stride: int = 1, slots=None, base: Tensor | None = None) -> Tensor:
+def unfold(x: Tensor, k: int, stride: int = 1, slots=None) -> Tensor:
     """Gather the k*k spatial neighborhood of every location.
 
     Output is ``[N, C, K, Ho, Wo]`` with ``K = k*k``; slot ``s`` holds
     footprint slot ``slots[s]`` (row-major offsets, identity by default),
     and out-of-bounds slots are zero.  The map is zero-padded by
     ``(k - 1) // 2``, so with stride 1 the spatial extent is preserved.
-
-    ``base``, when given, is broadcast against the windows and added to
-    them in the same buffer: the result is ``add(base, unfold(x, ...))``
-    with no separate window tensor.  Its batch may exceed ``x``'s, as for a
-    batch-1 position map under a batch-N addend; the window gradient is
-    then summed over the batch before it is scattered back.
     """
     x = as_tensor(x)
     if x.data.ndim != 4:
@@ -513,41 +507,21 @@ def unfold(x: Tensor, k: int, stride: int = 1, slots=None, base: Tensor | None =
     n, c, h, w = x.shape
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
-    shape = (n, c, k * k, ho, wo)
     src = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad > 0 else x.data
-    if base is None and k == 1:
+    if k == 1:
         data = src[:, :, None, ::stride, ::stride]  # one slot: a view, no copy
         data.flags.writeable = False
     else:
-        out_shape, dtype = shape, src.dtype
-        if base is not None:
-            base = as_tensor(base)
-            out_shape, dtype = _addend_shape(shape, base.shape), np.result_type(src, base.data)
-        data = np.empty(out_shape, dtype)
+        data = np.empty((n, c, k * k, ho, wo), src.dtype)
         for s, (dy, dx) in enumerate(offsets):
             data[:, :, s] = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
-        if base is not None:
-            data += base.data
     footprint_order = np.argsort([dy * k + dx for dy, dx in offsets])
 
     def bwd(g):
-        gw = _unbroadcast(g, shape)
-        per_slot = (gw[:, :, pos] for pos in footprint_order)
-        gx = _scatter_windows(per_slot, (n, c, h, w), k, stride, pad, g.dtype)
-        return (gx,) if base is None else (gx, _unbroadcast(g, base.shape))
+        per_slot = (g[:, :, pos] for pos in footprint_order)
+        return (_scatter_windows(per_slot, (n, c, h, w), k, stride, pad, g.dtype),)
 
-    return _node(data, (x,) if base is None else (x, base), bwd)
-
-
-def _addend_shape(shape, addend) -> tuple:
-    """Shape of ``shape`` and ``addend`` broadcast together, which must stay 5-d."""
-    try:
-        out = np.broadcast_shapes(shape, addend)
-    except ValueError:
-        out = ()
-    if len(out) != len(shape):
-        raise DimensionError(f"unfold: addend {addend} does not broadcast onto windows {shape}")
-    return out
+    return _node(data, (x,), bwd)
 
 
 def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
@@ -591,50 +565,116 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     return _node(data, (x,), bwd)
 
 
-def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None) -> Tensor:
+def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
+                   neighbor: Tensor | None = None, mlp=()) -> Tensor:
     """Weighted sum of a value map over each location's k*k footprint.
 
-    ``weights`` is ``[N, G, K, H, W]`` with ``K = k*k``, ``values`` is the
-    value map ``[N, Cm, H, W]`` with ``Cm`` a multiple of ``G``; each weight
-    component scales ``Cm / G`` consecutive value channels.  Weight slot
-    ``s`` pairs with footprint slot ``slots[s]`` (row-major offsets,
-    identity by default), and out-of-map neighbors are zero:
-    ``out[n, c, i, j] = sum_s weights[n, c // (Cm/G), s, i, j] * values[n, c, i + dy_s, j + dx_s]``.
+    ``values`` is ``[N, Cm, H, W]``.  Slot ``s`` pairs with footprint slot
+    ``slots[s]`` (row-major offsets, identity by default), and out-of-map
+    neighbors are zero.  Its weights ``a_s``, ``[N, G, H, W]`` with ``Cm`` a
+    multiple of ``G``, each scale ``Cm / G`` consecutive value channels:
+    ``out[n, c, i, j] = sum_s a_s[n, c // (Cm/G), i, j] * values[n, c, i + dy_s, j + dx_s]``.
+
+    ``a_s = mlp(weights[:, :, s] + shift_s(neighbor))``.  ``weights`` is
+    ``[N, D, K, H, W]`` with ``K = k*k``, or ``[N, D, 1, H, W]`` shared by
+    every slot; the optional ``neighbor`` is ``[N or 1, D, H, W]``, read
+    zero-padded at slot ``s``'s offset as ``unfold`` gathers it; ``mlp`` is
+    a sequence of ``(w, b)`` layers from ``D`` to ``G`` channels, each
+    preceded by a ReLU (none by default, so ``D = G``).  Each slot's weights
+    are built, used and dropped, and backward builds them again, so no
+    ``[N, D, K, H, W]`` array is kept for it.  Backward visits the slots
+    in footprint order, as ``unfold``'s backward does, so the neighbor
+    gradient is scattered in the same order as that of a gathered neighbor.
 
     The value map is padded once and read through k*k shifted slices, so no
     ``[N, Cm, K, H, W]`` gather is built in either direction.
     """
     weights, values = as_tensor(weights), as_tensor(values)
+    neighbor = None if neighbor is None else as_tensor(neighbor)
+    tail = [(as_tensor(wt), as_tensor(bt)) for wt, bt in mlp]
     if values.data.ndim != 4:
         raise DimensionError("slot_aggregate expects an NCHW value map")
     if k < 1 or k % 2 == 0:
         raise ConfigError(f"footprint side must be odd and positive, got {k}")
     n, cm, h, w = values.shape
-    groups, k2 = weights.shape[1], k * k
-    if weights.shape != (n, groups, k2, h, w) or cm % groups:
+    d = groups = weights.shape[1]
+    chained = True
+    for wt, bt in tail:  # each layer maps the previous width to its own
+        chained &= wt.shape[1:] == (groups,) and bt.shape == wt.shape[:1]
+        groups = wt.shape[0]
+    if (not chained or cm % groups
+            or weights.shape not in ((n, d, k * k, h, w), (n, d, 1, h, w))
+            or neighbor is not None and neighbor.shape not in ((n, d, h, w), (1, d, h, w))):
         raise DimensionError(
-            f"slot_aggregate: weights {weights.shape} incompatible with values "
-            f"{values.shape} and footprint {k}"
+            f"slot_aggregate: weights {weights.shape}, neighbor {getattr(neighbor, 'shape', None)} "
+            f"and layers {[wt.shape for wt, _ in tail]} do not fit values {values.shape} "
+            f"and footprint {k}"
         )
     share, pad = cm // groups, (k - 1) // 2
     offsets = _slot_offsets(k, slots, "slot_aggregate")
-    padded = np.pad(values.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    v5 = padded.reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
-    out = np.zeros((n, groups, share, h, w), dtype=np.result_type(weights.data, values.data))
+    per_slot = weights.shape[2] > 1
+    footprint_order = np.argsort([dy * k + dx for dy, dx in offsets])
+    pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+
+    def slot_weights(s, window, nb):
+        """The weights of slot ``s`` and the rectified input of each layer;
+        ``nb`` is the padded neighbor map or None."""
+        a = weights.data[:, :, s if per_slot else 0]
+        if nb is not None:
+            a = a + nb[window]
+        inputs = []
+        for wt, bt in tail:
+            a = np.maximum(a, 0)
+            inputs.append(a)
+            a = np.matmul(wt.data[None], a.reshape(n, a.shape[1], -1)).reshape(n, -1, h, w)
+            a += bt.data.reshape(1, -1, 1, 1)
+        return a, inputs
+
+    def padded_neighbor():  # made again in backward, not kept on the tape
+        return None if neighbor is None else np.pad(neighbor.data, pads)
+
+    parents = (weights, values) + (() if neighbor is None else (neighbor,))
+    parents += tuple(t for pair in tail for t in pair)
+    v5 = np.pad(values.data, pads).reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
+    nb = padded_neighbor()
+    out = np.zeros((n, groups, share, h, w), dtype=np.result_type(*(t.data for t in parents)))
     for s, (dy, dx) in enumerate(offsets):
-        out += weights.data[:, :, s, None] * v5[:, :, :, dy : dy + h, dx : dx + w]
+        window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
+        out += slot_weights(s, window, nb)[0][:, :, None] * v5[window]
 
     def bwd(g):
         g5 = g.reshape(n, groups, share, h, w)
-        gw = np.empty(weights.shape, dtype=g.dtype)
+        nb = padded_neighbor()
+        gw = (np.empty if per_slot else np.zeros)(weights.shape, dtype=g.dtype)
         gv5 = np.zeros_like(v5, dtype=g.dtype)
-        for s, (dy, dx) in enumerate(offsets):
-            gw[:, :, s] = np.einsum("ngshw,ngshw->nghw", g5, v5[:, :, :, dy : dy + h, dx : dx + w])
-            gv5[:, :, :, dy : dy + h, dx : dx + w] += g5 * weights.data[:, :, s, None]
-        gv = gv5.reshape(n, cm, h + 2 * pad, w + 2 * pad)[:, :, pad : pad + h, pad : pad + w]
-        return gw, gv
+        gn = None if nb is None else np.zeros_like(nb, dtype=g.dtype)
+        gtail = [(np.zeros_like(wt.data, dtype=g.dtype), np.zeros_like(bt.data, dtype=g.dtype))
+                 for wt, bt in tail]
+        for s in footprint_order:
+            dy, dx = offsets[s]
+            window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
+            a, inputs = slot_weights(s, window, nb)
+            ga = np.einsum("ngshw,ngshw->nghw", g5, v5[window])
+            gv5[window] += g5 * a[:, :, None]
+            for (wt, _), r, (gwt, gbt) in zip(tail[::-1], inputs[::-1], gtail[::-1]):
+                g3 = ga.reshape(n, ga.shape[1], -1)
+                gwt += np.matmul(g3, np.moveaxis(r.reshape(n, r.shape[1], -1), 1, 2)).sum(axis=0)
+                gbt += g3.sum(axis=(0, 2))
+                ga = np.matmul(wt.data.T[None], g3).reshape(r.shape)
+                ga *= r > 0
+            if per_slot:
+                gw[:, :, s] = ga
+            else:
+                gw[:, :, 0] += ga
+            if gn is not None:
+                gn[window] += _unbroadcast(ga, gn.shape[:2] + (h, w))
+        inner = (Ellipsis, slice(pad, pad + h), slice(pad, pad + w))
+        grads = [gw, gv5.reshape(n, cm, h + 2 * pad, w + 2 * pad)[inner]]
+        if gn is not None:
+            grads.append(gn[inner])
+        return tuple(grads) + tuple(gt for pair in gtail for gt in pair)
 
-    return _node(out.reshape(n, cm, h, w), (weights, values), bwd)
+    return _node(out.reshape(n, cm, h, w), parents, bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

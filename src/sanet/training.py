@@ -166,9 +166,10 @@ def train(model: Module, dataset: Dataset, config: TrainConfig,
                 batch = augment_batch(dataset.train_images[idx], augment_rng)
                 x = Tensor(dataset.normalize(batch))
                 lr = cosine_lr(config.base_lr, step, total_steps)
-                logits = model.forward(x)
-                loss = cross_entropy_smoothed(logits, dataset.train_labels[idx],
-                                              config.label_smoothing)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                    logits = model.forward(x)
+                    loss = cross_entropy_smoothed(logits, dataset.train_labels[idx],
+                                                  config.label_smoothing)
                 loss_value = float(loss.data)
                 if not np.isfinite(loss_value):
                     raise TrainingDiverged(

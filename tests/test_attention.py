@@ -1,6 +1,8 @@
 """Attention operator semantics: relations, weight perceptron, position
 encoding, structural identities against convolution and scalar attention."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,27 @@ class TestPairwiseAttention:
             attention_dims(10, AttentionConfig())  # r1=16 does not divide 10
         with pytest.raises(ConfigError):
             AttentionConfig(footprint=4)
+
+    @pytest.mark.parametrize("relation", ["summation", "subtraction", "concatenation"])
+    def test_tape_holds_no_per_slot_weight_buffer(self, relation):
+        """The weight perceptron runs slot by slot inside ``slot_aggregate``,
+        so one taped forward at [8, 16, 16, 16], k=5, leaves less memory
+        alive than a single [N, d, K, H, W] float32 buffer.  (Hadamard and
+        dot keep their per-slot query-key product, which is that large.)"""
+        params = make_params(relation=relation, k=5, position="relative", seed=10,
+                             dtype=np.float32)
+        x = Tensor(np.random.default_rng(11).normal(size=(8, 16, 16, 16)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = pairwise_attention(x, params)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        buffer = 8 * params.dims.d * 25 * 16 * 16 * 4
+        assert live < buffer, f"{live} bytes live after forward, one buffer is {buffer}"
 
 
 class TestPatchwiseAttention:

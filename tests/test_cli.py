@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,17 @@ from sanet.training import SGD
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def user_stderr(capsys, argv):
+    """Exit code of ``main(argv)`` and its stderr as a user sees it: the
+    warnings Python would print there, followed by the captured text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line)
+                    for w in caught)
+    return code, shown + capsys.readouterr().err
 
 
 def snapshot(out_dir):
@@ -228,14 +240,26 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and "footprint side must be one of" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("input_hw", [33, 64])
+    def test_spec_file_input_hw_must_match_the_data(self, tmp_path, capsys, input_hw):
+        """The spec a run records must describe the 32x32 images it trains on."""
+        out = tmp_path / "t"
+        path = write_tiny_spec(tmp_path, {"input_hw": input_hw})
+        assert main(["train", "--spec-file", str(path), "--limit", "20", "--epochs", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: spec file declares input_hw {input_hw}, "
+                       f"dataset images are 32x32\n")
+        assert not out.exists()
+
     def test_non_finite_logits_exit_1_without_checkpoint(self, tmp_path, capsys):
         """With lr 1e30 every parameter stays finite but every validation
         logit is NaN: no accuracy may be read from them or checkpointed."""
         out = tmp_path / "t"
-        assert main(["train", "--model", "san-tiny", "--limit", "20", "--epochs", "1",
-                     "--lr", "1e30", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
+        code, err = user_stderr(capsys, ["train", "--model", "san-tiny", "--limit", "20",
+                                         "--epochs", "1", "--lr", "1e30", "--out", str(out)])
+        assert code == 1
+        assert err.count("\n") == 1  # no numpy overflow warning precedes the error
         assert err.startswith("error: training diverged: non-finite logits for ")
         assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
 
@@ -271,9 +295,11 @@ def overflowing_checkpoint(tmp_path_factory):
 class TestEvalRobustAttack:
     @pytest.mark.parametrize("command", ["eval", "robust", "attack"])
     def test_non_finite_logits_exit_1(self, overflowing_checkpoint, tmp_path, capsys, command):
-        assert main([command, "--checkpoint", str(overflowing_checkpoint), "--data", "blobs",
-                     "--limit", "20", "--out", str(tmp_path / "e")]) == 1
-        err = capsys.readouterr().err
+        code, err = user_stderr(capsys, [command, "--checkpoint", str(overflowing_checkpoint),
+                                         "--data", "blobs", "--limit", "20",
+                                         "--out", str(tmp_path / "e")])
+        assert code == 1
+        # one line: no numpy overflow warning precedes the error
         assert err.count("\n") == 1 and err.startswith("error: non-finite logits for ")
 
     def test_eval_checkpoint(self, train_run, tmp_path):

@@ -44,12 +44,12 @@ class TestRelativeError:
         assert abs(relative_error(a, b) - 0.1 / 1000.1) < 1e-12
 
 
-def _sabotage_relu(monkeypatch, corrupt):
-    """Pass every gradient that relu's backward returns through ``corrupt``."""
-    true_relu = T.relu
+def _sabotage(monkeypatch, primitive, corrupt):
+    """Pass every gradient that ``primitive``'s backward returns through ``corrupt``."""
+    true_fn = getattr(T, primitive)
 
-    def sabotaged_relu(x):
-        out = true_relu(x)
+    def sabotaged(*args, **kwargs):
+        out = true_fn(*args, **kwargs)
         if out._backward is not None:
             original = out._backward
             out._backward = lambda g: tuple(
@@ -57,19 +57,19 @@ def _sabotage_relu(monkeypatch, corrupt):
             )
         return out
 
-    monkeypatch.setattr(T, "relu", sabotaged_relu)
+    monkeypatch.setattr(T, primitive, sabotaged)
 
 
 class TestDetection:
     def test_wrong_sign_gradient_is_detected(self, monkeypatch):
         """Flipping one primitive's backward must fail the sweep."""
-        _sabotage_relu(monkeypatch, lambda gr: -gr)
+        _sabotage(monkeypatch, "slot_aggregate", lambda gr: -gr)
         results = run_sweep(kind="pairwise", relation="subtraction", position="none")
         assert any(not r["passed"] for r in results)
 
     def test_nan_gradient_fails_the_case_and_the_command(self, monkeypatch, tmp_path):
         """A NaN error is the worst error, never one that max() skips."""
-        _sabotage_relu(monkeypatch, lambda gr: np.full_like(gr, np.nan))
+        _sabotage(monkeypatch, "slot_aggregate", lambda gr: np.full_like(gr, np.nan))
         [result] = run_sweep(kind="pairwise", relation="subtraction", position="none")
         assert not result["passed"] and np.isnan(result["max_rel_error"])
         out = tmp_path / "g"

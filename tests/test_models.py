@@ -97,13 +97,17 @@ class TestBuild:
         with no_grad():
             assert model.forward(x).shape == (1, 10)
 
-    @pytest.mark.parametrize("name,calls", [("san-tiny", 3), ("san10", 10), ("resnet26", 0)])
-    def test_relu_runs_only_inside_the_weight_mlp(self, monkeypatch, name, calls):
-        """``batch_norm`` rectifies in place, so the only ReLUs left are the
-        hidden layers of the attention-weight perceptron: attention layers
-        times (mlp_depth - 1) for a SAN, none for a ResNet."""
-        spec = named_spec(name)
-        if spec.arch == "san":
+    @pytest.mark.parametrize("name,family,calls", [
+        ("san-tiny", "pairwise", 0), ("san10", "pairwise", 0),
+        ("san-tiny", "patchwise", 3), ("san10", "patchwise", 10), ("resnet26", None, 0),
+    ], ids=["san-tiny-pairwise-0", "san10-pairwise-0", "san-tiny-3", "san10-10", "resnet26-0"])
+    def test_relu_runs_only_inside_the_weight_mlp(self, monkeypatch, name, family, calls):
+        """``batch_norm`` rectifies in place, so the only ``T.relu`` calls left
+        are the hidden layers of the patchwise weight perceptron (attention
+        layers times (mlp_depth - 1)); pairwise attention runs its
+        perceptron inside ``slot_aggregate``, and a ResNet has none."""
+        spec = named_spec(name, family=family)
+        if family == "patchwise":
             assert calls == sum(st.blocks for st in spec.stages) * (spec.attention.mlp_depth - 1)
         model = build_model(spec, seed=0)
         relu, seen = T.relu, []

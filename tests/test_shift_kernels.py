@@ -187,6 +187,10 @@ def test_scalar_matches_gathered_reference(normalize):
                       seed=20 + normalize)
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
 def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
     w = Tensor(np.zeros((1, 2, 9, 3, 3)))
     v = Tensor(np.zeros((1, 4, 3, 3)))
@@ -194,6 +198,21 @@ def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
         T.slot_aggregate(w, v, 5)
     with pytest.raises(T.DimensionError):
         T.slot_aggregate(w, v, 3, slots=[0] * 9)
+    # weights, neighbor and tail layer (w, b) shapes that do not fit values [1, 4, 3, 3]
+    for weights, neighbor, mlp in [
+        ((1, 2, 9, 3, 3), (1, 3, 3, 3), ()),                     # neighbor width is not D
+        ((1, 2, 9, 3, 3), (2, 2, 3, 3), ()),                     # neighbor batch neither 1 nor N
+        ((1, 2, 9, 3, 3), (1, 2, 3, 2), ()),                     # neighbor map of another size
+        ((1, 2, 4, 3, 3), (1, 2, 3, 3), ()),                     # neither one slot nor K
+        ((1, 2, 1, 3, 3), None, [((2, 3), (2,))]),               # tail input width is not D
+        ((1, 2, 1, 3, 3), None, [((2, 2), (2,)), ((2, 3), (2,))]),  # layers do not chain
+        ((1, 2, 1, 3, 3), None, [((2, 2), (3,))]),               # bias length is not the width
+        ((1, 2, 1, 3, 3), (1, 2, 3, 3), [((3, 2), (3,))]),       # G = 3 does not divide Cm = 4
+    ]:
+        tail = [(_zeros(*ws), _zeros(*bs)) for ws, bs in mlp]
+        with pytest.raises(T.DimensionError):
+            T.slot_aggregate(_zeros(*weights), v, 3, mlp=tail,
+                             neighbor=None if neighbor is None else _zeros(*neighbor))
 
 
 def reference_max_pool(x, k, stride, pad):

@@ -288,14 +288,11 @@ class TestUnfold:
         with pytest.raises(ConfigError):
             T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 2)
 
-    @pytest.mark.parametrize("kwargs", [{"slots": [0, 1, 2, 3, 4, 5, 6, 7, 7]},
-                                        {"slots": [0, 1, 2]},
-                                        {"base": Tensor(np.zeros((1, 1, 4, 4, 4)))},
-                                        {"base": Tensor(np.zeros((3, 1, 1, 1, 1, 1)))}],
-                             ids=["repeated-slot", "short-slots", "slot-mismatch", "6d-addend"])
-    def test_bad_slots_or_addend_rejected(self, kwargs):
+    @pytest.mark.parametrize("slots", [[0, 1, 2, 3, 4, 5, 6, 7, 7], [0, 1, 2]],
+                             ids=["repeated-slot", "short-slots"])
+    def test_bad_slots_or_addend_rejected(self, slots):
         with pytest.raises(DimensionError):
-            T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 3, **kwargs)
+            T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 3, slots=slots)
 
     @pytest.mark.parametrize("k,x_batch,base_shape,slots", [
         (3, 2, (2, 3, 1, 4, 5), None),
@@ -308,24 +305,34 @@ class TestUnfold:
             "k1-view", "permuted-k5"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_addend_matches_take_then_add_bitwise(self, k, x_batch, base_shape, slots, dtype):
-        """``unfold(x, slots=, base=)`` equals ``add(base, take(unfold(x), slots))``
-        bit for bit, forward and backward.  A batch-1 neighbor under a batch-N
-        addend (the position-only neighbor of Hadamard and dot) must sum its
+        """The neighbor addend that ``slot_aggregate`` reads slot by slot equals
+        ``add(base, take(unfold(x), slots))`` aggregated as whole weights, bit
+        for bit, forward and backward.  A batch-1 neighbor under batch-N
+        weights (the position-only neighbor of Hadamard and dot) must sum its
         gradient over the batch before scattering, as the separate add does."""
         rng = np.random.default_rng(34)
         x = rng.normal(size=(x_batch, 3, 4, 5)).astype(dtype)
         base = rng.normal(size=base_shape).astype(dtype)
-        proj = rng.normal(size=(2, 3, k * k, 4, 5)).astype(dtype)
+        values = rng.normal(size=(2, 6, 4, 5)).astype(dtype)
+        proj = rng.normal(size=(2, 6, 4, 5)).astype(dtype)
         results = []
         for fused in (False, True):
             xt, bt = Tensor(x, requires_grad=True), Tensor(base, requires_grad=True)
+            vt = Tensor(values, requires_grad=True)
             if fused:
-                out = T.unfold(xt, k, slots=slots, base=bt)
+                out = T.slot_aggregate(bt, vt, k, slots=slots, neighbor=xt)
+            elif base_shape[2] == 1:
+                # A shared addend commutes with the take; adding it first sums
+                # its gradient over footprint slots in the order backward visits them.
+                weights = T.add(bt, T.unfold(xt, k))
+                weights = weights if slots is None else T.take(weights, slots, axis=2)
+                out = T.slot_aggregate(weights, vt, k, slots=slots)
             else:
                 u = T.unfold(xt, k)
-                out = T.add(bt, u if slots is None else T.take(u, slots, axis=2))
+                weights = T.add(bt, u if slots is None else T.take(u, slots, axis=2))
+                out = T.slot_aggregate(weights, vt, k, slots=slots)
             T.sum(T.mul(out, Tensor(proj))).backward()
-            results.append((out.data, xt.grad, bt.grad))
+            results.append((out.data, xt.grad, bt.grad, vt.grad))
         for want, got in zip(*results):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -557,6 +564,44 @@ class TestFiniteDifferences:
             v = Tensor(rng.normal(size=(2, 6) + hw), requires_grad=True)
             _fd_case(f"slot_aggregate/k={k}/{hw}",
                      lambda: T.slot_aggregate(w, v, k, slots=slots), {"w": w, "v": v})
+
+    @pytest.mark.parametrize("depth,weight_slots,neighbor_batch,permuted,k", [
+        (1, 1, 2, False, 3),
+        (1, "K", 1, True, 5),
+        (2, 1, 1, True, 3),
+        (2, "K", 2, False, 5),
+        (2, "K", None, True, 3),
+        (3, 1, 2, True, 5),
+        (3, "K", 1, False, 3),
+    ])
+    def test_slot_aggregate_with_weight_mlp(self, depth, weight_slots, neighbor_batch,
+                                            permuted, k):
+        """Every input of the per-slot weight perceptron, ``mlp(weights[:, :, s] +
+        shift_s(neighbor))``: weights with one slot or K, a batch-1 or batch-N
+        neighbor (or none), and each tail layer's ``w`` and ``b``."""
+        rng = np.random.default_rng(26 + 7 * depth + k)
+        n, h, w = 2, 4, 3  # at k=5 the footprint is wider than the map
+        widths = {1: [2], 2: [3, 2], 3: [3, 4, 2]}[depth]  # D, hidden..., G
+        slots = list(rng.permutation(k * k)) if permuted else None
+        leaves = {
+            "weights": Tensor(rng.normal(size=(n, widths[0], k * k if weight_slots == "K" else 1,
+                                               h, w)), requires_grad=True),
+            "values": Tensor(rng.normal(size=(n, 4, h, w)), requires_grad=True),
+        }
+        if neighbor_batch is not None:
+            leaves["neighbor"] = Tensor(rng.normal(size=(neighbor_batch, widths[0], h, w)),
+                                        requires_grad=True)
+        tail = []
+        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+            tail.append((Tensor(rng.normal(size=(fan_out, fan_in)), requires_grad=True),
+                         Tensor(rng.normal(size=fan_out), requires_grad=True)))
+            leaves[f"w{i}"], leaves[f"b{i}"] = tail[-1]
+        _fd_case(f"slot_aggregate/mlp_depth={depth}/k={k}",
+                 lambda: T.slot_aggregate(leaves["weights"], leaves["values"], k, slots=slots,
+                                          neighbor=leaves.get("neighbor"), mlp=tail),
+                 leaves)
+        # no input may pass vacuously with an all-zero gradient
+        assert all(np.abs(leaf.grad).max() > 0 for leaf in leaves.values())
 
 
 class TestDeterminismAndFiniteness:
