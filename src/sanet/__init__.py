@@ -17,7 +17,6 @@ from .tensor import (
 )
 from .attention import (
     AttentionConfig,
-    FootprintSpec,
     PAIRWISE_RELATIONS,
     PATCHWISE_RELATIONS,
     conv2d,
@@ -36,7 +35,6 @@ __all__ = [
     "ConfigError",
     "CostReport",
     "DimensionError",
-    "FootprintSpec",
     "ModelSpec",
     "PAIRWISE_RELATIONS",
     "PATCHWISE_RELATIONS",

@@ -7,7 +7,10 @@ enumeration does not change the output.  Patchwise attention computes
 the weights for all slots jointly from the whole patch, which lets it
 single out individual positions; a suitable constant weight head turns
 it into an ordinary convolution.  Scalar dot-product attention and a
-direct convolution are included as baselines.
+direct convolution are included as baselines.  ``AttentionConfig`` owns
+the footprint rule (an odd side from ``FOOTPRINT_SIDES``, stride 1), and
+``Linear``, the one pointwise channel layer, builds both the weight
+perceptron here and the projections of the residual blocks.
 
 All operators share the same value path: a channel-reducing linear map
 (no bias, so zero-padded locations contribute exactly zero) whose map is
@@ -38,25 +41,6 @@ POSITION_MODES = ("none", "absolute", "relative")
 FAMILIES = ("pairwise", "patchwise", "scalar", "conv")
 
 FOOTPRINT_SIDES = (1, 3, 5, 7, 9, 11)
-
-
-@dataclass(frozen=True)
-class FootprintSpec:
-    """Square neighborhood gathered around each location (stride 1)."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k not in FOOTPRINT_SIDES:
-            raise ConfigError(f"footprint side must be one of {FOOTPRINT_SIDES}, got {self.k}")
-
-    @property
-    def pad(self) -> int:
-        return (self.k - 1) // 2
-
-    @property
-    def slots(self) -> int:
-        return self.k * self.k
 
 
 @dataclass(frozen=True)
@@ -94,7 +78,10 @@ class AttentionConfig:
         for name in ("r1", "r2", "share"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        FootprintSpec(self.footprint)
+        if self.footprint not in FOOTPRINT_SIDES:
+            raise ConfigError(
+                f"footprint side must be one of {FOOTPRINT_SIDES}, got {self.footprint}"
+            )
 
     def with_footprint(self, k: int) -> "AttentionConfig":
         return replace(self, footprint=k)
@@ -197,7 +184,7 @@ class VectorAttention(Module):
         if cfg.family != "scalar":
             widths = mlp_widths(cfg, self.dims)
             for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-                self.mlp.append(_MlpLayer(fan_in, fan_out, rng, dtype))
+                self.mlp.append(Linear(fan_in, fan_out, rng, dtype))
         if cfg.family == "pairwise" and cfg.position != "none":
             self.w_pos = kaiming_uniform(rng, (2, 2), 2, dtype)
 
@@ -207,13 +194,6 @@ class VectorAttention(Module):
         if self.cfg.family == "patchwise":
             return patchwise_attention(x, self)
         return scalar_attention(x, self)
-
-
-class _MlpLayer(Module):
-    def __init__(self, fan_in: int, fan_out: int, rng, dtype):
-        super().__init__()
-        self.w = kaiming_uniform(rng, (fan_out, fan_in), fan_in, dtype)
-        self.b = zeros_param((fan_out,), dtype)
 
 
 def _mlp_tail(layers: ModuleList, v: Tensor) -> Tensor:
@@ -328,30 +308,29 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     """
     cfg, dims = params.cfg, params.dims
     n, _, h, w = x.shape
-    fp = FootprintSpec(cfg.footprint)
     q, k, v = _qkv(x, params)
-    ku = T.unfold(k, fp.k)
+    ku = T.unfold(k, cfg.footprint)
 
     if cfg.relation == "star_product":
         qe = T.reshape(q, (n, dims.d, 1, h, w))
         rel = T.sum(T.mul(qe, ku), axis=1)  # [N, K, H, W]
     elif cfg.relation == "clique_product":
-        qu = T.unfold(q, fp.k)
-        qj = T.reshape(qu, (n, dims.d, fp.slots, 1, h, w))
-        kk = T.reshape(ku, (n, dims.d, 1, fp.slots, h, w))
+        qu = T.unfold(q, cfg.footprint)
+        qj = T.reshape(qu, (n, dims.d, dims.slots, 1, h, w))
+        kk = T.reshape(ku, (n, dims.d, 1, dims.slots, h, w))
         rel = T.sum(T.mul(qj, kk), axis=1)  # [N, K, K, H, W], (j, k) row-major
-        rel = T.reshape(rel, (n, fp.slots * fp.slots, h, w))
+        rel = T.reshape(rel, (n, dims.slots * dims.slots, h, w))
     elif cfg.relation == "concatenation":
         kt = T.transpose(ku, (0, 2, 1, 3, 4))  # slot-major blocks of d
-        rel = T.concat([q, T.reshape(kt, (n, fp.slots * dims.d, h, w))], axis=1)
+        rel = T.concat([q, T.reshape(kt, (n, dims.slots * dims.d, h, w))], axis=1)
     else:  # pragma: no cover - rejected by AttentionConfig
         raise ConfigError(cfg.relation)
 
     first = params.mlp[0]
     flat = _mlp_tail(params.mlp, T.linear(rel, first.w, first.b))  # [N, K * groups, H, W]
-    wts = T.reshape(flat, (n, fp.slots, dims.groups, h, w))
+    wts = T.reshape(flat, (n, dims.slots, dims.groups, h, w))
     wts = T.transpose(wts, (0, 2, 1, 3, 4))
-    return T.slot_aggregate(wts, v, fp.k)
+    return T.slot_aggregate(wts, v, cfg.footprint)
 
 
 def scalar_attention(x: Tensor, params: VectorAttention) -> Tensor:
@@ -362,14 +341,29 @@ def scalar_attention(x: Tensor, params: VectorAttention) -> Tensor:
     """
     cfg, dims = params.cfg, params.dims
     n, _, h, w = x.shape
-    fp = FootprintSpec(cfg.footprint)
     q, k, v = _qkv(x, params)
-    ku = T.unfold(k, fp.k)
+    ku = T.unfold(k, cfg.footprint)
     qe = T.reshape(q, (n, dims.d, 1, h, w))
     scores = T.sum(T.mul(qe, ku), axis=1, keepdims=True)  # [N, 1, K, H, W]
     if cfg.normalize:
         scores = T.softmax(scores, axis=2)
-    return T.slot_aggregate(scores, v, fp.k)
+    return T.slot_aggregate(scores, v, cfg.footprint)
+
+
+class Linear(Module):
+    """Pointwise channel linear, ``[N, Cin, ...] -> [N, Cout, ...]``."""
+
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None = None,
+                 dtype=np.float32):
+        super().__init__()
+        if rng is None:
+            self.w = zeros_param((c_out, c_in), dtype)
+        else:
+            self.w = kaiming_uniform(rng, (c_out, c_in), c_in, dtype)
+        self.b = zeros_param((c_out,), dtype)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return T.linear(x, self.w, self.b)
 
 
 class Conv2d(Module):

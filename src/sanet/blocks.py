@@ -12,25 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, Conv2d, VectorAttention, attention_dims
-from .module import Module, kaiming_uniform, ones_param, zeros_param
+from .attention import AttentionConfig, Conv2d, Linear, VectorAttention, attention_dims
+from .module import Module, ones_param, zeros_param
 from .tensor import DimensionError, Tensor
-
-
-class Linear(Module):
-    """Pointwise channel linear, ``[N, Cin, ...] -> [N, Cout, ...]``."""
-
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
-        super().__init__()
-        if rng is None:
-            self.w = zeros_param((c_out, c_in), dtype)
-        else:
-            self.w = kaiming_uniform(rng, (c_out, c_in), c_in, dtype)
-        self.b = zeros_param((c_out,), dtype)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.w, self.b)
 
 
 class BatchNorm(Module):

@@ -19,7 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 from functools import partial
 
 from . import __version__
@@ -57,22 +58,6 @@ _ATTENTION_FLAGS = {"family": "--attention", "relation": "--relation", "footprin
                     "share": "--share", "position": "--position-mode"}
 
 
-def _add_model_args(p: argparse.ArgumentParser):
-    p.add_argument("--model", default="san10", help=f"one of {', '.join(MODEL_NAMES)}")
-    p.add_argument("--spec-file", default=None, help="JSON model spec (overrides --model)")
-    p.add_argument("--attention", default=None,
-                   choices=["pairwise", "patchwise", "scalar"], dest="family")
-    p.add_argument("--relation", default=None)
-    p.add_argument("--footprint", type=int, default=None)
-    p.add_argument("--gamma-depth", type=int, default=None, dest="mlp_depth",
-                   help="linear layers in the attention-weight perceptron (1-3)")
-    p.add_argument("--r1", type=int, default=None)
-    p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--share", type=int, default=None)
-    p.add_argument("--position-mode", default=None,
-                   choices=["none", "absolute", "relative"], dest="position")
-
-
 def _resolve_spec(args, classes: int | None = None, side: int | None = None):
     overrides = {f.name: getattr(args, f.name, None) for f in fields(AttentionConfig)}
     if args.spec_file is not None:
@@ -90,7 +75,8 @@ def _resolve_spec(args, classes: int | None = None, side: int | None = None):
                 f"spec file declares input_hw {spec.input_hw}, dataset images are {side}x{side}"
             )
         return spec
-    return named_spec(args.model, classes=classes, **overrides)
+    spec = named_spec(args.model, classes=classes, **overrides)
+    return spec if side is None else replace(spec, input_hw=side)
 
 
 def _write_json(path, payload):
@@ -245,7 +231,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False):
+    @contextmanager
+    def command(name, fn, help, model=False, checkpoint=False, data=False):
+        """Add one subcommand.  The ``with`` body adds the command's own flags,
+        after the model or checkpoint flags and before the shared ones."""
+        p = sub.add_parser(name, help=help)
+        if model:
+            p.add_argument("--model", default="san10", help=f"one of {', '.join(MODEL_NAMES)}")
+            p.add_argument("--spec-file", default=None, help="JSON model spec (overrides --model)")
+            p.add_argument("--attention", default=None,
+                           choices=["pairwise", "patchwise", "scalar"], dest="family")
+            p.add_argument("--relation", default=None)
+            p.add_argument("--footprint", type=int, default=None)
+            p.add_argument("--gamma-depth", type=int, default=None, dest="mlp_depth",
+                           help="linear layers in the attention-weight perceptron (1-3)")
+            p.add_argument("--r1", type=int, default=None)
+            p.add_argument("--r2", type=int, default=None)
+            p.add_argument("--share", type=int, default=None)
+            p.add_argument("--position-mode", default=None,
+                           choices=["none", "absolute", "relative"], dest="position")
+        if checkpoint:
+            p.add_argument("--checkpoint", default=None)
+        yield p
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory")
         if data:
@@ -254,63 +261,47 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"dataset root (or ${DATA_ROOT_ENV})")
             p.add_argument("--limit", type=int, default=None,
                            help="cap the training subset size")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("count", help="parameter and MAC accounting")
-    _add_model_args(p)
-    p.add_argument("--verify-runtime", action="store_true",
-                   help="cross-check symbolic counts against a built model")
-    common(p)
-    p.set_defaults(fn=cmd_count)
+    with command("count", cmd_count, "parameter and MAC accounting", model=True) as p:
+        p.add_argument("--verify-runtime", action="store_true",
+                       help="cross-check symbolic counts against a built model")
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--kind", default=None,
-                   choices=["pairwise", "patchwise", "scalar", "conv", "block"])
-    p.add_argument("--relation", default=None)
-    p.add_argument("--position-mode", default=None, dest="position",
-                   choices=["none", "absolute", "relative"])
-    p.add_argument("--tol", type=float, default=1e-4)
-    common(p)
-    p.set_defaults(fn=cmd_gradcheck)
+    with command("gradcheck", cmd_gradcheck, "finite-difference gradient verification") as p:
+        p.add_argument("--kind", default=None,
+                       choices=["pairwise", "patchwise", "scalar", "conv", "block"])
+        p.add_argument("--relation", default=None)
+        p.add_argument("--position-mode", default=None, dest="position",
+                       choices=["none", "absolute", "relative"])
+        p.add_argument("--tol", type=float, default=1e-4)
 
-    p = sub.add_parser("oracle", help="vectorized vs naive-loop comparison")
-    p.add_argument("--kind", default=None,
-                   choices=["pairwise", "patchwise", "scalar", "conv"])
-    p.add_argument("--relation", default=None)
-    p.add_argument("--cases", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
-    p.set_defaults(fn=cmd_oracle)
+    with command("oracle", cmd_oracle, "vectorized vs naive-loop comparison") as p:
+        p.add_argument("--kind", default=None,
+                       choices=["pairwise", "patchwise", "scalar", "conv"])
+        p.add_argument("--relation", default=None)
+        p.add_argument("--cases", type=int, default=20)
+        p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("train", help="train a model")
-    _add_model_args(p)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--label-smoothing", type=float, default=0.1)
-    common(p, data=True)
-    p.set_defaults(fn=cmd_train)
+    with command("train", cmd_train, "train a model", model=True, data=True) as p:
+        p.add_argument("--epochs", type=int, default=20)
+        p.add_argument("--batch-size", type=int, default=64)
+        p.add_argument("--lr", type=float, default=0.1)
+        p.add_argument("--momentum", type=float, default=0.9)
+        p.add_argument("--weight-decay", type=float, default=1e-4)
+        p.add_argument("--label-smoothing", type=float, default=0.1)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", default=None)
-    common(p, data=True)
-    p.set_defaults(fn=cmd_eval)
+    with command("eval", cmd_eval, "evaluate a checkpoint", checkpoint=True, data=True):
+        pass
 
-    p = sub.add_parser("robust", help="zero-shot manipulation evaluation")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--manipulation", default=None, choices=list(MANIPULATIONS))
-    common(p, data=True)
-    p.set_defaults(fn=cmd_robust)
+    with command("robust", cmd_robust, "zero-shot manipulation evaluation",
+                 checkpoint=True, data=True) as p:
+        p.add_argument("--manipulation", default=None, choices=list(MANIPULATIONS))
 
-    p = sub.add_parser("attack", help="targeted PGD attack")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--eps", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=4.0)
-    p.add_argument("--iters", type=int, default=2)
-    p.add_argument("--count", type=int, default=500)
-    common(p, data=True)
-    p.set_defaults(fn=cmd_attack)
+    with command("attack", cmd_attack, "targeted PGD attack", checkpoint=True, data=True) as p:
+        p.add_argument("--eps", type=float, default=8.0)
+        p.add_argument("--step", type=float, default=4.0)
+        p.add_argument("--iters", type=int, default=2)
+        p.add_argument("--count", type=int, default=500)
 
     return parser
 

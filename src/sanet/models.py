@@ -2,8 +2,12 @@
 
 A ``ModelSpec`` fully determines a network: architecture family
 (self-attention or convolutional-residual), per-stage channels/blocks/
-footprints, the attention configuration, and the classifier.  Building
-from a spec plus a seed is bit-reproducible.
+footprints, the attention configuration, and the classifier.  A SAN spec
+checks every stage footprint against ``AttentionConfig`` as it is
+created.  Building from a spec plus a seed is bit-reproducible.  A
+checkpoint stores one list of arrays, the parameters and then the
+buffers; loading checks both name-and-shape lists and writes each array
+in place.
 """
 
 from __future__ import annotations
@@ -78,8 +82,10 @@ class ModelSpec:
         if not self.stages:
             raise ConfigError("model needs at least one stage")
         _require_positive(self, ("stem_channels", "classes", "input_hw"))
-        if self.arch == "san" and not self.first_transition:
-            if self.stages[0].channels != self.stem_channels:
+        if self.arch == "san":
+            for st in self.stages:  # the attention's footprint rule, checked at spec time
+                self.attention.with_footprint(st.footprint)
+            if not self.first_transition and self.stages[0].channels != self.stem_channels:
                 raise ConfigError("without a first transition, stage 1 must match the stem width")
 
 
@@ -282,29 +288,38 @@ _CKPT_MAGIC = b"SANC"
 _CKPT_VERSION = 1
 
 
+def _stored_arrays(model: Module) -> list[tuple[str, str, np.ndarray]]:
+    """``(header list, name, array)`` for every array a checkpoint holds, in
+    file order: the parameters, then the buffers."""
+    return ([("params", name, p.data) for name, p in model.named_parameters()]
+            + [("buffers", name, b) for name, b in model.named_buffers()])
+
+
+def _layout(arrays) -> dict:
+    """The header's ``params`` and ``buffers`` lists of ``[name, shape]``."""
+    return {kind: [[name, list(a.shape)] for k, name, a in arrays if k == kind]
+            for kind in ("params", "buffers")}
+
+
 def save_checkpoint(model: Module, path):
     """Write spec + parameters + buffers: JSON header, then raw little-endian
     buffers in declaration order."""
-    params = list(model.named_parameters())
-    buffers = list(model.named_buffers())
-    dtype_code = "<f8" if params[0][1].dtype == np.float64 else "<f4"
+    arrays = _stored_arrays(model)
+    dtype_code = "<f8" if arrays[0][2].dtype == np.float64 else "<f4"
     header = {
         "format": "sanet-checkpoint",
         "version": _CKPT_VERSION,
         "spec": spec_to_dict(model.spec),
         "dtype": dtype_code,
-        "params": [[name, list(p.shape)] for name, p in params],
-        "buffers": [[name, list(b.shape)] for name, b in buffers],
+        **_layout(arrays),
     }
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, p in params:
-            fh.write(np.ascontiguousarray(p.data, dtype=dtype_code).tobytes())
-        for _, b in buffers:
-            fh.write(np.ascontiguousarray(b, dtype=dtype_code).tobytes())
+        for _, _, a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype=dtype_code).tobytes())
 
 
 def load_checkpoint(path) -> Module:
@@ -329,25 +344,16 @@ def load_checkpoint(path) -> Module:
         raise CheckpointError(f"{path}: corrupted checkpoint header ({exc})") from exc
 
     model = build_model(spec, seed=0, dtype=dtype.type)
-    params = list(model.named_parameters())
-    buffers = list(model.named_buffers())
-    if [[n, list(p.shape)] for n, p in params] != header["params"]:
-        raise CheckpointError(f"{path}: checkpoint does not match the spec's parameters")
+    arrays = _stored_arrays(model)
+    for kind, want in _layout(arrays).items():
+        if header.get(kind) != want:
+            raise CheckpointError(f"{path}: checkpoint does not match the spec's {kind}")
     offset = 8 + hlen
-    expected = sum(p.size for _, p in params) + sum(b.size for _, b in buffers)
-    if len(raw) - offset != expected * dtype.itemsize:
+    if len(raw) - offset != sum(a.size for _, _, a in arrays) * dtype.itemsize:
         raise CheckpointError(f"{path}: truncated checkpoint payload")
-    for _, p in params:
-        nbytes = p.size * dtype.itemsize
-        p.data = (
-            np.frombuffer(raw[offset : offset + nbytes], dtype=dtype)
-            .reshape(p.shape)
-            .astype(dtype.newbyteorder("="))
-        )
-        offset += nbytes
-    for _, b in buffers:
-        nbytes = b.size * dtype.itemsize
-        b[...] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(b.shape)
+    for _, _, a in arrays:
+        nbytes = a.size * dtype.itemsize
+        a[...] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(a.shape)
         offset += nbytes
     return model
 

@@ -4,7 +4,9 @@ These loops exist to cross-check the vectorized operators and are kept
 deliberately independent of them: neighborhoods are fetched by direct
 index arithmetic (out-of-bounds features are zero) instead of the unfold
 primitive, and the weight perceptron is evaluated with plain ``np.dot``.
-Everything runs on raw numpy arrays.
+Everything runs on raw numpy arrays.  ``naive_linear`` is the one
+per-pixel channel map, and the three attention families share one
+footprint walk (``_footprint_walk``); each supplies only its weight rule.
 """
 
 from __future__ import annotations
@@ -25,19 +27,15 @@ from .tensor import ConfigError, Tensor, no_grad
 
 
 def naive_linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    n, c_in, h, w = x.shape
-    c_out = weight.shape[0]
-    out = np.zeros((n, c_out, h, w), dtype=x.dtype)
+    """Apply a channel linear pixel by pixel."""
+    n, _, h, w = x.shape
+    out = np.zeros((n, weight.shape[0], h, w), dtype=x.dtype)
     for b in range(n):
-        for o in range(c_out):
-            for i in range(h):
-                for j in range(w):
-                    acc = 0.0
-                    for c in range(c_in):
-                        acc += weight[o, c] * x[b, c, i, j]
-                    if bias is not None:
-                        acc += bias[o]
-                    out[b, o, i, j] = acc
+        for i in range(h):
+            for j in range(w):
+                out[b, :, i, j] = weight @ x[b, :, i, j]
+                if bias is not None:
+                    out[b, :, i, j] += bias
     return out
 
 
@@ -61,19 +59,6 @@ def naive_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = No
                         out[b, :, oi, oj] += kernel[:, :, dy, dx] @ x[b, :, ii, jj]
                 if bias is not None:
                     out[b, :, oi, oj] += bias
-    return out
-
-
-def _pixel_map(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """Apply a channel linear pixel by pixel."""
-    n, _, h, ww = x.shape
-    out = np.zeros((n, w.shape[0], h, ww), dtype=x.dtype)
-    for bi in range(n):
-        for i in range(h):
-            for j in range(ww):
-                out[bi, :, i, j] = w @ x[bi, :, i, j]
-                if b is not None:
-                    out[bi, :, i, j] += b
     return out
 
 
@@ -145,99 +130,72 @@ def patch_relation_vector(qi: np.ndarray, q_slots: list[np.ndarray],
     raise ValueError(f"unknown patchwise relation {kind!r}")
 
 
-def naive_pairwise_attention(x: np.ndarray, params: VectorAttention) -> np.ndarray:
-    cfg, dims = params.cfg, params.dims
-    n, _, h, w = x.shape
-    k, pad = cfg.footprint, (cfg.footprint - 1) // 2
-    q = _pixel_map(x, params.w_query.data, params.b_query.data)
-    kf = _pixel_map(x, params.w_key.data, params.b_key.data)
-    v = _pixel_map(x, params.w_value.data, None)
-    pos_map = None
-    if cfg.position != "none":
-        pos_map = naive_position_map(h, w, params.w_pos.data, x.dtype)
+def _footprint_walk(x: np.ndarray, params: VectorAttention, combine) -> np.ndarray:
+    """Shared loop of the naive attentions, ``y_i = sum_s weight_s * value_s``.
 
-    out = np.zeros((n, dims.cm, h, w), dtype=x.dtype)
+    Builds the query/key/value maps pixel by pixel, then at each location
+    gathers every footprint slot's query, key and value vectors, row-major
+    and zero outside the map.  ``combine(qi, qs, ks, center, at)`` is the
+    family's weight rule: from the center query ``qi``, the slots' queries
+    and keys, the center ``(i, j)`` and the slots' coordinates, it returns
+    one weight per slot, a scalar or a length-``Cm`` vector.
+    """
+    k, pad = params.cfg.footprint, (params.cfg.footprint - 1) // 2
+    n, _, h, w = x.shape
+    q = naive_linear(x, params.w_query.data, params.b_query.data)
+    kf = naive_linear(x, params.w_key.data, params.b_key.data)
+    v = naive_linear(x, params.w_value.data)
+    out = np.zeros((n, params.dims.cm, h, w), dtype=x.dtype)
     for b in range(n):
         for i in range(h):
             for j in range(w):
-                acc = np.zeros(dims.cm, dtype=x.dtype)
-                for dy in range(k):
-                    for dx in range(k):
-                        ii, jj = i + dy - pad, j + dx - pad
-                        in_bounds = 0 <= ii < h and 0 <= jj < w
-                        kvec = _neighbor(kf, b, ii, jj)
-                        vvec = _neighbor(v, b, ii, jj)
-                        rel = pairwise_relation_vector(q[b, :, i, j], kvec, cfg.relation)
-                        if cfg.position != "none":
-                            pj = pos_map[:, ii, jj] if in_bounds else np.zeros(2, dtype=x.dtype)
-                            if cfg.position == "relative":
-                                pvec = pos_map[:, i, j] - pj
-                            else:
-                                pvec = pj
-                            rel = np.concatenate([rel, pvec])
-                        comp = _mlp_vector(params, rel)
-                        acc += np.repeat(comp, cfg.share) * vvec
+                at = [(i + dy - pad, j + dx - pad) for dy in range(k) for dx in range(k)]
+                qs, ks, vs = ([_neighbor(f, b, ii, jj) for ii, jj in at] for f in (q, kf, v))
+                acc = np.zeros(params.dims.cm, dtype=x.dtype)
+                for weight, vv in zip(combine(q[b, :, i, j], qs, ks, (i, j), at), vs):
+                    acc += weight * vv
                 out[b, :, i, j] = acc
     return out
+
+
+def naive_pairwise_attention(x: np.ndarray, params: VectorAttention) -> np.ndarray:
+    cfg = params.cfg
+    pos = None
+    if cfg.position != "none":
+        pos = naive_position_map(x.shape[2], x.shape[3], params.w_pos.data, x.dtype)[None]
+
+    def weights(qi, qs, ks, center, at):
+        for kj, (ii, jj) in zip(ks, at):
+            rel = pairwise_relation_vector(qi, kj, cfg.relation)
+            if pos is not None:
+                pj = _neighbor(pos, 0, ii, jj)
+                pvec = pos[0, :, center[0], center[1]] - pj if cfg.position == "relative" else pj
+                rel = np.concatenate([rel, pvec])
+            yield np.repeat(_mlp_vector(params, rel), cfg.share)
+
+    return _footprint_walk(x, params, weights)
 
 
 def naive_patchwise_attention(x: np.ndarray, params: VectorAttention) -> np.ndarray:
-    cfg, dims = params.cfg, params.dims
-    n, _, h, w = x.shape
-    k, pad = cfg.footprint, (cfg.footprint - 1) // 2
-    slots = k * k
-    q = _pixel_map(x, params.w_query.data, params.b_query.data)
-    kf = _pixel_map(x, params.w_key.data, params.b_key.data)
-    v = _pixel_map(x, params.w_value.data, None)
+    cfg, groups = params.cfg, params.dims.groups
 
-    out = np.zeros((n, dims.cm, h, w), dtype=x.dtype)
-    for b in range(n):
-        for i in range(h):
-            for j in range(w):
-                kvecs, qvecs, vvecs = [], [], []
-                for dy in range(k):
-                    for dx in range(k):
-                        ii, jj = i + dy - pad, j + dx - pad
-                        kvecs.append(_neighbor(kf, b, ii, jj))
-                        qvecs.append(_neighbor(q, b, ii, jj))
-                        vvecs.append(_neighbor(v, b, ii, jj))
-                rel = patch_relation_vector(q[b, :, i, j], qvecs, kvecs, cfg.relation)
-                flat = _mlp_vector(params, rel)  # [slots * groups], slot-major
-                acc = np.zeros(dims.cm, dtype=x.dtype)
-                for s in range(slots):
-                    comp = flat[s * dims.groups : (s + 1) * dims.groups]
-                    acc += np.repeat(comp, cfg.share) * vvecs[s]
-                out[b, :, i, j] = acc
-    return out
+    def weights(qi, qs, ks, center, at):
+        flat = _mlp_vector(params, patch_relation_vector(qi, qs, ks, cfg.relation))
+        # slot-major: one group-width block per slot
+        return [np.repeat(flat[s * groups : (s + 1) * groups], cfg.share) for s in range(len(ks))]
+
+    return _footprint_walk(x, params, weights)
 
 
 def naive_scalar_attention(x: np.ndarray, params: VectorAttention) -> np.ndarray:
-    cfg, dims = params.cfg, params.dims
-    n, _, h, w = x.shape
-    k, pad = cfg.footprint, (cfg.footprint - 1) // 2
-    q = _pixel_map(x, params.w_query.data, params.b_query.data)
-    kf = _pixel_map(x, params.w_key.data, params.b_key.data)
-    v = _pixel_map(x, params.w_value.data, None)
+    def weights(qi, qs, ks, center, at):
+        scores = np.array([qi @ kj for kj in ks], dtype=qi.dtype)
+        if params.cfg.normalize:
+            e = np.exp(scores - scores.max())
+            scores = e / e.sum()
+        return scores
 
-    out = np.zeros((n, dims.cm, h, w), dtype=x.dtype)
-    for b in range(n):
-        for i in range(h):
-            for j in range(w):
-                scores, vvecs = [], []
-                for dy in range(k):
-                    for dx in range(k):
-                        ii, jj = i + dy - pad, j + dx - pad
-                        scores.append(q[b, :, i, j] @ _neighbor(kf, b, ii, jj))
-                        vvecs.append(_neighbor(v, b, ii, jj))
-                scores = np.array(scores, dtype=x.dtype)
-                if cfg.normalize:
-                    e = np.exp(scores - scores.max())
-                    scores = e / e.sum()
-                acc = np.zeros(dims.cm, dtype=x.dtype)
-                for s, vv in zip(scores, vvecs):
-                    acc += s * vv
-                out[b, :, i, j] = acc
-    return out
+    return _footprint_walk(x, params, weights)
 
 
 # ---------------------------------------------------------------------------

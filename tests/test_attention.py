@@ -10,7 +10,6 @@ import sanet.tensor as T
 from sanet.attention import (
     AttentionConfig,
     Conv2d,
-    FootprintSpec,
     VectorAttention,
     attention_dims,
     conv2d,
@@ -187,12 +186,12 @@ class TestPairwiseAttention:
         with no_grad():
             fast = pairwise_attention(Tensor(x), params).data
 
-        from sanet.reference import _pixel_map
+        from sanet.reference import naive_linear
         cfg = params.cfg
         pad = (cfg.footprint - 1) // 2
-        q = _pixel_map(x, params.w_query.data, params.b_query.data)
-        kf = _pixel_map(x, params.w_key.data, params.b_key.data)
-        v = _pixel_map(x, params.w_value.data, None)
+        q = naive_linear(x, params.w_query.data, params.b_query.data)
+        kf = naive_linear(x, params.w_key.data, params.b_key.data)
+        v = naive_linear(x, params.w_value.data, None)
         pos = naive_position_map(4, 4, params.w_pos.data, x.dtype)
         skip = np.zeros_like(fast)
         for i in range(4):
@@ -361,13 +360,15 @@ class TestConv2d:
         assert out.shape == (1, 8, 16, 16)
 
 
-class TestFootprintSpec:
+class TestFootprintRule:
     def test_padding_preserves_extent(self):
         for k in (1, 3, 5, 7, 9, 11):
-            fp = FootprintSpec(k)
-            assert fp.pad == (k - 1) // 2
-            assert fp.slots == k * k
+            cfg = AttentionConfig(footprint=k)
+            assert attention_dims(64, cfg).slots == k * k
+            gathered = T.unfold(Tensor(np.zeros((1, 2, 3, 4))), cfg.footprint)
+            assert gathered.shape == (1, 2, k * k, 3, 4)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ConfigError):
-            FootprintSpec(13)
+    @pytest.mark.parametrize("k", [0, 2, 13])
+    def test_rejects_out_of_range(self, k):
+        with pytest.raises(ConfigError, match="footprint side must be one of"):
+            AttentionConfig(footprint=k)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sanet.cli import main
-from sanet.models import build_model, named_spec, save_checkpoint, spec_to_dict
+from sanet.models import build_model, load_checkpoint, named_spec, save_checkpoint, spec_to_dict
 from sanet.training import SGD
 
 
@@ -251,6 +251,15 @@ class TestTrainCommand:
         assert err == (f"error: spec file declares input_hw {input_hw}, "
                        f"dataset images are 32x32\n")
         assert not out.exists()
+
+    def test_named_model_records_the_data_side(self, tmp_path):
+        """resnet26 is declared at 224x224; trained on 32x32 blobs, its run
+        must say 32, in the manifest and in the checkpoint header."""
+        out = tmp_path / "t"
+        assert main(["train", "--model", "resnet26", "--limit", "20", "--epochs", "1",
+                     "--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["config"]["spec"]["input_hw"] == 32
+        assert load_checkpoint(str(out / "best.ckpt")).spec.input_hw == 32
 
     def test_non_finite_logits_exit_1_without_checkpoint(self, tmp_path, capsys):
         """With lr 1e30 every parameter stays finite but every validation

@@ -1,6 +1,8 @@
 """Model builders, seed determinism, and checkpoint round-trips."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -56,6 +58,12 @@ class TestSpecs:
         d = spec_to_dict(named_spec("san-tiny"))
         (d["stages"][1] if field in ("channels", "blocks") else d)[field] = value
         with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
+            spec_from_dict(d)
+
+    def test_san_stage_footprint_checked_at_spec_time(self):
+        d = spec_to_dict(named_spec("san-tiny"))
+        d["stages"][1]["footprint"] = 4
+        with pytest.raises(ConfigError, match="footprint side must be one of"):
             spec_from_dict(d)
 
 
@@ -179,6 +187,26 @@ class TestCheckpoints:
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[: len(raw) - 64])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["rename", "reshape"])
+    def test_buffer_list_must_match_the_spec(self, tmp_path, edit):
+        """A header whose buffer names or shapes differ from the model's is
+        rejected, even when the payload has the expected length."""
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(build_model(named_spec("san-tiny"), seed=9), path)
+        raw = open(path, "rb").read()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8 : 8 + hlen])
+        entry = header["buffers"][0]
+        assert entry[1] == [16]
+        if edit == "rename":
+            entry[0] += "_renamed"
+        else:
+            entry[1] = [3, 5]
+        blob = json.dumps(header).encode()
+        open(path, "wb").write(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen:])
+        with pytest.raises(CheckpointError, match="buffers"):
             load_checkpoint(path)
 
     def test_tiny_checkpoint_is_small(self, tmp_path):
