@@ -1,22 +1,33 @@
-"""Analytical parameter and multiply-accumulate accounting.
+"""The one walk over a network's units, and their analytic parameter and
+multiply-accumulate counts.
 
-Counts are exact symbolic sums over the layers a spec would build; no
-tensors are allocated.  The MAC convention: one multiply-add counts 1;
-counted work is linear/convolution contractions, the relation and
-perceptron stages of attention (per location, and per slot where the
-computation is per-slot), and the slot aggregation (``K * Cm`` per
-location).  Normalization, activations, pooling, and softmax are
-excluded.  Parameter counts include every trainable scalar: weights,
-biases, batch-norm affines, and position linears.
+``unit_plan`` decides which units a spec builds, in forward order, and
+yields each one's ``CostReport`` name, stage, constructor and counts.
+``models`` builds and runs a network from the constructors and records
+the names; ``cost_report`` lists the counts.  The counts come from
+per-unit formulas that allocate no tensors, so ``verify_against_runtime``
+can compare them with a built network's arrays.  The MAC convention: one
+multiply-add counts 1; counted work is linear/convolution contractions,
+the relation and perceptron stages of attention (per location, and per
+slot where the computation is per-slot), and the slot aggregation
+(``K * Cm`` per location).  Normalization, activations, pooling, and
+softmax are excluded.  Parameter counts include every trainable scalar:
+weights, biases, batch-norm affines, and position linears.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 from .attention import AttentionConfig, attention_dims, mlp_widths
-from .models import ModelSpec, build_model, named_units
+from .blocks import (BatchNorm, Bottleneck, Classifier, ConvStem, SelfAttentionBlock, Stem,
+                     Transition)
 from .tensor import ConfigError
+
+if TYPE_CHECKING:
+    from .models import ModelSpec
 
 
 @dataclass
@@ -100,8 +111,8 @@ def attention_block_cost(channels: int, cfg: AttentionConfig, hw: int) -> tuple[
     return params, macs
 
 
-def bottleneck_cost(c_in: int, width: int, stride: int, hw_in: int) -> tuple[int, int, int]:
-    """(params, macs, hw_out) of one pre-activation bottleneck."""
+def bottleneck_cost(c_in: int, width: int, stride: int, hw_in: int) -> tuple[int, int]:
+    """(params, macs) of one pre-activation bottleneck."""
     c_out = 4 * width
     hw_out = hw_in // stride
     s_in, s_out = hw_in * hw_in, hw_out * hw_out
@@ -112,47 +123,52 @@ def bottleneck_cost(c_in: int, width: int, stride: int, hw_in: int) -> tuple[int
     if c_in != c_out or stride != 1:
         params += c_in * c_out
         macs += s_out * c_in * c_out
-    return params, macs, hw_out
+    return params, macs
+
+
+def unit_plan(spec: ModelSpec, input_hw: int | None = None):
+    """Yield ``(name, stage, build, (params, macs))`` for every unit ``spec``
+    describes, in forward order, counted at ``input_hw`` (the spec's own by
+    default).  ``stage`` is None for the stem, ``bn_out`` and the classifier;
+    ``build(rng, dtype)`` makes the unit."""
+    hw = spec.input_hw if input_hw is None else input_hw
+    c = spec.stem_channels
+    if spec.arch == "resnet":
+        hw //= 2  # stride-2 stem convolution
+        yield "stem", None, partial(ConvStem, c), (3 * c * 49, 3 * c * 49 * hw * hw)
+        hw //= 2  # stem max pool
+    else:
+        yield "stem", None, partial(Stem, c), (linear_params(3, c), 3 * c * hw * hw)
+    for si, st in enumerate(spec.stages):
+        blocks = []
+        if spec.arch == "resnet":
+            for bi in range(st.blocks):
+                stride = 2 if (si > 0 and bi == 0) else 1
+                blocks.append((partial(Bottleneck, c, st.channels, stride),
+                               bottleneck_cost(c, st.channels, stride, hw)))
+                c, hw = 4 * st.channels, hw // stride
+        else:
+            if si > 0 or spec.first_transition:
+                if hw % 2:
+                    raise ConfigError(f"stage {si + 1} transition needs an even extent, got {hw}")
+                hw //= 2
+                yield (f"stage{si + 1}.transition", si, partial(Transition, c, st.channels),
+                       (2 * c + linear_params(c, st.channels), c * st.channels * hw * hw))
+            c, cfg = st.channels, spec.attention.with_footprint(st.footprint)
+            blocks = [(partial(SelfAttentionBlock, c, cfg), attention_block_cost(c, cfg, hw))]
+            blocks *= st.blocks
+        for bi, (build, cost) in enumerate(blocks):
+            yield f"stage{si + 1}.block{bi + 1}", si, build, cost
+    if spec.arch == "resnet":
+        yield "bn_out", None, lambda rng, dtype: BatchNorm(c, dtype), (2 * c, 0)
+    yield "classifier", None, partial(Classifier, c, spec.classes), (
+        linear_params(c, spec.classes), c * spec.classes)
 
 
 def cost_report(spec: ModelSpec, input_hw: int | None = None) -> CostReport:
-    hw = input_hw if input_hw is not None else spec.input_hw
-    report = CostReport(model=spec.name, input_hw=hw)
-    add = report.breakdown.append
-
-    if spec.arch == "resnet":
-        hw = hw // 2  # stride-2 stem convolution
-        add(LayerCost("stem", 3 * spec.stem_channels * 49, 3 * spec.stem_channels * 49 * hw * hw))
-        hw = hw // 2  # stem max pool
-        prev = spec.stem_channels
-        for si, st in enumerate(spec.stages):
-            for bi in range(st.blocks):
-                stride = 2 if (si > 0 and bi == 0) else 1
-                c_in = prev if bi == 0 else 4 * st.channels
-                p, m, hw = bottleneck_cost(c_in, st.channels, stride, hw)
-                add(LayerCost(f"stage{si + 1}.block{bi + 1}", p, m))
-            prev = 4 * st.channels
-        add(LayerCost("bn_out", 2 * prev, 0))
-        add(LayerCost("classifier", linear_params(prev, spec.classes), prev * spec.classes))
-        return report
-
-    add(LayerCost("stem", linear_params(3, spec.stem_channels),
-                  3 * spec.stem_channels * hw * hw))
-    prev = spec.stem_channels
-    for si, st in enumerate(spec.stages):
-        if si > 0 or spec.first_transition:
-            if hw % 2:
-                raise ConfigError(f"stage {si + 1} transition needs an even extent, got {hw}")
-            hw = hw // 2
-            p = 2 * prev + linear_params(prev, st.channels)
-            add(LayerCost(f"stage{si + 1}.transition", p, prev * st.channels * hw * hw))
-        cfg = spec.attention.with_footprint(st.footprint)
-        for bi in range(st.blocks):
-            p, m = attention_block_cost(st.channels, cfg, hw)
-            add(LayerCost(f"stage{si + 1}.block{bi + 1}", p, m))
-        prev = st.channels
-    add(LayerCost("classifier", linear_params(prev, spec.classes), prev * spec.classes))
-    return report
+    hw = spec.input_hw if input_hw is None else input_hw
+    return CostReport(spec.name, hw, [LayerCost(name, *cost)
+                                      for name, _, _, cost in unit_plan(spec, hw)])
 
 
 # Public names of the one report: parameter counts do not depend on the
@@ -163,24 +179,17 @@ count_params = count_macs = cost_report
 def verify_against_runtime(spec: ModelSpec, seed: int = 0) -> dict:
     """Cross-check symbolic parameter counts against a built model, exactly.
 
-    Returns a report dict; ``report["matches"]`` is False when any layer
-    disagrees, with the offending layers listed.
+    Returns a report dict; ``report["matches"]`` is False when any unit
+    disagrees, with the offending units listed.  Both sides walk the same
+    ``unit_plan``, so they agree on the unit names by construction.
     """
+    from .models import build_model, named_units
+
     symbolic = cost_report(spec)
     model = build_model(spec, seed=seed)
-    runtime = [(name, unit.param_count()) for name, unit in named_units(model)]
-    sym = [(b.name, b.params) for b in symbolic.breakdown]
-    mismatches = []
-    for (sname, sparams), (rname, rparams) in zip(sym, runtime):
-        if sname != rname or sparams != rparams:
-            mismatches.append(
-                {"layer": sname, "symbolic": sparams, "runtime_layer": rname, "runtime": rparams}
-            )
-    if len(sym) != len(runtime):
-        mismatches.append(
-            {"layer": "<structure>", "symbolic": len(sym), "runtime_layer": "<structure>",
-             "runtime": len(runtime)}
-        )
+    mismatches = [{"layer": b.name, "symbolic": b.params, "runtime": unit.param_count()}
+                  for b, (_, unit) in zip(symbolic.breakdown, named_units(model))
+                  if b.params != unit.param_count()]
     total_runtime = model.param_count()
     return {
         "model": spec.name,

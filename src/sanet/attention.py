@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,6 +42,19 @@ POSITION_MODES = ("none", "absolute", "relative")
 FAMILIES = ("pairwise", "patchwise", "scalar", "conv")
 
 FOOTPRINT_SIDES = (1, 3, 5, 7, 9, 11)
+
+
+def check_fields(spec, positive=()):
+    """Reject a field of the dataclass ``spec`` declared ``int`` or ``bool``
+    that holds another type (a bool is no int), then a field named in
+    ``positive`` below 1; each message names the field."""
+    for name, kind in get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        if kind in (int, bool) and type(value) is not kind:
+            raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    for name in positive:
+        if getattr(spec, name) < 1:
+            raise ConfigError(f"{name} must be at least 1, got {getattr(spec, name)}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,7 @@ class AttentionConfig:
     normalize: bool = False
 
     def __post_init__(self):
+        check_fields(self, positive=("r1", "r2", "share"))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown attention family {self.family!r}")
         if self.family == "pairwise" and self.relation not in PAIRWISE_RELATIONS:
@@ -75,9 +90,6 @@ class AttentionConfig:
             raise ConfigError(f"position mode must be one of {POSITION_MODES}")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError("mlp_depth must be 1, 2 or 3")
-        for name in ("r1", "r2", "share"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.footprint not in FOOTPRINT_SIDES:
             raise ConfigError(
                 f"footprint side must be one of {FOOTPRINT_SIDES}, got {self.footprint}"
@@ -276,7 +288,11 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     rel_cols = relation_width(cfg, params.dims)
     terms, center, neighbor = [], None, None
     if cfg.relation in ("hadamard", "dot"):
-        rel = T.mul(T.reshape(q, (n, d, 1, h, w)), T.unfold(k, cfg.footprint, slots=slot_order))
+        ku = T.unfold(k, cfg.footprint)
+        if slot_order is not None:  # checked first: np.take raises IndexError out of range
+            T.slot_offsets(cfg.footprint, slot_order, "pairwise_attention")
+            ku = T.take(ku, slot_order, axis=2)
+        rel = T.mul(T.reshape(q, (n, d, 1, h, w)), ku)
         if cfg.relation == "dot":
             rel = T.sum(rel, axis=1, keepdims=True)
         terms.append(T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b))

@@ -2,12 +2,12 @@
 
 A ``ModelSpec`` fully determines a network: architecture family
 (self-attention or convolutional-residual), per-stage channels/blocks/
-footprints, the attention configuration, and the classifier.  A SAN spec
-checks every stage footprint against ``AttentionConfig`` as it is
-created.  Building from a spec plus a seed is bit-reproducible.  A
-checkpoint stores one list of arrays, the parameters and then the
-buffers; loading checks both name-and-shape lists and writes each array
-in place.
+footprints, the attention configuration, and the classifier; its fields
+are type-checked, and a SAN spec's footprints checked, as it is created.
+The builders make, run and name the units of ``accounting.unit_plan``,
+the one walk over a spec, bit-reproducibly from a seed.  A checkpoint
+stores one list of arrays, the parameters and then the buffers; loading
+checks both name-and-shape lists and writes each array in place.
 """
 
 from __future__ import annotations
@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionConfig
-from .blocks import (
-    BatchNorm,
-    Bottleneck,
-    Classifier,
-    ConvStem,
-    SelfAttentionBlock,
-    Stem,
-    Transition,
-)
+from .accounting import unit_plan
+from .attention import AttentionConfig, check_fields
 from .module import Module, ModuleList
 from .tensor import ConfigError, Tensor, no_grad
 
@@ -39,13 +31,6 @@ class CheckpointError(RuntimeError):
 
 class NonFiniteLogits(ArithmeticError):
     """The network produced a NaN or infinite logit, so no accuracy can be read."""
-
-
-def _require_positive(spec, fields):
-    for name in fields:
-        value = getattr(spec, name)
-        if value < 1:
-            raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +47,7 @@ class StageSpec:
     footprint: int = 7
 
     def __post_init__(self):
-        _require_positive(self, ("channels", "blocks"))
+        check_fields(self, positive=("channels", "blocks"))
 
 
 @dataclass(frozen=True)
@@ -81,7 +66,7 @@ class ModelSpec:
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if not self.stages:
             raise ConfigError("model needs at least one stage")
-        _require_positive(self, ("stem_channels", "classes", "input_hw"))
+        check_fields(self, positive=("stem_channels", "classes", "input_hw"))
         if self.arch == "san":
             for st in self.stages:  # the attention's footprint rule, checked at spec time
                 self.attention.with_footprint(st.footprint)
@@ -180,82 +165,45 @@ def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
 
 
 class SANetwork(Module):
+    """A network made unit by unit from ``unit_plan``, in forward order (which
+    fixes the rng draws).  The stem, the ``stages`` lists, ``bn_out`` (ResNet
+    only) and the classifier register in that order (the checkpoint order)."""
+
     def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.spec = spec
-        self.stem = Stem(spec.stem_channels, rng, dtype)
-        self.stages = ModuleList()
-        prev = spec.stem_channels
-        for si, st in enumerate(spec.stages):
-            stage = ModuleList()
-            if si > 0 or spec.first_transition:
-                stage.append(Transition(prev, st.channels, rng, dtype))
-            cfg = spec.attention.with_footprint(st.footprint)
-            for _ in range(st.blocks):
-                stage.append(SelfAttentionBlock(st.channels, cfg, rng, dtype))
-            self.stages.append(stage)
-            prev = st.channels
-        self.classifier = Classifier(prev, spec.classes, rng, dtype)
+        self.units = []  # the named_units record
+        for name, stage, build, _ in unit_plan(spec):
+            module = build(rng, dtype)
+            self.units.append((name, module))
+            if stage is None:
+                setattr(self, name, module)
+            else:
+                self.stages[stage].append(module)
+            if name == "stem":  # the stage lists register after the stem
+                self.stages = ModuleList(ModuleList() for _ in spec.stages)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.stem(x)
-        for stage in self.stages:
-            for item in stage:
-                h = item(h)
-        return self.classifier(h)
+        for _, unit in self.units:
+            x = unit(x)
+        return x
 
 
-class ResNetwork(Module):
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
-        super().__init__()
-        self.spec = spec
-        self.stem = ConvStem(spec.stem_channels, rng, dtype)
-        self.stages = ModuleList()
-        prev = spec.stem_channels
-        for si, st in enumerate(spec.stages):
-            stage = ModuleList()
-            for bi in range(st.blocks):
-                stride = 2 if (si > 0 and bi == 0) else 1
-                c_in = prev if bi == 0 else 4 * st.channels
-                stage.append(Bottleneck(c_in, st.channels, stride, rng, dtype))
-            self.stages.append(stage)
-            prev = 4 * st.channels
-        self.bn_out = BatchNorm(prev, dtype)
-        self.classifier = Classifier(prev, spec.classes, rng, dtype)
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = self.stem(x)
-        for stage in self.stages:
-            for block in stage:
-                h = block(h)
-        return self.classifier(self.bn_out(h))
+class ResNetwork(SANetwork):
+    """The convolutional-residual family; its units come from the same plan."""
 
 
 def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Module:
     """Deterministically initialize a network from its spec and a seed."""
     rng = np.random.default_rng(seed)
-    if spec.arch == "resnet":
-        return ResNetwork(spec, rng, dtype)
-    return SANetwork(spec, rng, dtype)
+    return (ResNetwork if spec.arch == "resnet" else SANetwork)(spec, rng, dtype)
 
 
 def named_units(model: Module) -> list[tuple[str, Module]]:
     """``(CostReport name, module)`` for every unit of a built network, in
     forward order: stem, ``stageN.transition`` / ``stageN.blockM``, then
     ``bn_out`` (ResNet only) and the classifier."""
-    units = [("stem", model.stem)]
-    for si, stage in enumerate(model.stages):
-        bi = 0
-        for item in stage:
-            if isinstance(item, Transition):
-                units.append((f"stage{si + 1}.transition", item))
-            else:
-                bi += 1
-                units.append((f"stage{si + 1}.block{bi}", item))
-    if isinstance(model, ResNetwork):
-        units.append(("bn_out", model.bn_out))
-    units.append(("classifier", model.classifier))
-    return units
+    return model.units
 
 
 def predict(model: Module, images: np.ndarray, batch_size: int = 64) -> np.ndarray:

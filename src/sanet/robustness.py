@@ -14,12 +14,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .data import Dataset
 from .models import predict
 from .module import Module
 from .tensor import ConfigError, DimensionError, Tensor, UsageError
-from .training import top_k_accuracy
+from .training import cross_entropy_smoothed, top_k_accuracy
 
 MANIPULATIONS = ("none", "cw90", "cw180", "cw270", "upside_down_flip")
 
@@ -73,13 +72,7 @@ def choose_targets(labels: np.ndarray, classes: int, seed: int) -> np.ndarray:
 def _target_loss(model: Module, dataset: Dataset, pixels: np.ndarray,
                  targets: np.ndarray) -> tuple[Tensor, Tensor]:
     x = Tensor(dataset.normalize(pixels), requires_grad=True)
-    logits = model.forward(x)
-    n = len(targets)
-    logp = T.log_softmax(logits, axis=1)
-    picked = np.zeros(logits.shape, dtype=logits.dtype)
-    picked[np.arange(n), targets] = 1.0
-    loss = T.scale(T.sum(T.mul(logp, Tensor(picked))), -1.0 / n)
-    return loss, x
+    return cross_entropy_smoothed(model.forward(x), targets, 0.0), x
 
 
 def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
@@ -178,7 +171,7 @@ def attack_report(model: Module, dataset: Dataset, cfg: AttackConfig,
     labels = dataset.val_labels[idx]
 
     clean_logits = predict(model, dataset.normalize(images), batch_size=batch_size)
-    clean_top1 = float(np.mean(clean_logits.argmax(axis=1) == labels))
+    clean_top1 = top_k_accuracy(clean_logits, labels, 1)
     result = pgd_attack(model, images, labels, dataset, cfg, batch_size=batch_size)
     adv_top1 = float(np.mean(result["predictions"] == labels))
     return {

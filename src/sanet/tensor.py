@@ -479,7 +479,7 @@ def _scatter_windows(slot_grads, shape, k: int, stride: int, pad: int, dtype) ->
     return buf[:, :, pad : pad + h, pad : pad + w]
 
 
-def _slot_offsets(k: int, slots, who: str) -> list[tuple[int, int]]:
+def slot_offsets(k: int, slots, who: str) -> list[tuple[int, int]]:
     """Footprint offset ``(dy, dx)`` of each slot: row-major by default, or
     footprint slot ``slots[s]`` for slot ``s``; ``slots`` must permute range(k*k)."""
     k2 = k * k
@@ -489,20 +489,19 @@ def _slot_offsets(k: int, slots, who: str) -> list[tuple[int, int]]:
     return offsets
 
 
-def unfold(x: Tensor, k: int, stride: int = 1, slots=None) -> Tensor:
+def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
     """Gather the k*k spatial neighborhood of every location.
 
-    Output is ``[N, C, K, Ho, Wo]`` with ``K = k*k``; slot ``s`` holds
-    footprint slot ``slots[s]`` (row-major offsets, identity by default),
-    and out-of-bounds slots are zero.  The map is zero-padded by
-    ``(k - 1) // 2``, so with stride 1 the spatial extent is preserved.
+    Output is ``[N, C, K, Ho, Wo]`` with ``K = k*k``; slot ``s`` holds the
+    row-major footprint offset ``divmod(s, k)``, and out-of-bounds slots are
+    zero.  The map is zero-padded by ``(k - 1) // 2``, so with stride 1 the
+    spatial extent is preserved.
     """
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError("unfold expects an NCHW tensor")
     if k < 1 or k % 2 == 0:
         raise ConfigError(f"footprint side must be odd and positive, got {k}")
-    offsets = _slot_offsets(k, slots, "unfold")
     pad = (k - 1) // 2
     n, c, h, w = x.shape
     ho = _out_extent(h, k, stride, pad)
@@ -513,12 +512,12 @@ def unfold(x: Tensor, k: int, stride: int = 1, slots=None) -> Tensor:
         data.flags.writeable = False
     else:
         data = np.empty((n, c, k * k, ho, wo), src.dtype)
-        for s, (dy, dx) in enumerate(offsets):
+        for s in range(k * k):
+            dy, dx = divmod(s, k)
             data[:, :, s] = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
-    footprint_order = np.argsort([dy * k + dx for dy, dx in offsets])
 
     def bwd(g):
-        per_slot = (g[:, :, pos] for pos in footprint_order)
+        per_slot = (g[:, :, s] for s in range(k * k))
         return (_scatter_windows(per_slot, (n, c, h, w), k, stride, pad, g.dtype),)
 
     return _node(data, (x,), bwd)
@@ -611,7 +610,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
             f"and footprint {k}"
         )
     share, pad = cm // groups, (k - 1) // 2
-    offsets = _slot_offsets(k, slots, "slot_aggregate")
+    offsets = slot_offsets(k, slots, "slot_aggregate")
     per_slot = weights.shape[2] > 1
     footprint_order = np.argsort([dy * k + dx for dy, dx in offsets])
     pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))

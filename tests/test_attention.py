@@ -167,6 +167,17 @@ class TestPairwiseAttention:
             permuted = pairwise_attention(x, params, slot_order=order).data
         assert np.max(np.abs(base - permuted)) <= 1e-12
 
+    @pytest.mark.parametrize("relation", ["summation", "subtraction", "concatenation",
+                                          "hadamard", "dot"])
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5, 6, 7, 7], [0, 1, 2],
+                                       [1, 2, 3, 4, 5, 6, 7, 8, 9]],
+                             ids=["repeated", "short", "out-of-range"])
+    def test_bad_slot_order_rejected(self, relation, order):
+        params = make_params(relation=relation, position="relative", seed=4)
+        x = Tensor(np.random.default_rng(5).normal(size=(1, 16, 5, 5)))
+        with pytest.raises(DimensionError, match="permute range"):
+            pairwise_attention(x, params, slot_order=order)
+
     def test_slot_permutation_invariance_single(self):
         """Single precision: invariant up to resummation noise, 1e-6 of scale."""
         params = make_params(position="relative", seed=6, dtype=np.float32)

@@ -38,9 +38,10 @@ def snapshot(out_dir):
 
 
 def write_tiny_spec(tmp_path, edit):
-    """A san-tiny spec file with ``edit`` applied to the spec and every stage."""
+    """A san-tiny spec file with ``edit`` applied to the spec, its attention
+    configuration and every stage."""
     spec = spec_to_dict(named_spec("san-tiny"))
-    for part in (spec, *spec["stages"]):
+    for part in (spec, spec["attention"], *spec["stages"]):
         part.update({k: v for k, v in edit.items() if k in part})
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -91,6 +92,22 @@ class TestCount:
         assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("blocks", 1.5), ("channels", "16"), ("footprint", True), ("input_hw", 32.0),
+        ("r1", 4.0), ("classes", True), ("mlp_depth", 2.0), ("normalize", 3),
+        ("first_transition", 0),
+    ])
+    def test_mistyped_spec_field_exits_2_without_run_dir(self, tmp_path, capsys, field, value):
+        """Integer fields take no bool or float and flags take only a bool, so
+        no value is silently coerced and no traceback escapes."""
+        out = tmp_path / "c"
+        path = write_tiny_spec(tmp_path, {field: value})
+        assert main(["count", "--spec-file", str(path), "--verify-runtime",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and f"{field} must be" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["count", "train"])

@@ -1,5 +1,6 @@
 """Model builders, seed determinism, and checkpoint round-trips."""
 
+import hashlib
 import json
 import os
 import struct
@@ -123,6 +124,12 @@ class TestBuild:
         predict(model, np.random.default_rng(3).normal(size=(1, 3, 32, 32)).astype(np.float32))
         assert len(seen) == calls
 
+    def test_san_transitions_must_halve_the_input(self):
+        d = spec_to_dict(named_spec("san-tiny"))
+        d["input_hw"] = 33
+        with pytest.raises(ConfigError, match="^stage 2 transition needs an even extent, got 33$"):
+            build_model(spec_from_dict(d), seed=0)
+
     def test_predict_rejects_non_finite_logits(self):
         model = build_model(named_spec("san-tiny"), seed=0)
         images = np.zeros((3, 3, 32, 32), dtype=np.float32)
@@ -215,3 +222,33 @@ class TestCheckpoints:
         path = os.path.join(tmp_path, "model.ckpt")
         save_checkpoint(model, path)
         assert os.path.getsize(path) < 10 * 2**20
+
+
+class TestCheckpointLayout:
+    """Golden hashes of what a checkpoint stores, so a builder change that
+    reorders parameters, buffers or rng draws fails here and not only in a
+    checkpoint written by an older build."""
+
+    @pytest.mark.parametrize("name,overrides,digest", [
+        ("san-tiny", {}, "5e109541b0d2687482f0660f3fe64d01152c5094ff723ee6d33468a753f6fed3"),
+        ("san-tiny", {"family": "patchwise"},
+         "083915f76c3197f6c92305e332311b523eb65ea825c220dd07fd6070fac5137e"),
+        ("san-tiny", {"family": "scalar"},
+         "6cbe8121bf48a33beb3674d54a4def1e3568553b1e9e094074532c62f2d4f2b4"),
+        ("san-tiny", {"relation": "hadamard"},
+         "5e109541b0d2687482f0660f3fe64d01152c5094ff723ee6d33468a753f6fed3"),
+        ("san10", {}, "04defd23d5c7e2f07528cf479212a65bffe30cf2371f7cbbff4342df65547e45"),
+        ("resnet26", {}, "8aae28f5166cf6a4d447b522bfd46883f074107d01ec757e7d5a62f4a5c07850"),
+    ], ids=["san-tiny", "san-tiny-patchwise", "san-tiny-scalar", "san-tiny-hadamard", "san10",
+            "resnet26"])
+    def test_parameter_and_buffer_order(self, name, overrides, digest):
+        model = build_model(named_spec(name, **overrides), seed=0)
+        layout = {"params": [[n, list(p.shape)] for n, p in model.named_parameters()],
+                  "buffers": [[n, list(b.shape)] for n, b in model.named_buffers()]}
+        assert hashlib.sha256(json.dumps(layout).encode()).hexdigest() == digest
+
+    def test_checkpoint_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(named_spec("san-tiny"), seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c6b15449f877c9d3893e5d7e82174c76460c319fec68fddb379c9fa681a32d62")

@@ -288,12 +288,6 @@ class TestUnfold:
         with pytest.raises(ConfigError):
             T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 2)
 
-    @pytest.mark.parametrize("slots", [[0, 1, 2, 3, 4, 5, 6, 7, 7], [0, 1, 2]],
-                             ids=["repeated-slot", "short-slots"])
-    def test_bad_slots_or_addend_rejected(self, slots):
-        with pytest.raises(DimensionError):
-            T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 3, slots=slots)
-
     @pytest.mark.parametrize("k,x_batch,base_shape,slots", [
         (3, 2, (2, 3, 1, 4, 5), None),
         (3, 2, (2, 3, 9, 4, 5), None),
