@@ -114,7 +114,7 @@ def attention_block_cost(channels: int, cfg: AttentionConfig, hw: int) -> tuple[
 def bottleneck_cost(c_in: int, width: int, stride: int, hw_in: int) -> tuple[int, int]:
     """(params, macs) of one pre-activation bottleneck."""
     c_out = 4 * width
-    hw_out = hw_in // stride
+    hw_out = -(-hw_in // stride)  # the padded strided convolutions round up
     s_in, s_out = hw_in * hw_in, hw_out * hw_out
     params = 2 * c_in + c_in * width           # bn1 + conv1
     params += 2 * width + 9 * width * width    # bn2 + conv2
@@ -134,9 +134,9 @@ def unit_plan(spec: ModelSpec, input_hw: int | None = None):
     hw = spec.input_hw if input_hw is None else input_hw
     c = spec.stem_channels
     if spec.arch == "resnet":
-        hw //= 2  # stride-2 stem convolution
+        hw = -(-hw // 2)  # stride-2 stem convolution, padded, so the extent rounds up
         yield "stem", None, partial(ConvStem, c), (3 * c * 49, 3 * c * 49 * hw * hw)
-        hw //= 2  # stem max pool
+        hw = -(-hw // 2)  # padded stem max pool
     else:
         yield "stem", None, partial(Stem, c), (linear_params(3, c), 3 * c * hw * hw)
     for si, st in enumerate(spec.stages):
@@ -146,7 +146,7 @@ def unit_plan(spec: ModelSpec, input_hw: int | None = None):
                 stride = 2 if (si > 0 and bi == 0) else 1
                 blocks.append((partial(Bottleneck, c, st.channels, stride),
                                bottleneck_cost(c, st.channels, stride, hw)))
-                c, hw = 4 * st.channels, hw // stride
+                c, hw = 4 * st.channels, -(-hw // stride)
         else:
             if si > 0 or spec.first_transition:
                 if hw % 2:

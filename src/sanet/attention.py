@@ -26,7 +26,6 @@ backward, so no per-(location, slot) perceptron array stays on the tape.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import get_type_hints
 
@@ -286,7 +285,8 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     layer = params.mlp[0]
     n, _, h, w = q.shape
     rel_cols = relation_width(cfg, params.dims)
-    terms, center, neighbor = [], None, None
+    pos = None if p is None else T.linear(p, T.take(layer.w, range(rel_cols, rel_cols + 2), axis=1))
+    center, neighbor = (pos, T.neg(pos)) if cfg.position == "relative" else (None, pos)
     if cfg.relation in ("hadamard", "dot"):
         ku = T.unfold(k, cfg.footprint)
         if slot_order is not None:  # checked first: np.take raises IndexError out of range
@@ -295,24 +295,17 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
         rel = T.mul(T.reshape(q, (n, d, 1, h, w)), ku)
         if cfg.relation == "dot":
             rel = T.sum(rel, axis=1, keepdims=True)
-        terms.append(T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b))
-    else:
-        key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
-        w_key = T.take(layer.w, key_cols, axis=1)
-        if cfg.relation == "subtraction":
-            w_key = T.neg(w_key)
-        center = T.linear(q, T.take(layer.w, range(d), axis=1), layer.b)
-        neighbor = T.linear(k, w_key)
-    if p is not None:
-        pos = T.linear(p, T.take(layer.w, range(rel_cols, rel_cols + 2), axis=1))
-        if cfg.position == "relative":
-            center = pos if center is None else T.add(center, pos)
-            neighbor = T.neg(pos) if neighbor is None else T.sub(neighbor, pos)
-        else:
-            neighbor = pos if neighbor is None else T.add(neighbor, pos)
-    if center is not None:
-        terms.append(T.reshape(center, (center.shape[0], layer.w.shape[0], 1, h, w)))
-    return functools.reduce(T.add, terms), neighbor
+        base = T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b)
+        if center is not None:
+            base = T.add(base, T.reshape(center, (1, layer.w.shape[0], 1, h, w)))
+        return base, neighbor
+    key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
+    w_key = T.take(layer.w, key_cols, axis=1)
+    if cfg.relation == "subtraction":
+        w_key = T.neg(w_key)
+    center = T.linear(q, T.take(layer.w, range(d), axis=1), layer.b, add=center)
+    neighbor = T.linear(k, w_key, add=neighbor)
+    return T.reshape(center, (n, layer.w.shape[0], 1, h, w)), neighbor
 
 
 def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
@@ -378,8 +371,8 @@ class Linear(Module):
             self.w = kaiming_uniform(rng, (c_out, c_in), c_in, dtype)
         self.b = zeros_param((c_out,), dtype)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.w, self.b)
+    def forward(self, x: Tensor, add: Tensor | None = None) -> Tensor:
+        return T.linear(x, self.w, self.b, add=add)
 
 
 class Conv2d(Module):
@@ -398,12 +391,13 @@ class Conv2d(Module):
             self.kernel = kaiming_uniform(rng, (c_out, c_in, k, k), fan_in, dtype)
         self.bias = zeros_param((c_out,), dtype) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.kernel, bias=self.bias, stride=self.stride)
+    def forward(self, x: Tensor, add: Tensor | None = None) -> Tensor:
+        return conv2d(x, self.kernel, bias=self.bias, stride=self.stride, add=add)
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
-    """Cross-correlate ``x`` with ``kernel [Cout, Cin, k, k]``, same padding."""
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1,
+           add: Tensor | None = None) -> Tensor:
+    """Cross-correlate ``x`` with ``kernel [Cout, Cin, k, k]``, same padding, plus ``add``."""
     if kernel.data.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
         raise DimensionError(f"conv2d kernel must be [Cout, Cin, k, k], got {kernel.shape}")
     if x.shape[1] != kernel.shape[1]:
@@ -415,4 +409,4 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
     n, _, k2, ho, wo = xu.shape
     flat = T.reshape(xu, (n, c_in * k2, ho, wo))
     wf = T.reshape(kernel, (c_out, c_in * k2))
-    return T.linear(flat, wf, bias)
+    return T.linear(flat, wf, bias, add=add)

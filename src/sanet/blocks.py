@@ -4,7 +4,7 @@ bottlenecks, stage transitions, stems, and the classifier head.
 All residual blocks are pre-activation (normalize and rectify before the
 operator; ``BatchNorm`` does both in one primitive) and zero-initialize
 their final expansion map, so a freshly built block is exactly the
-identity.
+identity.  That last layer also writes the residual sum (``add=``).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class SelfAttentionBlock(Module):
     """Residual unit around one attention operator.
 
     The operator input is normalized and rectified, attention reduces the
-    width to ``Cm``, and a final linear expands back to ``C`` before the
-    residual addition.
+    width to ``Cm``, and a final linear expands back to ``C`` and adds the
+    block input.
     """
 
     def __init__(self, channels: int, cfg: AttentionConfig, rng: np.random.Generator,
@@ -59,8 +59,7 @@ class SelfAttentionBlock(Module):
     def forward(self, x: Tensor) -> Tensor:
         h = self.bn_in(x)
         h = self.attention(h)
-        h = self.bn_mid(h)
-        return T.add(x, self.expand(h))
+        return self.expand(self.bn_mid(h), add=x)
 
 
 class Bottleneck(Module):
@@ -87,10 +86,8 @@ class Bottleneck(Module):
         h = self.conv1(h)
         h = self.bn2(h)
         h = self.conv2(h)
-        h = self.bn3(h)
-        h = self.conv3(h)
         shortcut = x if self.proj is None else self.proj(x)
-        return T.add(shortcut, h)
+        return self.conv3(self.bn3(h), add=shortcut)
 
 
 class Transition(Module):

@@ -79,8 +79,8 @@ class Module:
     def forward(self, x):
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.forward(x)
+    def __call__(self, x, **kwargs):
+        return self.forward(x, **kwargs)
 
 
 class ModuleList(Module):

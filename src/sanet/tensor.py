@@ -313,12 +313,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           add: Tensor | None = None) -> Tensor:
     """Pointwise linear map along the channel axis.
 
     ``x`` is ``[N, Cin, *spatial]`` (spatial may be empty), ``weight`` is
     ``[Cout, Cin]``.  Every location is mapped independently:
-    ``out[n, o, ...] = sum_i weight[o, i] * x[n, i, ...] + bias[o]``.
+    ``out[n, o, ...] = sum_i weight[o, i] * x[n, i, ...] + bias[o] + add[n, o, ...]``.
+    ``add`` (a residual or position map) must broadcast to the output; it is
+    summed in place in the wider dtype, so no sum node keeps the output
+    alive.  The backward reads ``x`` and ``weight``, never the output.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
@@ -336,6 +340,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             raise DimensionError("linear: bias length must equal output channels")
         data += bias.data.reshape((1, -1) + (1,) * (x.data.ndim - 2))
         parents.append(bias)
+    if add is not None:
+        add = as_tensor(add)
+        if add.data.ndim > data.ndim or any(
+                a not in (1, o) for a, o in zip(add.shape[::-1], data.shape[::-1])):
+            raise DimensionError(f"linear: addend {add.shape} does not broadcast to {data.shape}")
+        data = data.astype(np.result_type(data, add.data), copy=False)
+        data += add.data
+        parents.append(add)
 
     def bwd(g):
         g3 = g.reshape(shape[0], c_out, -1)
@@ -344,6 +356,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         grads = [gx, gw]
         if bias is not None:
             grads.append(g3.sum(axis=(0, 2)))
+        if add is not None:
+            grads.append(_unbroadcast(g, add.shape))
         return tuple(grads)
 
     return _node(data, tuple(parents), bwd)
@@ -368,6 +382,9 @@ def batch_norm(
     networks is applied in place, ``out = max(gamma * xhat + beta, 0)``, so
     no pre-activation copy is kept: the backward masks the incoming
     gradient with ``out > 0`` and then differentiates the normalization.
+    In training mode the backward keeps the input (on the tape anyway as
+    its parent's output) and rebuilds ``xhat`` from it with the forward's
+    own steps, as in-place activated batch norm does (arXiv:1712.02616).
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4:
@@ -386,23 +403,28 @@ def batch_norm(
         running_var *= 1.0 - momentum
         running_var += momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        # each full-size step works in place, as in eval mode below
-        xhat = x.data - mu.reshape(shape)
-        xhat *= inv_std.reshape(shape)
-        data = gamma.data.reshape(shape) * xhat
+
+        def normalized():  # in place, as in eval mode below; made again in backward
+            centered = x.data - mu.reshape(shape)
+            return np.multiply(centered, inv_std.reshape(shape), out=centered)
+
+        data = gamma.data.reshape(shape) * normalized()
         data = data.astype(np.result_type(data, beta.data), copy=False)
         data += beta.data.reshape(shape)
         np.maximum(data, 0, out=data)
 
         def bwd(g):
             g = g * (data > 0)
+            xhat = normalized()
             dgamma = (g * xhat).sum(axis=axes)
             dbeta = g.sum(axis=axes)
             dxhat = g * gamma.data.reshape(shape)
             m1 = dxhat.mean(axis=axes).reshape(shape)
             m2 = (dxhat * xhat).mean(axis=axes).reshape(shape)
-            dx = inv_std.reshape(shape) * (dxhat - m1 - xhat * m2)
-            return dx, dgamma, dbeta
+            dxhat -= m1
+            dxhat -= xhat * m2  # the product is formed in the wider dtype, not in xhat
+            dxhat *= inv_std.reshape(shape)
+            return dxhat, dgamma, dbeta
 
         return _node(data, (x, gamma, beta), bwd)
 
@@ -586,7 +608,8 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     gradient is scattered in the same order as that of a gathered neighbor.
 
     The value map is padded once and read through k*k shifted slices, so no
-    ``[N, Cm, K, H, W]`` gather is built in either direction.
+    ``[N, Cm, K, H, W]`` gather is built in either direction; the backward
+    pads the value and neighbor maps again, so no padded copy is kept.
     """
     weights, values = as_tensor(weights), as_tensor(values)
     neighbor = None if neighbor is None else as_tensor(neighbor)
@@ -629,13 +652,13 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
             a += bt.data.reshape(1, -1, 1, 1)
         return a, inputs
 
-    def padded_neighbor():  # made again in backward, not kept on the tape
-        return None if neighbor is None else np.pad(neighbor.data, pads)
+    def padded():  # made again in backward, not kept on the tape
+        v5 = np.pad(values.data, pads).reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
+        return v5, None if neighbor is None else np.pad(neighbor.data, pads)
 
     parents = (weights, values) + (() if neighbor is None else (neighbor,))
     parents += tuple(t for pair in tail for t in pair)
-    v5 = np.pad(values.data, pads).reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
-    nb = padded_neighbor()
+    v5, nb = padded()
     out = np.zeros((n, groups, share, h, w), dtype=np.result_type(*(t.data for t in parents)))
     for s, (dy, dx) in enumerate(offsets):
         window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
@@ -643,7 +666,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
 
     def bwd(g):
         g5 = g.reshape(n, groups, share, h, w)
-        nb = padded_neighbor()
+        v5, nb = padded()
         gw = (np.empty if per_slot else np.zeros)(weights.shape, dtype=g.dtype)
         gv5 = np.zeros_like(v5, dtype=g.dtype)
         gn = None if nb is None else np.zeros_like(nb, dtype=g.dtype)

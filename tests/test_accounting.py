@@ -1,13 +1,16 @@
 """Capacity accounting: published parameter/MAC budgets and the exact
 symbolic-vs-runtime cross-check."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
 import pytest
 
 from sanet.accounting import count_macs, count_params, verify_against_runtime
-from sanet.models import ModelSpec, StageSpec, named_spec
+from sanet.blocks import Bottleneck
+from sanet.models import ModelSpec, StageSpec, build_model, named_spec, named_units
+from sanet.tensor import Tensor, no_grad
 
 
 def params_m(spec) -> float:
@@ -105,6 +108,32 @@ class TestStructuralProperties:
         for name, macs in small.items():
             if "block" in name or name == "stem":
                 assert large[name] == 4 * macs
+
+    def test_resnet_macs_count_the_extents_the_units_run_at(self):
+        """At ``input_hw`` 40 the padded stride-2 layers round 5 up to 3 and
+        3 up to 2; each unit's MACs follow the extents a built resnet26
+        actually produces, read from its units one by one."""
+        spec = dataclasses.replace(named_spec("resnet26"), input_hw=40)
+        counted = {b.name: b.macs for b in count_macs(spec).breakdown}
+        model = build_model(spec).eval()
+        h = Tensor(np.zeros((1, 3, 40, 40), np.float32))
+        extents = []
+        with no_grad():
+            for name, unit in named_units(model):
+                if name == "stem":
+                    side = unit.conv(h).shape[2]
+                    assert counted[name] == 3 * 64 * 49 * side * side
+                s_in = h.shape[2] * h.shape[3]
+                h = unit(h)
+                if isinstance(unit, Bottleneck):
+                    s_out = h.shape[2] * h.shape[3]
+                    extents.append(h.shape[2])
+                    width, c_in = unit.conv1.kernel.shape[:2]
+                    want = s_in * c_in * width + s_out * (9 * width * width + width * unit.c_out)
+                    if unit.proj is not None:
+                        want += s_out * c_in * unit.c_out
+                    assert counted[name] == want, name
+        assert extents == [10, 5, 5, 3, 3, 3, 3, 2]
 
     def test_breakdown_totals_are_consistent(self):
         report = count_params(named_spec("san19"))

@@ -2,13 +2,14 @@
 
 import tracemalloc
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import sanet.tensor as T
 from sanet.gradcheck import check_gradients
-from sanet.models import build_model, named_spec
+from sanet.models import ModelSpec, StageSpec, build_model, named_spec
 from sanet.reference import naive_linear
 from sanet.tensor import ConfigError, DimensionError, Tensor, UsageError
 from sanet.training import cross_entropy_smoothed
@@ -38,6 +39,49 @@ class TestLinear:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             T.linear(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((4, 5))))
+
+    @pytest.mark.parametrize("add_shape,add_dtype,taped", [
+        ((3, 5, 4, 6), np.float32, True),
+        ((1, 5, 4, 6), np.float32, True),
+        ((3, 5, 4, 6), np.float64, True),
+        ((1, 5, 4, 6), np.float32, False),
+    ], ids=["same-shape", "broadcast", "float64-addend", "no-grad"])
+    def test_addend_matches_linear_then_add_bitwise(self, add_shape, add_dtype, taped):
+        """``linear(add=a)`` equals ``add(linear(...), a)``: output, dtype and
+        every gradient, bit for bit."""
+        rng = np.random.default_rng(3)
+        arrays = (rng.normal(size=(3, 4, 4, 6)).astype(np.float32),
+                  rng.normal(size=(5, 4)).astype(np.float32),
+                  rng.normal(size=5).astype(np.float32),
+                  rng.normal(size=add_shape).astype(add_dtype))
+        proj = Tensor(rng.normal(size=(3, 5, 4, 6)))
+        results = []
+        for fused in (True, False):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            x, w, b, a = leaves
+            with nullcontext() if taped else T.no_grad():
+                out = T.linear(x, w, b, add=a) if fused else T.add(T.linear(x, w, b), a)
+            if taped:
+                T.sum(T.mul(out, proj)).backward()
+            results.append((out, [leaf.grad for leaf in leaves]))
+        (fused, fused_grads), (plain, plain_grads) = results
+        assert fused.dtype == plain.dtype == np.result_type(np.float32, add_dtype)
+        assert fused.requires_grad == plain.requires_grad == taped
+        np.testing.assert_array_equal(fused.data, plain.data)
+        for got, want in zip(fused_grads, plain_grads):
+            assert (got is None) == (want is None) == (not taped)
+            if taped:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("add_shape", [(1, 4, 4, 6), (5, 6), (1, 1, 5, 4, 6), (2, 5, 4, 6)],
+                             ids=["channels", "trailing", "extra-axis", "widens-batch"])
+    def test_addend_that_does_not_broadcast_to_output_is_rejected(self, add_shape):
+        """The output is [1, 5, 4, 6]; an addend must broadcast to it without
+        growing it, so a batch of two is rejected as well."""
+        x, w = Tensor(np.zeros((1, 4, 4, 6))), Tensor(np.zeros((5, 4)))
+        with pytest.raises(DimensionError, match="addend"):
+            T.linear(x, w, add=Tensor(np.zeros(add_shape)))
 
 
 class TestBatchNorm:
@@ -159,7 +203,8 @@ class TestBatchNorm:
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("dtype,affine_dtype", [(np.float32, np.float32),
                                                     (np.float64, np.float64),
-                                                    (np.float32, np.float64)])
+                                                    (np.float32, np.float64),
+                                                    (np.float64, np.float32)])
     def test_backward_matches_relu_after_batch_norm_bitwise(self, training, dtype, affine_dtype):
         rng = np.random.default_rng(30)
         x = rng.normal(0.5, 2.0, size=(3, 4, 5, 6)).astype(dtype)
@@ -442,10 +487,25 @@ class TestBackward:
             tracemalloc.stop()
         assert live < 2**20, f"{live / 2**20:.1f} MiB live after backward"
 
-    def test_tiny_step_gradients_match_keep_everything_walk(self):
+    def test_tiny_forward_tape_holds_each_map_once(self):
+        """A train-mode san-tiny forward at b=8 leaves at most 7 MiB on the
+        tape: batch norm keeps no normalized copy of its input, the residual
+        and position sums add no node of their own, and ``slot_aggregate``
+        keeps no padded value map.  (With those three copies it was 9.9 MiB.)"""
+        model, x, _ = _tiny_step(batch=8)
+        tracemalloc.start()
+        try:
+            logits = model(x)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert logits.requires_grad
+        assert live <= 7 * 2**20, f"{live / 2**20:.2f} MiB live after forward"
+
+    def test_tiny_step_gradients_match_keep_everything_walk(self, spec="san-tiny"):
         grads = []
         for walk in (T.backward, _keep_everything_backward):
-            model, x, labels = _tiny_step(batch=8)
+            model, x, labels = _tiny_step(batch=8, spec=spec)
             walk(cross_entropy_smoothed(model(x), labels))
             grads.append([p.grad for p in model.parameters()])
         assert all(g is not None and np.abs(g).max() > 0 for g in grads[1])
@@ -453,14 +513,24 @@ class TestBackward:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+    def test_tiny_resnet_step_gradients_match_keep_everything_walk(self):
+        """The same on a bottleneck network, whose last convolution writes the
+        residual sum."""
+        self.test_tiny_step_gradients_match_keep_everything_walk(spec="resnet")
 
-def _tiny_step(batch):
-    """A san-tiny model with its residual units opened, plus one seeded batch."""
-    model = build_model(named_spec("san-tiny"), seed=4)
+
+def _tiny_step(batch, spec="san-tiny"):
+    """A san-tiny model (or a two-stage 32x32 ResNet) with its residual units
+    opened, plus one seeded batch."""
+    if spec == "resnet":
+        stages = (StageSpec(4, 1, 3), StageSpec(8, 2, 3))
+        spec = ModelSpec(name="resnet-tiny", arch="resnet", stages=stages, stem_channels=16,
+                         classes=10, input_hw=32)
+    model = build_model(named_spec(spec) if isinstance(spec, str) else spec, seed=4)
     rng = np.random.default_rng(6)
     for name, p in model.named_parameters():
-        # residual units start as the identity; open them so attention is on the path
-        if name.endswith("expand.w"):
+        # residual units start as the identity; open them so the branch is on the path
+        if name.endswith(("expand.w", "conv3.kernel")):
             bound = np.sqrt(6.0 / p.shape[1])
             p.data = rng.uniform(-bound, bound, p.shape).astype(p.dtype)
     x = Tensor(rng.normal(size=(batch, 3, 32, 32)).astype(np.float32))
