@@ -102,7 +102,8 @@ def attention_block_cost(channels: int, cfg: AttentionConfig, hw: int) -> tuple[
                 macs += s * slots * d
             elif cfg.relation == "clique_product":
                 macs += s * slots * slots * d
-            # patchwise concatenation is a copy
+            # patchwise concatenation has no relation stage: its first layer,
+            # counted above, runs as a query map plus a k x k key convolution
 
     macs += s * slots * cm                     # weighted slot aggregation
     params += 2 * cm                           # mid norm affine

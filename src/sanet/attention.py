@@ -18,10 +18,11 @@ aggregated in place by ``slot_aggregate``, one shifted slice per footprint
 slot, under weights broadcast over groups of ``share`` consecutive
 channels.  Pairwise attention, for every relation, splits the first
 perceptron layer into a per-location center map and a bias-free neighbor
-map (Hadamard and dot add one per-slot term, the layer applied to the
-query-key product) and passes both, with the other perceptron layers, to
-``slot_aggregate``, which builds each slot's weights in turn and again in
-backward, so no per-(location, slot) perceptron array stays on the tape.
+map (Hadamard and dot add the center into one per-slot term, the layer
+applied to the query-key product) and passes both, with the other
+perceptron layers, to ``slot_aggregate``, which builds each slot's weights
+in turn and again in backward, so no per-(location, slot) perceptron array
+stays on the tape.  Patchwise concatenation's first layer is a convolution.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .tensor import ConfigError, DimensionError, Tensor
 
 PAIRWISE_RELATIONS = ("summation", "subtraction", "concatenation", "hadamard", "dot")
 PATCHWISE_RELATIONS = ("star_product", "clique_product", "concatenation")
+RELATIONS = {"pairwise": PAIRWISE_RELATIONS, "patchwise": PATCHWISE_RELATIONS, "scalar": ("dot",)}
 POSITION_MODES = ("none", "absolute", "relative")
 FAMILIES = ("pairwise", "patchwise", "scalar", "conv")
 
@@ -81,10 +83,8 @@ class AttentionConfig:
         check_fields(self, positive=("r1", "r2", "share"))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown attention family {self.family!r}")
-        if self.family == "pairwise" and self.relation not in PAIRWISE_RELATIONS:
-            raise ConfigError(f"pairwise relation must be one of {PAIRWISE_RELATIONS}")
-        if self.family == "patchwise" and self.relation not in PATCHWISE_RELATIONS:
-            raise ConfigError(f"patchwise relation must be one of {PATCHWISE_RELATIONS}")
+        if self.family in RELATIONS and self.relation not in RELATIONS[self.family]:
+            raise ConfigError(f"{self.family} relation must be one of {RELATIONS[self.family]}")
         if self.position not in POSITION_MODES:
             raise ConfigError(f"position mode must be one of {POSITION_MODES}")
         if self.mlp_depth not in (1, 2, 3):
@@ -207,13 +207,6 @@ class VectorAttention(Module):
         return scalar_attention(x, self)
 
 
-def _mlp_tail(layers: ModuleList, v: Tensor) -> Tensor:
-    """The layers after the first, each preceded by a ReLU."""
-    for layer in list(layers)[1:]:
-        v = T.linear(T.relu(v), layer.w, layer.b)
-    return v
-
-
 def position_features(h: int, w: int, w_pos: Tensor) -> Tensor:
     """Trainably remapped normalized coordinates, shape ``[2, H, W]``.
 
@@ -274,12 +267,13 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     per-slot product term.  For subtraction with relative position,
     ``W[q_i - k_j ; p_i - p_j] + b = (W[q_i ; p_i] + b) - W[k_j ; p_j]``;
     for Hadamard, with ``W = [W_r, W_p]``, ``W[q_i * k_j ; p_i - p_j] + b =
-    (W_r (q_i * k_j) + b) + W_p p_i - W_p p_j``.  The neighbor map has no bias, so an out-of-map
-    slot gathers zero, exactly the layer's share of the zero key and zero
-    position of a zero-padded neighbor.  Returns ``(base, neighbor)``: the
-    center map ``[N, d1, 1, H, W]`` (plus the ``[N, d1, K, H, W]`` product
-    term for Hadamard and dot) and the neighbor map ``[N or 1, d1, H, W]``
-    or None, for ``slot_aggregate`` to add slot by slot.
+    (W_r (q_i * k_j) + b + W_p p_i) - W_p p_j``.  The neighbor map has no
+    bias, so an out-of-map slot gathers zero, exactly the layer's share of
+    the zero key and zero position of a zero-padded neighbor.  Returns
+    ``(base, neighbor)``: the center map ``[N, d1, 1, H, W]`` (for Hadamard
+    and dot, the ``[N, d1, K, H, W]`` product term with the center added)
+    and the neighbor map ``[N or 1, d1, H, W]`` or None, for
+    ``slot_aggregate`` to add slot by slot.
     """
     cfg, d = params.cfg, params.dims.d
     layer = params.mlp[0]
@@ -295,9 +289,8 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
         rel = T.mul(T.reshape(q, (n, d, 1, h, w)), ku)
         if cfg.relation == "dot":
             rel = T.sum(rel, axis=1, keepdims=True)
-        base = T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b)
-        if center is not None:
-            base = T.add(base, T.reshape(center, (1, layer.w.shape[0], 1, h, w)))
+        center = None if center is None else T.reshape(center, (1, layer.w.shape[0], 1, h, w))
+        base = T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b, add=center)
         return base, neighbor
     key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
     w_key = T.take(layer.w, key_cols, axis=1)
@@ -313,30 +306,33 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
 
     The relation summarizes the full footprint (so weights for any slot
     may draw on every neighbor), and the perceptron output is read as
-    ``[slot, group]`` weight vectors, slot-major.
+    ``[slot, group]`` weight vectors, slot-major.  For concatenation the
+    first layer over ``[q_i ; k_1 .. k_K]`` is the pointwise map of the
+    query plus a k x k convolution of the key map, whose kernel is the
+    layer's slot-major key columns regrouped to ``[out, d, k, k]``.
     """
-    cfg, dims = params.cfg, params.dims
+    cfg, dims, first = params.cfg, params.dims, params.mlp[0]
     n, _, h, w = x.shape
     q, k, v = _qkv(x, params)
-    ku = T.unfold(k, cfg.footprint)
-
-    if cfg.relation == "star_product":
-        qe = T.reshape(q, (n, dims.d, 1, h, w))
-        rel = T.sum(T.mul(qe, ku), axis=1)  # [N, K, H, W]
-    elif cfg.relation == "clique_product":
-        qu = T.unfold(q, cfg.footprint)
-        qj = T.reshape(qu, (n, dims.d, dims.slots, 1, h, w))
-        kk = T.reshape(ku, (n, dims.d, 1, dims.slots, h, w))
-        rel = T.sum(T.mul(qj, kk), axis=1)  # [N, K, K, H, W], (j, k) row-major
-        rel = T.reshape(rel, (n, dims.slots * dims.slots, h, w))
-    elif cfg.relation == "concatenation":
-        kt = T.transpose(ku, (0, 2, 1, 3, 4))  # slot-major blocks of d
-        rel = T.concat([q, T.reshape(kt, (n, dims.slots * dims.d, h, w))], axis=1)
-    else:  # pragma: no cover - rejected by AttentionConfig
-        raise ConfigError(cfg.relation)
-
-    first = params.mlp[0]
-    flat = _mlp_tail(params.mlp, T.linear(rel, first.w, first.b))  # [N, K * groups, H, W]
+    if cfg.relation == "concatenation":
+        blocks = T.reshape(first.w, (-1, dims.slots + 1, dims.d))
+        keys = T.transpose(T.take(blocks, range(1, dims.slots + 1), axis=1), (0, 2, 1))
+        kernel = T.reshape(keys, keys.shape[:2] + (cfg.footprint, cfg.footprint))
+        flat = T.linear(q, T.take(first.w, range(dims.d), axis=1), first.b, add=conv2d(k, kernel))
+    else:
+        ku = T.unfold(k, cfg.footprint)
+        if cfg.relation == "star_product":
+            qe = T.reshape(q, (n, dims.d, 1, h, w))
+            rel = T.sum(T.mul(qe, ku), axis=1)  # [N, K, H, W]
+        else:
+            qu = T.unfold(q, cfg.footprint)
+            qj = T.reshape(qu, (n, dims.d, dims.slots, 1, h, w))
+            kk = T.reshape(ku, (n, dims.d, 1, dims.slots, h, w))
+            rel = T.sum(T.mul(qj, kk), axis=1)  # [N, K, K, H, W], (j, k) row-major
+            rel = T.reshape(rel, (n, dims.slots * dims.slots, h, w))
+        flat = T.linear(rel, first.w, first.b)
+    for layer in list(params.mlp)[1:]:
+        flat = T.linear(T.relu(flat), layer.w, layer.b)  # [N, K * groups, H, W]
     wts = T.reshape(flat, (n, dims.slots, dims.groups, h, w))
     wts = T.transpose(wts, (0, 2, 1, 3, 4))
     return T.slot_aggregate(wts, v, cfg.footprint)

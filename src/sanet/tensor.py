@@ -320,9 +320,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``x`` is ``[N, Cin, *spatial]`` (spatial may be empty), ``weight`` is
     ``[Cout, Cin]``.  Every location is mapped independently:
     ``out[n, o, ...] = sum_i weight[o, i] * x[n, i, ...] + bias[o] + add[n, o, ...]``.
-    ``add`` (a residual or position map) must broadcast to the output; it is
-    summed in place in the wider dtype, so no sum node keeps the output
-    alive.  The backward reads ``x`` and ``weight``, never the output.
+    ``bias`` and ``add`` (a residual or position map, which must broadcast
+    to the output) are summed in place in the wider dtype, so no sum node
+    keeps the output alive.  The backward reads ``x`` and ``weight``, never the output.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
@@ -338,6 +338,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
             raise DimensionError("linear: bias length must equal output channels")
+        data = data.astype(np.result_type(data, bias.data), copy=False)
         data += bias.data.reshape((1, -1) + (1,) * (x.data.ndim - 2))
         parents.append(bias)
     if add is not None:

@@ -75,6 +75,17 @@ class TestCount:
         assert main(["count", "--model", "san-tiny", "--r1", "0",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_scalar_attention_with_another_relation_exits_2_without_run_dir(self, tmp_path,
+                                                                            capsys):
+        """Scalar attention always scores with ``q . k``; another relation is
+        rejected, not recorded in a manifest it does not describe."""
+        out = tmp_path / "c"
+        assert main(["count", "--model", "san-tiny", "--attention", "scalar",
+                     "--relation", "hadamard", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: scalar relation must be")
+        assert not out.exists()
+
     def test_out_under_regular_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -35,6 +35,8 @@ from sanet.training import SGD, TrainConfig, cross_entropy_smoothed
 REL_TOL = 1e-10
 # (N, H, W, k): batch of one, H != W, and a footprint wider than the map
 SHAPES = [(1, 2, 5, 5), (2, 4, 3, 3), (1, 3, 7, 3), (2, 1, 4, 5)]
+# patchwise concatenation's convolution at k=1 takes unfold's one-slot view
+PATCHWISE_SHAPES = SHAPES + [(2, 3, 4, 1)]
 
 
 def _gathered_aggregate(wts, vu):
@@ -143,9 +145,9 @@ def _rel_err(got, want):
     return np.abs(got - want).max() / scale
 
 
-def _assert_two_sided(op, reference, make_layer, seed):
+def _assert_two_sided(op, reference, make_layer, seed, shapes=SHAPES):
     rng = np.random.default_rng(seed)
-    for n, h, w, k in SHAPES:
+    for n, h, w, k in shapes:
         params = make_layer(rng, k)
         x = Tensor(rng.normal(size=(n, 16, h, w)), requires_grad=True)
         proj = rng.uniform(-1.0, 1.0, size=(n, params.dims.cm, h, w))
@@ -176,7 +178,7 @@ def test_pairwise_matches_gathered_reference(relation, position, ordered):
 def test_patchwise_matches_gathered_reference(relation):
     _assert_two_sided(patchwise_attention, reference_patchwise,
                       lambda rng, k: _params(rng, k, family="patchwise", relation=relation),
-                      seed=10 + PATCHWISE_RELATIONS.index(relation))
+                      seed=10 + PATCHWISE_RELATIONS.index(relation), shapes=PATCHWISE_SHAPES)
 
 
 @pytest.mark.parametrize("normalize", [False, True])

@@ -74,6 +74,28 @@ class TestLinear:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 
+    def test_wider_bias_matches_linear_then_add_bitwise(self):
+        """A float64 bias on a float32 map widens the output as ``add`` would,
+        with the same output and gradients, bit for bit."""
+        rng = np.random.default_rng(4)
+        arrays = (rng.normal(size=(3, 4, 4, 6)).astype(np.float32),
+                  rng.normal(size=(5, 4)).astype(np.float32),
+                  rng.normal(size=5))
+        proj = Tensor(rng.normal(size=(3, 5, 4, 6)))
+        results = []
+        for fused in (True, False):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            x, w, b = leaves
+            out = T.linear(x, w, b) if fused else T.add(T.linear(x, w), T.reshape(b, (1, 5, 1, 1)))
+            T.sum(T.mul(out, proj)).backward()
+            results.append((out, [leaf.grad for leaf in leaves]))
+        (fused, fused_grads), (plain, plain_grads) = results
+        assert fused.dtype == plain.dtype == np.float64
+        np.testing.assert_array_equal(fused.data, plain.data)
+        for got, want in zip(fused_grads, plain_grads):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("add_shape", [(1, 4, 4, 6), (5, 6), (1, 1, 5, 4, 6), (2, 5, 4, 6)],
                              ids=["channels", "trailing", "extra-axis", "widens-batch"])
     def test_addend_that_does_not_broadcast_to_output_is_rejected(self, add_shape):
@@ -492,15 +514,23 @@ class TestBackward:
         tape: batch norm keeps no normalized copy of its input, the residual
         and position sums add no node of their own, and ``slot_aggregate``
         keeps no padded value map.  (With those three copies it was 9.9 MiB.)"""
-        model, x, _ = _tiny_step(batch=8)
-        tracemalloc.start()
-        try:
-            logits = model(x)
-            live = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert logits.requires_grad
+        live = _forward_tape_bytes("san-tiny")
         assert live <= 7 * 2**20, f"{live / 2**20:.2f} MiB live after forward"
+
+    @pytest.mark.parametrize("overrides,mib", [
+        ({"family": "patchwise", "relation": "concatenation"}, 14),
+        ({"relation": "hadamard", "position": "relative"}, 17),
+        ({"relation": "dot", "position": "relative"}, 17),
+    ], ids=["patchwise-concatenation", "hadamard", "dot"])
+    def test_tiny_forward_tape_holds_one_k_fold_map_per_layer(self, overrides, mib):
+        """The same b=8 forward for the variants that still build a K-fold
+        relation: patchwise concatenation keeps one, its convolution's
+        unfolded key map (no transposed copy and no concatenated relation),
+        and Hadamard and dot add their center map inside the product layer
+        (no second K-fold sum).  With those copies they held 19.9, 19.4 and
+        19.9 MiB."""
+        live = _forward_tape_bytes(named_spec("san-tiny", **overrides))
+        assert live <= mib * 2**20, f"{live / 2**20:.2f} MiB live after forward"
 
     def test_tiny_step_gradients_match_keep_everything_walk(self, spec="san-tiny"):
         grads = []
@@ -535,6 +565,19 @@ def _tiny_step(batch, spec="san-tiny"):
             p.data = rng.uniform(-bound, bound, p.shape).astype(p.dtype)
     x = Tensor(rng.normal(size=(batch, 3, 32, 32)).astype(np.float32))
     return model, x, rng.integers(0, 10, batch)
+
+
+def _forward_tape_bytes(spec):
+    """Bytes a b=8 train-mode forward of ``_tiny_step``'s model leaves live."""
+    model, x, _ = _tiny_step(batch=8, spec=spec)
+    tracemalloc.start()
+    try:
+        logits = model(x)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert logits.requires_grad
+    return live
 
 
 def _keep_everything_backward(loss):
