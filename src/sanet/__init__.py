@@ -1,10 +1,11 @@
 """Self-attention networks for image recognition.
 
 A small, self-contained stack: a numpy tensor core with reverse-mode
-autodiff, local pairwise/patchwise/scalar vector-attention operators plus
-a convolution baseline, residual blocks and full network builders,
-analytical parameter/MAC accounting, a desk-scale training loop, and
-rotation/adversarial robustness probes.
+autodiff, local pairwise and patchwise vector-attention operators (scalar
+dot-product attention runs as the patchwise star product without a
+perceptron) plus a convolution baseline, residual blocks and full network
+builders, analytical parameter/MAC accounting, a desk-scale training loop,
+and rotation/adversarial robustness probes.
 """
 
 from .tensor import (
@@ -23,7 +24,6 @@ from .attention import (
     pairwise_attention,
     patchwise_attention,
     position_features,
-    scalar_attention,
 )
 from .models import ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .accounting import CostReport, count_macs, count_params, verify_against_runtime
@@ -51,6 +51,5 @@ __all__ = [
     "patchwise_attention",
     "position_features",
     "save_checkpoint",
-    "scalar_attention",
     "verify_against_runtime",
 ]

@@ -82,28 +82,24 @@ def attention_block_cost(channels: int, cfg: AttentionConfig, hw: int) -> tuple[
     params += linear_params(channels, cm, bias=False)  # value map
     macs = s * channels * d * 2 + s * channels * cm
 
-    if cfg.family == "scalar":
-        macs += s * slots * d                  # slot scores
-    else:
-        widths = mlp_widths(cfg, dims)
-        params += mlp_params(widths)
-        per_pass = sum(a * b for a, b in zip(widths[:-1], widths[1:]))
-        passes = s * slots if cfg.family == "pairwise" else s
-        macs += passes * per_pass
-        if cfg.family == "pairwise":
-            macs += s * slots * (d if cfg.relation != "concatenation" else 0)
-            if cfg.position != "none":
-                params += 4                    # 2x2 position linear
-                macs += 4 * s
-                if cfg.position == "relative":
-                    macs += 2 * slots * s      # per-slot coordinate differences
-        else:
-            if cfg.relation == "star_product":
-                macs += s * slots * d
-            elif cfg.relation == "clique_product":
-                macs += s * slots * slots * d
-            # patchwise concatenation has no relation stage: its first layer,
-            # counted above, runs as a query map plus a k x k key convolution
+    widths = mlp_widths(cfg, dims)             # none for scalar attention
+    params += mlp_params(widths)
+    per_pass = sum(a * b for a, b in zip(widths[:-1], widths[1:]))
+    passes = s * slots if cfg.family == "pairwise" else s
+    macs += passes * per_pass
+    if cfg.family == "pairwise":
+        macs += s * slots * (d if cfg.relation != "concatenation" else 0)
+        if cfg.position != "none":
+            params += 4                        # 2x2 position linear
+            macs += 4 * s
+            if cfg.position == "relative":
+                macs += 2 * slots * s          # per-slot coordinate differences
+    elif cfg.relation == "clique_product":
+        macs += s * slots * slots * d
+    elif cfg.relation != "concatenation":      # star product and scalar dot: slot scores
+        macs += s * slots * d
+    # patchwise concatenation has no relation stage: its first layer,
+    # counted above, runs as a query map plus a k x k key convolution
 
     macs += s * slots * cm                     # weighted slot aggregation
     params += 2 * cm                           # mid norm affine

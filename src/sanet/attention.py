@@ -6,11 +6,12 @@ alone, so it is a set operator over the footprint: permuting the slot
 enumeration does not change the output.  Patchwise attention computes
 the weights for all slots jointly from the whole patch, which lets it
 single out individual positions; a suitable constant weight head turns
-it into an ordinary convolution.  Scalar dot-product attention and a
-direct convolution are included as baselines.  ``AttentionConfig`` owns
-the footprint rule (an odd side from ``FOOTPRINT_SIDES``, stride 1), and
-``Linear``, the one pointwise channel layer, builds both the weight
-perceptron here and the projections of the residual blocks.
+it into an ordinary convolution.  The baselines are scalar dot-product
+attention, which runs as the patchwise star product with no perceptron,
+and a direct convolution.  ``AttentionConfig`` owns the footprint rule
+(an odd side from ``FOOTPRINT_SIDES``, stride 1), and ``Linear``, the one
+pointwise channel layer, builds both the weight perceptron here and the
+projections of the residual blocks.
 
 All operators share the same value path: a channel-reducing linear map
 (no bias, so zero-padded locations contribute exactly zero) whose map is
@@ -46,12 +47,12 @@ FOOTPRINT_SIDES = (1, 3, 5, 7, 9, 11)
 
 
 def check_fields(spec, positive=()):
-    """Reject a field of the dataclass ``spec`` declared ``int`` or ``bool``
-    that holds another type (a bool is no int), then a field named in
+    """Reject a field of the dataclass ``spec`` declared ``int``, ``bool`` or
+    ``str`` that holds another type (a bool is no int), then a field named in
     ``positive`` below 1; each message names the field."""
     for name, kind in get_type_hints(type(spec)).items():
         value = getattr(spec, name)
-        if kind in (int, bool) and type(value) is not kind:
+        if kind in (int, bool, str) and type(value) is not kind:
             raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
     for name in positive:
         if getattr(spec, name) < 1:
@@ -87,6 +88,8 @@ class AttentionConfig:
             raise ConfigError(f"{self.family} relation must be one of {RELATIONS[self.family]}")
         if self.position not in POSITION_MODES:
             raise ConfigError(f"position mode must be one of {POSITION_MODES}")
+        if self.normalize and self.family != "scalar":
+            raise ConfigError("normalize applies to scalar attention only")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError("mlp_depth must be 1, 2 or 3")
         if self.footprint not in FOOTPRINT_SIDES:
@@ -154,6 +157,8 @@ def mlp_widths(cfg: AttentionConfig, dims: AttentionDims) -> list[int]:
     at once; the layer feeding that slot-times-groups expansion is kept at
     one group's width so the expansion stays cheap.
     """
+    if cfg.family == "scalar":
+        return []
     din = relation_width(cfg, dims)
     if cfg.family == "pairwise":
         if cfg.position != "none":
@@ -192,19 +197,16 @@ class VectorAttention(Module):
         # value map carries no bias: padded (all-zero) locations must map to zero
         self.w_value = kaiming_uniform(rng, (cm, channels), channels, dtype)
         self.mlp = ModuleList()
-        if cfg.family != "scalar":
-            widths = mlp_widths(cfg, self.dims)
-            for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-                self.mlp.append(Linear(fan_in, fan_out, rng, dtype))
+        widths = mlp_widths(cfg, self.dims)
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            self.mlp.append(Linear(fan_in, fan_out, rng, dtype))
         if cfg.family == "pairwise" and cfg.position != "none":
             self.w_pos = kaiming_uniform(rng, (2, 2), 2, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.cfg.family == "pairwise":
             return pairwise_attention(x, self)
-        if self.cfg.family == "patchwise":
-            return patchwise_attention(x, self)
-        return scalar_attention(x, self)
+        return patchwise_attention(x, self)
 
 
 def position_features(h: int, w: int, w_pos: Tensor) -> Tensor:
@@ -282,11 +284,7 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     pos = None if p is None else T.linear(p, T.take(layer.w, range(rel_cols, rel_cols + 2), axis=1))
     center, neighbor = (pos, T.neg(pos)) if cfg.position == "relative" else (None, pos)
     if cfg.relation in ("hadamard", "dot"):
-        ku = T.unfold(k, cfg.footprint)
-        if slot_order is not None:  # checked first: np.take raises IndexError out of range
-            T.slot_offsets(cfg.footprint, slot_order, "pairwise_attention")
-            ku = T.take(ku, slot_order, axis=2)
-        rel = T.mul(T.reshape(q, (n, d, 1, h, w)), ku)
+        rel = _key_products(q, k, cfg.footprint, slot_order)
         if cfg.relation == "dot":
             rel = T.sum(rel, axis=1, keepdims=True)
         center = None if center is None else T.reshape(center, (1, layer.w.shape[0], 1, h, w))
@@ -301,6 +299,16 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     return T.reshape(center, (n, layer.w.shape[0], 1, h, w)), neighbor
 
 
+def _key_products(q: Tensor, k: Tensor, footprint: int, slot_order=None) -> Tensor:
+    """``[N, d, K, H, W]``: ``q_i * k_j`` for each location and slot, in ``slot_order``."""
+    n, d, h, w = q.shape
+    ku = T.unfold(k, footprint)
+    if slot_order is not None:  # checked first: np.take raises IndexError out of range
+        T.slot_offsets(footprint, slot_order, "pairwise_attention")
+        ku = T.take(ku, slot_order, axis=2)
+    return T.mul(T.reshape(q, (n, d, 1, h, w)), ku)
+
+
 def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     """Whole-patch attention: one perceptron pass emits all slot weights.
 
@@ -310,49 +318,38 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     first layer over ``[q_i ; k_1 .. k_K]`` is the pointwise map of the
     query plus a k x k convolution of the key map, whose kernel is the
     layer's slot-major key columns regrouped to ``[out, d, k, k]``.
+
+    Scalar attention is the star product with no perceptron, one weight per
+    slot for all channels, ``y_i = sum_j (q_i . k_j) v_j``, softmaxed over
+    slots first with ``normalize``.
     """
-    cfg, dims, first = params.cfg, params.dims, params.mlp[0]
+    cfg, dims, layers = params.cfg, params.dims, list(params.mlp)
     n, _, h, w = x.shape
     q, k, v = _qkv(x, params)
     if cfg.relation == "concatenation":
+        first = layers[0]
         blocks = T.reshape(first.w, (-1, dims.slots + 1, dims.d))
         keys = T.transpose(T.take(blocks, range(1, dims.slots + 1), axis=1), (0, 2, 1))
         kernel = T.reshape(keys, keys.shape[:2] + (cfg.footprint, cfg.footprint))
         flat = T.linear(q, T.take(first.w, range(dims.d), axis=1), first.b, add=conv2d(k, kernel))
     else:
-        ku = T.unfold(k, cfg.footprint)
-        if cfg.relation == "star_product":
-            qe = T.reshape(q, (n, dims.d, 1, h, w))
-            rel = T.sum(T.mul(qe, ku), axis=1)  # [N, K, H, W]
-        else:
+        if cfg.relation == "clique_product":
+            ku = T.unfold(k, cfg.footprint)
             qu = T.unfold(q, cfg.footprint)
             qj = T.reshape(qu, (n, dims.d, dims.slots, 1, h, w))
             kk = T.reshape(ku, (n, dims.d, 1, dims.slots, h, w))
             rel = T.sum(T.mul(qj, kk), axis=1)  # [N, K, K, H, W], (j, k) row-major
             rel = T.reshape(rel, (n, dims.slots * dims.slots, h, w))
-        flat = T.linear(rel, first.w, first.b)
-    for layer in list(params.mlp)[1:]:
+        else:  # star product and scalar dot
+            rel = T.sum(_key_products(q, k, cfg.footprint), axis=1)  # [N, K, H, W]
+        flat = T.linear(rel, layers[0].w, layers[0].b) if layers else rel
+    for layer in layers[1:]:
         flat = T.linear(T.relu(flat), layer.w, layer.b)  # [N, K * groups, H, W]
-    wts = T.reshape(flat, (n, dims.slots, dims.groups, h, w))
+    if cfg.normalize:
+        flat = T.softmax(flat, axis=1)
+    wts = T.reshape(flat, (n, dims.slots, -1, h, w))
     wts = T.transpose(wts, (0, 2, 1, 3, 4))
     return T.slot_aggregate(wts, v, cfg.footprint)
-
-
-def scalar_attention(x: Tensor, params: VectorAttention) -> Tensor:
-    """Dot-product attention with one scalar weight per slot, all channels.
-
-    ``y_i = sum_j (query_i . key_j) * value_j``; with ``normalize`` the
-    slot scores pass through a softmax first.
-    """
-    cfg, dims = params.cfg, params.dims
-    n, _, h, w = x.shape
-    q, k, v = _qkv(x, params)
-    ku = T.unfold(k, cfg.footprint)
-    qe = T.reshape(q, (n, dims.d, 1, h, w))
-    scores = T.sum(T.mul(qe, ku), axis=1, keepdims=True)  # [N, 1, K, H, W]
-    if cfg.normalize:
-        scores = T.softmax(scores, axis=2)
-    return T.slot_aggregate(scores, v, cfg.footprint)
 
 
 class Linear(Module):

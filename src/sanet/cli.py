@@ -20,12 +20,12 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from functools import partial
 
 from . import __version__
 from .accounting import cost_report, verify_against_runtime
-from .attention import AttentionConfig
+from .attention import POSITION_MODES
 from .data import load_dataset
 from .gradcheck import plan_sweep
 from .models import (
@@ -52,31 +52,40 @@ from .training import TrainConfig, TrainingDiverged, evaluate, train
 DATA_ROOT_ENV = "SANET_DATA_ROOT"
 
 
-# AttentionConfig field -> the flag that sets it
-_ATTENTION_FLAGS = {"family": "--attention", "relation": "--relation", "footprint": "--footprint",
-                    "mlp_depth": "--gamma-depth", "r1": "--r1", "r2": "--r2",
-                    "share": "--share", "position": "--position-mode"}
+# AttentionConfig field -> the flag that sets it and its argparse options, in --help order
+_ATTENTION_FLAGS = {
+    "family": ("--attention", {"choices": ["pairwise", "patchwise", "scalar"]}),
+    "relation": ("--relation", {}), "footprint": ("--footprint", {"type": int}),
+    "mlp_depth": ("--gamma-depth", {"type": int, "help": "linear layers in the "
+                                    "attention-weight perceptron (1-3)"}),
+    "r1": ("--r1", {"type": int}), "r2": ("--r2", {"type": int}), "share": ("--share", {"type": int}),
+    "position": ("--position-mode", {"choices": list(POSITION_MODES)}),
+}
 
 
 def _resolve_spec(args, classes: int | None = None, side: int | None = None):
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(AttentionConfig)}
+    overrides = {name: getattr(args, name) for name in _ATTENTION_FLAGS}
     if args.spec_file is not None:
-        given = [_ATTENTION_FLAGS[name] for name, value in overrides.items() if value is not None]
+        given = [_ATTENTION_FLAGS[name][0] for name, value in overrides.items() if value is not None]
         if given:
             raise ConfigError(f"--spec-file fixes the attention configuration, so "
                               f"{', '.join(given)} cannot be given with it")
         spec = load_spec_file(args.spec_file)
-        if classes is not None and spec.classes != classes:
-            raise ConfigError(
-                f"spec file declares {spec.classes} classes, dataset has {classes}"
-            )
-        if side is not None and spec.input_hw != side:
-            raise ConfigError(
-                f"spec file declares input_hw {spec.input_hw}, dataset images are {side}x{side}"
-            )
+        if classes is not None:
+            _check_data(spec, "spec file", classes, side)
         return spec
     spec = named_spec(args.model, classes=classes, **overrides)
     return spec if side is None else replace(spec, input_hw=side)
+
+
+def _check_data(spec, source: str, classes: int, side: int):
+    """Reject a spec, read from ``source``, that does not fit the data's classes and side."""
+    if spec.classes != classes:
+        raise ConfigError(f"{source} declares {spec.classes} classes, dataset has {classes}")
+    if spec.input_hw != side:
+        raise ConfigError(
+            f"{source} declares input_hw {spec.input_hw}, dataset images are {side}x{side}"
+        )
 
 
 def _write_json(path, payload):
@@ -174,11 +183,13 @@ def cmd_train(args) -> int:
 
 def _open_eval(args, command: str, default_out: str, **config):
     """Shared preamble of ``eval``, ``robust`` and ``attack``: load the data and
-    checkpoint, then write the manifest.  Callers validate their config first."""
+    checkpoint, check that they fit, then write the manifest.  Callers validate
+    their config first."""
     dataset = _resolve_data(args)
     if args.checkpoint is None:
         raise ConfigError("this command needs --checkpoint")
     model = load_checkpoint(args.checkpoint)
+    _check_data(model.spec, "checkpoint", dataset.classes, dataset.train_images.shape[-1])
     out = args.out or default_out
     _emit_manifest(out, command, {
         "checkpoint": args.checkpoint, **config,
@@ -239,17 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", default="san10", help=f"one of {', '.join(MODEL_NAMES)}")
             p.add_argument("--spec-file", default=None, help="JSON model spec (overrides --model)")
-            p.add_argument("--attention", default=None,
-                           choices=["pairwise", "patchwise", "scalar"], dest="family")
-            p.add_argument("--relation", default=None)
-            p.add_argument("--footprint", type=int, default=None)
-            p.add_argument("--gamma-depth", type=int, default=None, dest="mlp_depth",
-                           help="linear layers in the attention-weight perceptron (1-3)")
-            p.add_argument("--r1", type=int, default=None)
-            p.add_argument("--r2", type=int, default=None)
-            p.add_argument("--share", type=int, default=None)
-            p.add_argument("--position-mode", default=None,
-                           choices=["none", "absolute", "relative"], dest="position")
+            for name, (flag, options) in _ATTENTION_FLAGS.items():
+                p.add_argument(flag, default=None, dest=name, **options)
         if checkpoint:
             p.add_argument("--checkpoint", default=None)
         yield p

@@ -3,7 +3,8 @@
 A ``ModelSpec`` fully determines a network: architecture family
 (self-attention or convolutional-residual), per-stage channels/blocks/
 footprints, the attention configuration, and the classifier; its fields
-are type-checked, and a SAN spec's footprints checked, as it is created.
+are type-checked, and its name (part of default run directories) and a SAN
+spec's footprints checked, as it is created.
 The builders make, run and name the units of ``accounting.unit_plan``,
 the one walk over a spec, bit-reproducibly from a seed.  A checkpoint
 stores one list of arrays, the parameters and then the buffers; loading
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -67,6 +69,9 @@ class ModelSpec:
         if not self.stages:
             raise ConfigError("model needs at least one stage")
         check_fields(self, positive=("stem_channels", "classes", "input_hw"))
+        if self.name in ("", ".", "..") or any(
+                c and c in self.name for c in ("/", "\0", os.sep, os.altsep)):
+            raise ConfigError(f"name must be a plain file name, got {self.name!r}")
         if self.arch == "san":
             for st in self.stages:  # the attention's footprint rule, checked at spec time
                 self.attention.with_footprint(st.footprint)

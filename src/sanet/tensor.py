@@ -83,12 +83,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcast gradient back to ``shape``."""
     if grad.shape == tuple(shape):
@@ -178,7 +172,6 @@ def backward(loss: Tensor):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
     def bwd(g):
@@ -188,7 +181,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
 
     def bwd(g):
@@ -198,7 +190,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
 
     def bwd(g):
@@ -208,33 +199,26 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    a = as_tensor(a)
     sv = a.data.dtype.type(s)
     return _node(a.data * sv, (a,), lambda g: (g * sv,))
 
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _node(data, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     data = np.maximum(a.data, 0)
 
     def bwd(g):
@@ -244,7 +228,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
     data = a.data.reshape(shape)
 
     def bwd(g):
@@ -254,7 +237,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    a = as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
@@ -265,7 +247,6 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
     data = np.broadcast_to(a.data, shape)
 
     def bwd(g):
@@ -276,7 +257,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 def take(x: Tensor, indices, axis: int) -> Tensor:
     """Index-select along one axis (gradient scatter-adds back)."""
-    x = as_tensor(x)
     indices = np.asarray(indices)
     data = np.take(x.data, indices, axis=axis)
 
@@ -294,7 +274,7 @@ def take(x: Tensor, indices, axis: int) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+    tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -324,7 +304,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     to the output) are summed in place in the wider dtype, so no sum node
     keeps the output alive.  The backward reads ``x`` and ``weight``, never the output.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
     if x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise DimensionError(
             f"linear: x channels {x.shape} incompatible with weight {weight.shape}"
@@ -335,14 +314,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     data = np.matmul(weight.data[None], x3).reshape((shape[0], c_out) + shape[2:])
     parents = [x, weight]
     if bias is not None:
-        bias = as_tensor(bias)
         if bias.shape != (c_out,):
             raise DimensionError("linear: bias length must equal output channels")
         data = data.astype(np.result_type(data, bias.data), copy=False)
         data += bias.data.reshape((1, -1) + (1,) * (x.data.ndim - 2))
         parents.append(bias)
     if add is not None:
-        add = as_tensor(add)
         if add.data.ndim > data.ndim or any(
                 a not in (1, o) for a, o in zip(add.shape[::-1], data.shape[::-1])):
             raise DimensionError(f"linear: addend {add.shape} does not broadcast to {data.shape}")
@@ -387,7 +364,6 @@ def batch_norm(
     its parent's output) and rebuilds ``xhat`` from it with the forward's
     own steps, as in-place activated batch norm does (arXiv:1712.02616).
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects an NCHW tensor")
     c = x.shape[1]
@@ -450,7 +426,6 @@ def batch_norm(
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -463,7 +438,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int) -> Tensor:
-    x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
@@ -520,7 +494,6 @@ def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
     zero.  The map is zero-padded by ``(k - 1) // 2``, so with stride 1 the
     spatial extent is preserved.
     """
-    x = as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError("unfold expects an NCHW tensor")
     if k < 1 or k % 2 == 0:
@@ -555,7 +528,6 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     The winning slot of each window is recorded only when the output goes
     on the tape.
     """
-    x = as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError("max_pool expects an NCHW tensor")
     if k < 1 or stride < 1 or pad < 0:
@@ -612,9 +584,6 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     ``[N, Cm, K, H, W]`` gather is built in either direction; the backward
     pads the value and neighbor maps again, so no padded copy is kept.
     """
-    weights, values = as_tensor(weights), as_tensor(values)
-    neighbor = None if neighbor is None else as_tensor(neighbor)
-    tail = [(as_tensor(wt), as_tensor(bt)) for wt, bt in mlp]
     if values.data.ndim != 4:
         raise DimensionError("slot_aggregate expects an NCHW value map")
     if k < 1 or k % 2 == 0:
@@ -622,7 +591,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     n, cm, h, w = values.shape
     d = groups = weights.shape[1]
     chained = True
-    for wt, bt in tail:  # each layer maps the previous width to its own
+    for wt, bt in mlp:  # each layer maps the previous width to its own
         chained &= wt.shape[1:] == (groups,) and bt.shape == wt.shape[:1]
         groups = wt.shape[0]
     if (not chained or cm % groups
@@ -630,7 +599,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
             or neighbor is not None and neighbor.shape not in ((n, d, h, w), (1, d, h, w))):
         raise DimensionError(
             f"slot_aggregate: weights {weights.shape}, neighbor {getattr(neighbor, 'shape', None)} "
-            f"and layers {[wt.shape for wt, _ in tail]} do not fit values {values.shape} "
+            f"and layers {[wt.shape for wt, _ in mlp]} do not fit values {values.shape} "
             f"and footprint {k}"
         )
     share, pad = cm // groups, (k - 1) // 2
@@ -646,7 +615,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         if nb is not None:
             a = a + nb[window]
         inputs = []
-        for wt, bt in tail:
+        for wt, bt in mlp:
             a = np.maximum(a, 0)
             inputs.append(a)
             a = np.matmul(wt.data[None], a.reshape(n, a.shape[1], -1)).reshape(n, -1, h, w)
@@ -658,7 +627,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         return v5, None if neighbor is None else np.pad(neighbor.data, pads)
 
     parents = (weights, values) + (() if neighbor is None else (neighbor,))
-    parents += tuple(t for pair in tail for t in pair)
+    parents += tuple(t for pair in mlp for t in pair)
     v5, nb = padded()
     out = np.zeros((n, groups, share, h, w), dtype=np.result_type(*(t.data for t in parents)))
     for s, (dy, dx) in enumerate(offsets):
@@ -672,14 +641,14 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         gv5 = np.zeros_like(v5, dtype=g.dtype)
         gn = None if nb is None else np.zeros_like(nb, dtype=g.dtype)
         gtail = [(np.zeros_like(wt.data, dtype=g.dtype), np.zeros_like(bt.data, dtype=g.dtype))
-                 for wt, bt in tail]
+                 for wt, bt in mlp]
         for s in footprint_order:
             dy, dx = offsets[s]
             window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
             a, inputs = slot_weights(s, window, nb)
             ga = np.einsum("ngshw,ngshw->nghw", g5, v5[window])
             gv5[window] += g5 * a[:, :, None]
-            for (wt, _), r, (gwt, gbt) in zip(tail[::-1], inputs[::-1], gtail[::-1]):
+            for (wt, _), r, (gwt, gbt) in zip(mlp[::-1], inputs[::-1], gtail[::-1]):
                 g3 = ga.reshape(n, ga.shape[1], -1)
                 gwt += np.matmul(g3, np.moveaxis(r.reshape(n, r.shape[1], -1), 1, 2)).sum(axis=0)
                 gbt += g3.sum(axis=(0, 2))
@@ -702,7 +671,6 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean: ``[N, C, H, W] -> [N, C]``."""
-    x = as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError("global_avg_pool expects an NCHW tensor")
     n, c, h, w = x.shape

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .attention import check_fields
 from .data import Dataset, augment_batch
 from .models import NonFiniteLogits, named_units, predict, save_checkpoint
 from .module import Module
@@ -37,10 +38,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        check_fields(self, positive=("epochs", "batch_size"))
         for name in ("base_lr", "momentum", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

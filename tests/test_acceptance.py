@@ -13,7 +13,7 @@ import pytest
 
 from sanet.accounting import count_macs, count_params
 from sanet.attention import AttentionConfig, VectorAttention, conv2d, pairwise_attention, \
-    patchwise_attention, scalar_attention
+    patchwise_attention
 from sanet.blocks import Bottleneck, SelfAttentionBlock
 from sanet.cli import main as cli_main
 from sanet.data import load_cifar10, make_blobs
@@ -164,7 +164,7 @@ class TestCriterion5Structure:
         pair.mlp[0].w.data[...] = 1.0
         pair.mlp[0].b.data[...] = 0.0
         with no_grad():
-            scalar_ok = np.max(np.abs(scalar_attention(x, scalar).data
+            scalar_ok = np.max(np.abs(patchwise_attention(x, scalar).data
                                       - pairwise_attention(x, pair).data)) <= 1e-12
 
         # (d) zeroed expansion makes residual blocks the identity, bit-exact

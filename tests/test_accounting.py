@@ -79,6 +79,20 @@ class TestPublishedMacBudgets:
         within(macs_g(named_spec("san10")), 2.2, 0.10)
         within(macs_g(named_spec("san10", family="patchwise")), 1.9, 0.10)
 
+    @pytest.mark.parametrize("name,family,relation,params,macs", [
+        ("san10", "scalar", "dot", 10_474_008, 1_557_485_184),
+        ("san10", "patchwise", "star_product", 10_926_756, 1_641_357_504),
+        ("san10", "patchwise", "clique_product", 11_472_708, 2_205_385_920),
+        ("san-tiny", "scalar", "dot", 12_034, 1_832_576),
+        ("san-tiny", "patchwise", "star_product", 21_478, 2_912_896),
+        ("san-tiny", "patchwise", "clique_product", 36_166, 7_189_120),
+    ])
+    def test_slot_score_relations_are_pinned(self, name, family, relation, params, macs):
+        """Scalar and star-product attention score ``K * d`` MACs per location,
+        clique product ``K**2 * d``; scalar has no perceptron."""
+        report = count_macs(named_spec(name, family=family, relation=relation))
+        assert (report.params, report.macs) == (params, macs)
+
     @pytest.mark.parametrize("k,target", [(3, 1.7), (5, 1.9), (7, 2.2),
                                           (9, 2.5), (11, 3.0)])
     def test_pairwise_footprint_sweep(self, k, target):

@@ -18,7 +18,6 @@ from sanet.attention import (
     patchwise_attention,
     position_features,
     relation_width,
-    scalar_attention,
 )
 from sanet.accounting import mlp_params
 from sanet.reference import (
@@ -318,7 +317,7 @@ class TestScalarAttention:
         rng = np.random.default_rng(15)
         x = Tensor(rng.normal(size=(1, 16, 4, 4)))
         with no_grad():
-            out = scalar_attention(x, params).data
+            out = patchwise_attention(x, params).data
             values = T.unfold(T.linear(x, params.w_value), 3).data
         np.testing.assert_allclose(out, values.mean(axis=2), atol=1e-12)
 
@@ -335,7 +334,7 @@ class TestScalarAttention:
 
         x = Tensor(np.random.default_rng(17).normal(size=(2, 16, 5, 5)))
         with no_grad():
-            a = scalar_attention(x, scalar).data
+            a = patchwise_attention(x, scalar).data
             b = pairwise_attention(x, pair).data
         assert np.max(np.abs(a - b)) <= 1e-12
 

@@ -1,5 +1,6 @@
 """Command-line contracts: outputs, exit codes, filters, determinism."""
 
+import dataclasses
 import json
 import os
 import warnings
@@ -108,7 +109,7 @@ class TestCount:
     @pytest.mark.parametrize("field,value", [
         ("blocks", 1.5), ("channels", "16"), ("footprint", True), ("input_hw", 32.0),
         ("r1", 4.0), ("classes", True), ("mlp_depth", 2.0), ("normalize", 3),
-        ("first_transition", 0),
+        ("first_transition", 0), ("name", 5), ("name", None),
     ])
     def test_mistyped_spec_field_exits_2_without_run_dir(self, tmp_path, capsys, field, value):
         """Integer fields take no bool or float and flags take only a bool, so
@@ -119,6 +120,35 @@ class TestCount:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and f"{field} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a/../../esc", "..", "", "a\0b"])
+    def test_spec_name_that_is_no_file_name_exits_2_creating_nothing(self, tmp_path, capsys,
+                                                                     monkeypatch, name):
+        """The default run directory is ``runs/count-<name>``: a separator or
+        dot-dot in the name would move it, here outside ``runs/``, and a NUL
+        byte would end in a traceback."""
+        path = write_tiny_spec(tmp_path, {"name": name})
+        monkeypatch.chdir(tmp_path)
+        assert main(["count", "--spec-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "name must be a plain file name" in err
+        assert os.listdir(tmp_path) == ["spec.json"]
+
+    @pytest.mark.parametrize("family,relation", [("pairwise", "subtraction"),
+                                                 ("patchwise", "star_product")])
+    def test_normalize_outside_scalar_attention_exits_2_without_run_dir(self, tmp_path, capsys,
+                                                                        family, relation):
+        """Only scalar attention softmaxes its slot scores; ``normalize`` on
+        another family is rejected, not recorded in the manifest and ignored."""
+        out = tmp_path / "c"
+        path = write_tiny_spec(tmp_path, {"family": family, "relation": relation,
+                                          "normalize": True})
+        assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "normalize applies to scalar attention only" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["count", "train"])
@@ -280,6 +310,24 @@ class TestTrainCommand:
                        f"dataset images are 32x32\n")
         assert not out.exists()
 
+    def test_spec_file_classes_must_match_the_data(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        path = write_tiny_spec(tmp_path, {"classes": 7})
+        assert main(["train", "--spec-file", str(path), "--limit", "20", "--epochs", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: spec file declares 7 classes, dataset has 10\n"
+        assert not out.exists()
+
+    def test_cifar10_without_a_root_exits_2_without_run_dir(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.delenv("SANET_DATA_ROOT", raising=False)
+        out = tmp_path / "t"
+        assert main(["train", "--model", "san-tiny", "--data", "cifar10", "--epochs", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cifar10 needs a dataset root")
+        assert not out.exists()
+
     def test_named_model_records_the_data_side(self, tmp_path):
         """resnet26 is declared at 224x224; trained on 32x32 blobs, its run
         must say 32, in the manifest and in the checkpoint header."""
@@ -329,7 +377,38 @@ def overflowing_checkpoint(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def misfit_checkpoints(tmp_path_factory):
+    """san-tiny checkpoints that do not fit the 10-class 32x32 blobs."""
+    root = tmp_path_factory.mktemp("misfit")
+    tiny = named_spec("san-tiny")
+    specs = {"7 classes": dataclasses.replace(tiny, classes=7),
+             "12 classes": dataclasses.replace(tiny, classes=12),
+             "input_hw 64": dataclasses.replace(tiny, input_hw=64)}
+    paths = {}
+    for tag, spec in specs.items():
+        paths[tag] = root / (tag.replace(" ", "-") + ".ckpt")
+        save_checkpoint(build_model(spec), paths[tag])
+    return paths
+
+
 class TestEvalRobustAttack:
+    @pytest.mark.parametrize("tag,message", [
+        ("7 classes", "declares 7 classes, dataset has 10"),
+        ("12 classes", "declares 12 classes, dataset has 10"),
+        ("input_hw 64", "declares input_hw 64, dataset images are 32x32"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "robust", "attack"])
+    def test_checkpoint_that_does_not_fit_the_data_exits_2_without_run_dir(
+            self, misfit_checkpoints, tmp_path, capsys, command, tag, message):
+        """A checkpoint scores only data of its own classes and side; any
+        other pairing is rejected before a run directory is made."""
+        out = tmp_path / "e"
+        assert main([command, "--checkpoint", str(misfit_checkpoints[tag]), "--data", "blobs",
+                     "--limit", "20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: checkpoint {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "robust", "attack"])
     def test_non_finite_logits_exit_1(self, overflowing_checkpoint, tmp_path, capsys, command):
         code, err = user_stderr(capsys, [command, "--checkpoint", str(overflowing_checkpoint),

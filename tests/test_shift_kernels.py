@@ -25,7 +25,6 @@ from sanet.attention import (
     pairwise_attention,
     patchwise_attention,
     position_features,
-    scalar_attention,
 )
 from sanet.data import augment_batch, make_blobs
 from sanet.models import build_model, named_spec
@@ -183,7 +182,7 @@ def test_patchwise_matches_gathered_reference(relation):
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_scalar_matches_gathered_reference(normalize):
-    _assert_two_sided(scalar_attention, reference_scalar,
+    _assert_two_sided(patchwise_attention, reference_scalar,
                       lambda rng, k: _params(rng, k, family="scalar", relation="dot",
                                              normalize=normalize),
                       seed=20 + normalize)

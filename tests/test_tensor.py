@@ -96,6 +96,22 @@ class TestLinear:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("add_shape", [(5, 4, 6), (4, 6), (5, 1, 6)],
+                             ids=["no-batch", "no-channels", "no-batch-one-row"])
+    def test_lower_rank_addend_gradient_sums_the_missing_axes(self, add_shape):
+        """An addend of lower rank than the [3, 5, 4, 6] output gets the output
+        gradient summed over the axes it lacks or broadcasts along."""
+        rng = np.random.default_rng(5)
+        x, w = Tensor(rng.normal(size=(3, 4, 4, 6))), Tensor(rng.normal(size=(5, 4)))
+        a = Tensor(rng.normal(size=add_shape), requires_grad=True)
+        proj = rng.normal(size=(3, 5, 4, 6))
+        out = T.linear(x, w, add=a)
+        np.testing.assert_array_equal(out.data, T.linear(x, w).data + a.data)
+        T.sum(T.mul(out, Tensor(proj))).backward()
+        lead = (1,) * (4 - len(add_shape)) + add_shape
+        axes = tuple(i for i, s in enumerate(lead) if s == 1)
+        np.testing.assert_allclose(a.grad, proj.sum(axis=axes).reshape(add_shape), rtol=1e-12)
+
     @pytest.mark.parametrize("add_shape", [(1, 4, 4, 6), (5, 6), (1, 1, 5, 4, 6), (2, 5, 4, 6)],
                              ids=["channels", "trailing", "extra-axis", "widens-batch"])
     def test_addend_that_does_not_broadcast_to_output_is_rejected(self, add_shape):
