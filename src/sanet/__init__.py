@@ -23,10 +23,9 @@ from .attention import (
     conv2d,
     pairwise_attention,
     patchwise_attention,
-    position_features,
 )
 from .models import ModelSpec, build_model, load_checkpoint, save_checkpoint
-from .accounting import CostReport, count_macs, count_params, verify_against_runtime
+from .accounting import CostReport, cost_report, verify_against_runtime
 
 __version__ = "0.1.0"
 
@@ -43,13 +42,11 @@ __all__ = [
     "backward",
     "build_model",
     "conv2d",
-    "count_macs",
-    "count_params",
+    "cost_report",
     "load_checkpoint",
     "no_grad",
     "pairwise_attention",
     "patchwise_attention",
-    "position_features",
     "save_checkpoint",
     "verify_against_runtime",
 ]

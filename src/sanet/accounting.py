@@ -168,11 +168,6 @@ def cost_report(spec: ModelSpec, input_hw: int | None = None) -> CostReport:
                                       for name, _, _, cost in unit_plan(spec, hw)])
 
 
-# Public names of the one report: parameter counts do not depend on the
-# input size, MAC counts do.
-count_params = count_macs = cost_report
-
-
 def verify_against_runtime(spec: ModelSpec, seed: int = 0) -> dict:
     """Cross-check symbolic parameter counts against a built model, exactly.
 

@@ -28,7 +28,7 @@ stays on the tape.  Patchwise concatenation's first layer is a convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -41,7 +41,10 @@ PAIRWISE_RELATIONS = ("summation", "subtraction", "concatenation", "hadamard", "
 PATCHWISE_RELATIONS = ("star_product", "clique_product", "concatenation")
 RELATIONS = {"pairwise": PAIRWISE_RELATIONS, "patchwise": PATCHWISE_RELATIONS, "scalar": ("dot",)}
 POSITION_MODES = ("none", "absolute", "relative")
-FAMILIES = ("pairwise", "patchwise", "scalar", "conv")
+# The AttentionConfig fields each family reads, beyond those every family reads
+FAMILY_FIELDS = {"pairwise": ("share", "mlp_depth", "position"),
+                 "patchwise": ("share", "mlp_depth"), "scalar": ("normalize",)}
+FAMILIES = tuple(FAMILY_FIELDS)
 
 FOOTPRINT_SIDES = (1, 3, 5, 7, 9, 11)
 
@@ -67,7 +70,11 @@ class AttentionConfig:
     stream (query/key width ``d = C / r1``) and the value stream
     (``Cm = C / r2``); ``share`` is the number of consecutive value
     channels governed by one weight component; ``mlp_depth`` is the number
-    of linear layers in the weight-producing perceptron.
+    of linear layers in the weight-producing perceptron.  Every family reads
+    ``relation``, ``footprint``, ``r1`` and ``r2``; beyond those, pairwise reads
+    ``share``, ``mlp_depth`` and ``position``, patchwise ``share`` and
+    ``mlp_depth``, and scalar ``normalize`` (``FAMILY_FIELDS``).  A field the
+    family does not read must keep its default.
     """
 
     family: str = "pairwise"
@@ -84,12 +91,14 @@ class AttentionConfig:
         check_fields(self, positive=("r1", "r2", "share"))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown attention family {self.family!r}")
-        if self.family in RELATIONS and self.relation not in RELATIONS[self.family]:
+        if self.relation not in RELATIONS[self.family]:
             raise ConfigError(f"{self.family} relation must be one of {RELATIONS[self.family]}")
+        for field in fields(self):
+            owners = [family for family, read in FAMILY_FIELDS.items() if field.name in read]
+            if owners and self.family not in owners and getattr(self, field.name) != field.default:
+                raise ConfigError(f"{field.name} applies to {' and '.join(owners)} attention only")
         if self.position not in POSITION_MODES:
             raise ConfigError(f"position mode must be one of {POSITION_MODES}")
-        if self.normalize and self.family != "scalar":
-            raise ConfigError("normalize applies to scalar attention only")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError("mlp_depth must be 1, 2 or 3")
         if self.footprint not in FOOTPRINT_SIDES:
@@ -117,14 +126,16 @@ def attention_dims(channels: int, cfg: AttentionConfig) -> AttentionDims:
         raise ConfigError(f"channels {channels} not divisible by r1={cfg.r1}")
     if channels % cfg.r2 != 0:
         raise ConfigError(f"channels {channels} not divisible by r2={cfg.r2}")
-    cm = channels // cfg.r2
-    if cm % cfg.share != 0:
-        raise ConfigError(f"value width {cm} not divisible by share={cfg.share}")
+    cm, groups = channels // cfg.r2, 1  # scalar attention: one weight per slot
+    if "share" in FAMILY_FIELDS[cfg.family]:
+        if cm % cfg.share != 0:
+            raise ConfigError(f"value width {cm} not divisible by share={cfg.share}")
+        groups = cm // cfg.share
     return AttentionDims(
         channels=channels,
         d=channels // cfg.r1,
         cm=cm,
-        groups=cm // cfg.share,
+        groups=groups,
         slots=cfg.footprint * cfg.footprint,
     )
 
@@ -139,13 +150,11 @@ def relation_width(cfg: AttentionConfig, dims: AttentionDims) -> int:
             "concatenation": 2 * dims.d,
             "dot": 1,
         }[cfg.relation]
-    if cfg.family == "patchwise":
-        return {
-            "star_product": dims.slots,
-            "clique_product": dims.slots * dims.slots,
-            "concatenation": (dims.slots + 1) * dims.d,
-        }[cfg.relation]
-    raise ConfigError(f"family {cfg.family!r} has no relation stage")
+    return {
+        "star_product": dims.slots,
+        "clique_product": dims.slots * dims.slots,
+        "concatenation": (dims.slots + 1) * dims.d,
+    }[cfg.relation]
 
 
 def mlp_widths(cfg: AttentionConfig, dims: AttentionDims) -> list[int]:
@@ -185,8 +194,6 @@ class VectorAttention(Module):
 
     def __init__(self, channels: int, cfg: AttentionConfig, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        if cfg.family == "conv":
-            raise ConfigError("use Conv2d for the convolution baseline")
         self.cfg = cfg
         self.dims = attention_dims(channels, cfg)
         d, cm = self.dims.d, self.dims.cm
@@ -209,25 +216,16 @@ class VectorAttention(Module):
         return patchwise_attention(x, self)
 
 
-def position_features(h: int, w: int, w_pos: Tensor) -> Tensor:
-    """Trainably remapped normalized coordinates, shape ``[2, H, W]``.
+def position_map(h: int, w: int, w_pos: Tensor, dtype) -> Tensor:
+    """Trainably remapped normalized coordinates, shape ``[1, 2, H, W]``.
 
-    Row and column indices are normalized to [-1, 1] per axis (a
-    single-pixel axis maps to 0) and passed through the 2x2 linear map.
+    Row and column indices are normalized to [-1, 1] per axis in ``dtype``
+    (a single-pixel axis maps to 0) and passed through the 2x2 linear map.
     """
-    return T.reshape(_position_map(h, w, w_pos, w_pos.dtype), (2, h, w))
-
-
-def _coordinate_grid(h: int, w: int, dtype) -> np.ndarray:
     ys = np.linspace(-1.0, 1.0, h, dtype=dtype) if h > 1 else np.zeros(1, dtype=dtype)
     xs = np.linspace(-1.0, 1.0, w, dtype=dtype) if w > 1 else np.zeros(1, dtype=dtype)
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    return np.stack([yy, xx])[None]  # [1, 2, H, W]
-
-
-def _position_map(h: int, w: int, w_pos: Tensor, dtype) -> Tensor:
-    grid = Tensor(_coordinate_grid(h, w, dtype))
-    return T.linear(grid, w_pos)  # [1, 2, H, W]
+    grid = np.stack(np.meshgrid(ys, xs, indexing="ij"))[None]
+    return T.linear(Tensor(grid), w_pos)
 
 
 def _qkv(x: Tensor, params: VectorAttention):
@@ -253,7 +251,7 @@ def pairwise_attention(x: Tensor, params: VectorAttention,
     q, k, v = _qkv(x, params)
     p = None
     if cfg.position != "none":
-        p = _position_map(x.shape[2], x.shape[3], params.w_pos, x.dtype)  # [1, 2, H, W]
+        p = position_map(x.shape[2], x.shape[3], params.w_pos, x.dtype)
     base, neighbor = _first_layer(q, k, p, params, slot_order)
     tail = [(layer.w, layer.b) for layer in list(params.mlp)[1:]]
     return T.slot_aggregate(base, v, cfg.footprint, slots=slot_order,

@@ -25,9 +25,9 @@ from functools import partial
 
 from . import __version__
 from .accounting import cost_report, verify_against_runtime
-from .attention import POSITION_MODES
+from .attention import FAMILIES, POSITION_MODES
 from .data import load_dataset
-from .gradcheck import plan_sweep
+from .gradcheck import SWEEP_CASES, plan_sweep
 from .models import (
     MODEL_NAMES,
     CheckpointError,
@@ -38,7 +38,7 @@ from .models import (
     named_spec,
     spec_to_dict,
 )
-from .reference import plan_oracle_sweep
+from .reference import ORACLE_CASES, plan_oracle_sweep
 from .robustness import (
     MANIPULATIONS,
     AttackConfig,
@@ -54,7 +54,7 @@ DATA_ROOT_ENV = "SANET_DATA_ROOT"
 
 # AttentionConfig field -> the flag that sets it and its argparse options, in --help order
 _ATTENTION_FLAGS = {
-    "family": ("--attention", {"choices": ["pairwise", "patchwise", "scalar"]}),
+    "family": ("--attention", {"choices": list(FAMILIES)}),
     "relation": ("--relation", {}), "footprint": ("--footprint", {"type": int}),
     "mlp_depth": ("--gamma-depth", {"type": int, "help": "linear layers in the "
                                     "attention-weight perceptron (1-3)"}),
@@ -271,15 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     with command("gradcheck", cmd_gradcheck, "finite-difference gradient verification") as p:
         p.add_argument("--kind", default=None,
-                       choices=["pairwise", "patchwise", "scalar", "conv", "block"])
+                       choices=list(dict.fromkeys(k for k, _, _ in SWEEP_CASES)))
         p.add_argument("--relation", default=None)
         p.add_argument("--position-mode", default=None, dest="position",
-                       choices=["none", "absolute", "relative"])
+                       choices=list(POSITION_MODES))
         p.add_argument("--tol", type=float, default=1e-4)
 
     with command("oracle", cmd_oracle, "vectorized vs naive-loop comparison") as p:
         p.add_argument("--kind", default=None,
-                       choices=["pairwise", "patchwise", "scalar", "conv"])
+                       choices=list(dict.fromkeys(k for k, _, _ in ORACLE_CASES)))
         p.add_argument("--relation", default=None)
         p.add_argument("--cases", type=int, default=20)
         p.add_argument("--tol", type=float, default=1e-10)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (
+    FAMILY_FIELDS,
     PAIRWISE_RELATIONS,
     PATCHWISE_RELATIONS,
     POSITION_MODES,
@@ -108,9 +109,10 @@ def check_gradients(build, leaves: dict[str, Tensor], name: str = "case",
 def _check_config(family: str, relation: str, position: str = "none",
                   normalize: bool = False) -> AttentionConfig:
     # channels=16 at the check shape: r1=4 -> width 4, r2=2 -> value width 8
+    fields = {"share": 2, "position": position, "normalize": normalize}
     return AttentionConfig(
-        family=family, relation=relation, footprint=CHECK_FOOTPRINT,
-        r1=4, r2=2, share=2, position=position, normalize=normalize,
+        family=family, relation=relation, footprint=CHECK_FOOTPRINT, r1=4, r2=2,
+        **{f: v for f, v in fields.items() if f in FAMILY_FIELDS[family]},
     )
 
 

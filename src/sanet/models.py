@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import unit_plan
-from .attention import AttentionConfig, check_fields
+from .attention import FAMILY_FIELDS, AttentionConfig, check_fields
 from .module import Module, ModuleList
 from .tensor import ConfigError, Tensor, no_grad
 
@@ -120,9 +120,10 @@ def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
 
     ``overrides`` are ``AttentionConfig`` fields; those that are not None
     replace the model's defaults, and a family override without a relation
-    takes that family's default relation.  A footprint override applies
-    to every stage after the first; the first stage keeps its small 3x3
-    footprint (full-resolution stages are memory-bound).
+    takes that family's default relation.  A model default in a field the
+    family does not read (``FAMILY_FIELDS``) is dropped.  A footprint
+    override applies to every stage after the first; the first stage keeps
+    its small 3x3 footprint (full-resolution stages are memory-bound).
     """
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if name in RESNET_BLOCKS:
@@ -136,21 +137,23 @@ def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
                          classes=classes if classes is not None else 1000)
 
     if name in SAN_BLOCKS:
-        base = AttentionConfig()
+        base = {}
         blocks = SAN_BLOCKS[name]
         channels, footprints = SAN_CHANNELS, SAN_FOOTPRINTS
         default_classes, input_hw, stem, first_transition = 1000, 224, 64, True
     elif name == "san-tiny":
-        base = AttentionConfig(r1=4, r2=2, share=2)
+        base = {"r1": 4, "r2": 2, "share": 2}
         blocks = (1, 1, 1)
         channels, footprints = (16, 32, 64), (3, 5, 5)
         default_classes, input_hw, stem, first_transition = 10, 32, 16, False
     else:
         raise ConfigError(f"unknown model {name!r} (expected one of {MODEL_NAMES})")
 
-    family_relation = {"patchwise": "concatenation", "scalar": "dot"}.get(overrides.get("family"))
+    family = overrides.get("family", AttentionConfig.family)
+    family_relation = {"patchwise": "concatenation", "scalar": "dot"}.get(family)
     if family_relation is not None:
         overrides.setdefault("relation", family_relation)
+    base = {k: v for k, v in base.items() if k in ("r1", "r2", *FAMILY_FIELDS.get(family, ()))}
     if "footprint" in overrides:
         footprints = (footprints[0],) + (overrides.pop("footprint"),) * (len(blocks) - 1)
     stages = tuple(
@@ -159,7 +162,7 @@ def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
     return ModelSpec(
         name=name, arch="san", stages=stages, stem_channels=stem,
         classes=classes if classes is not None else default_classes,
-        input_hw=input_hw, attention=dataclasses.replace(base, **overrides),
+        input_hw=input_hw, attention=AttentionConfig(**{**base, **overrides}),
         first_transition=first_transition,
     )
 

@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from .attention import (
+    FAMILY_FIELDS,
     PAIRWISE_RELATIONS,
     PATCHWISE_RELATIONS,
     AttentionConfig,
@@ -211,11 +212,13 @@ _NAIVE = {
 
 def _random_attention_case(family: str, rel: str, rng: np.random.Generator):
     k = int(rng.choice([1, 3, 5]))
-    share = int(rng.choice([1, 2, 4]))
-    position = str(rng.choice(["none", "absolute", "relative"])) if family == "pairwise" else "none"
-    normalize = bool(rng.integers(0, 2)) if family == "scalar" else False
+    drawn = {"share": int(rng.choice([1, 2, 4]))}  # drawn for every family: one rng stream
+    if family == "pairwise":
+        drawn["position"] = str(rng.choice(["none", "absolute", "relative"]))
+    if family == "scalar":
+        drawn["normalize"] = bool(rng.integers(0, 2))
     cfg = AttentionConfig(family=family, relation=rel, footprint=k, r1=4, r2=2,
-                          share=share, position=position, normalize=normalize)
+                          **{f: v for f, v in drawn.items() if f in FAMILY_FIELDS[family]})
     params = VectorAttention(16, cfg, rng, dtype=np.float64)
     shape = (int(rng.integers(1, 3)), 16, int(rng.integers(3, 7)), int(rng.integers(3, 7)))
     x = rng.normal(0.0, 1.0, shape)

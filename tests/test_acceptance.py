@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from sanet.accounting import count_macs, count_params
-from sanet.attention import AttentionConfig, VectorAttention, conv2d, pairwise_attention, \
-    patchwise_attention
+from sanet.accounting import cost_report
+from sanet.attention import FAMILY_FIELDS, AttentionConfig, VectorAttention, conv2d, \
+    pairwise_attention, patchwise_attention
 from sanet.blocks import Bottleneck, SelfAttentionBlock
 from sanet.cli import main as cli_main
 from sanet.data import load_cifar10, make_blobs
@@ -54,29 +54,29 @@ class TestCriterion1Parameters:
         t0 = time.perf_counter()
         checks = []
         for name, target in [("san10", 10.5e6), ("san15", 14.1e6), ("san19", 17.6e6)]:
-            checks.append(within(count_params(named_spec(name)).params, target, 0.02))
+            checks.append(within(cost_report(named_spec(name)).params, target, 0.02))
         for name, target in [("san10", 11.8e6), ("san15", 16.2e6), ("san19", 20.5e6)]:
             checks.append(within(
-                count_params(named_spec(name, family="patchwise")).params, target, 0.02))
+                cost_report(named_spec(name, family="patchwise")).params, target, 0.02))
         for name, target in [("resnet26", 13.7e6), ("resnet38", 19.6e6),
                              ("resnet50", 25.6e6)]:
-            checks.append(within(count_params(named_spec(name)).params, target, 0.02))
-        pairwise_by_k = [count_params(named_spec("san10", footprint=k)).params
+            checks.append(within(cost_report(named_spec(name)).params, target, 0.02))
+        pairwise_by_k = [cost_report(named_spec("san10", footprint=k)).params
                          for k in (3, 5, 7, 9, 11)]
         checks.append(len(set(pairwise_by_k)) == 1)
         for k, target in [(3, 10.7e6), (5, 11.2e6), (7, 11.8e6), (9, 12.7e6),
                           (11, 13.8e6)]:
             checks.append(within(
-                count_params(named_spec("san10", family="patchwise", footprint=k)).params,
+                cost_report(named_spec("san10", family="patchwise", footprint=k)).params,
                 target, 0.02))
         checks.append(within(
-            count_params(named_spec("san10", family="patchwise", mlp_depth=1)).params,
+            cost_report(named_spec("san10", family="patchwise", mlp_depth=1)).params,
             53.5e6, 0.05))
         checks.append(within(
-            count_params(named_spec("san10", relation="concatenation")).params,
+            cost_report(named_spec("san10", relation="concatenation")).params,
             10.6e6, 0.02))
         checks.append(within(
-            count_params(named_spec("san10", relation="dot")).params, 10.5e6, 0.02))
+            cost_report(named_spec("san10", relation="dot")).params, 10.5e6, 0.02))
         elapsed = time.perf_counter() - t0
         report("1 (parameter budgets)", all(checks) and elapsed < 1.0,
                f"{sum(checks)}/{len(checks)} figures within tolerance, {elapsed:.2f}s")
@@ -86,17 +86,17 @@ class TestCriterion2Macs:
     def test_mac_reproduction(self):
         t0 = time.perf_counter()
         checks = [
-            within(count_macs(named_spec("resnet26")).macs, 2.4e9, 0.10),
-            within(count_macs(named_spec("resnet50")).macs, 4.1e9, 0.10),
-            within(count_macs(named_spec("san10")).macs, 2.2e9, 0.10),
-            within(count_macs(named_spec("san10", family="patchwise")).macs, 1.9e9, 0.10),
+            within(cost_report(named_spec("resnet26")).macs, 2.4e9, 0.10),
+            within(cost_report(named_spec("resnet50")).macs, 4.1e9, 0.10),
+            within(cost_report(named_spec("san10")).macs, 2.2e9, 0.10),
+            within(cost_report(named_spec("san10", family="patchwise")).macs, 1.9e9, 0.10),
         ]
         for k, target in [(3, 1.7e9), (5, 1.9e9), (7, 2.2e9), (9, 2.5e9), (11, 3.0e9)]:
-            checks.append(within(count_macs(named_spec("san10", footprint=k)).macs,
+            checks.append(within(cost_report(named_spec("san10", footprint=k)).macs,
                                  target, 0.10))
         for depth, target in [(1, 9.5e9), (2, 1.9e9), (3, 2.0e9)]:
             checks.append(within(
-                count_macs(named_spec("san10", family="patchwise", mlp_depth=depth)).macs,
+                cost_report(named_spec("san10", family="patchwise", mlp_depth=depth)).macs,
                 target, 0.10))
         elapsed = time.perf_counter() - t0
         report("2 (MAC budgets)", all(checks) and elapsed < 1.0,
@@ -129,8 +129,9 @@ class TestCriterion4Oracles:
 
 class TestCriterion5Structure:
     def _params(self, family, relation, share=2, seed=0, **kw):
-        cfg = AttentionConfig(family=family, relation=relation, footprint=3,
-                              r1=4, r2=2, share=share, **kw)
+        if "share" in FAMILY_FIELDS[family]:
+            kw["share"] = share
+        cfg = AttentionConfig(family=family, relation=relation, footprint=3, r1=4, r2=2, **kw)
         return VectorAttention(16, cfg, np.random.default_rng(seed), dtype=np.float64)
 
     def test_structural_properties(self):

@@ -7,18 +7,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sanet.accounting import count_macs, count_params, verify_against_runtime
+from sanet.accounting import cost_report, verify_against_runtime
 from sanet.blocks import Bottleneck
 from sanet.models import ModelSpec, StageSpec, build_model, named_spec, named_units
 from sanet.tensor import Tensor, no_grad
 
 
 def params_m(spec) -> float:
-    return count_params(spec).params / 1e6
+    return cost_report(spec).params / 1e6
 
 
 def macs_g(spec, hw=None) -> float:
-    return count_macs(spec, input_hw=hw).macs / 1e9
+    return cost_report(spec, input_hw=hw).macs / 1e9
 
 
 def within(value, target, tol):
@@ -44,7 +44,7 @@ class TestPublishedParameterBudgets:
         within(params_m(named_spec(name)), target, 0.02)
 
     def test_pairwise_constant_across_footprints(self):
-        counts = {count_params(named_spec("san10", footprint=k)).params
+        counts = {cost_report(named_spec("san10", footprint=k)).params
                   for k in (3, 5, 7, 9, 11)}
         assert len(counts) == 1
 
@@ -90,7 +90,7 @@ class TestPublishedMacBudgets:
     def test_slot_score_relations_are_pinned(self, name, family, relation, params, macs):
         """Scalar and star-product attention score ``K * d`` MACs per location,
         clique product ``K**2 * d``; scalar has no perceptron."""
-        report = count_macs(named_spec(name, family=family, relation=relation))
+        report = cost_report(named_spec(name, family=family, relation=relation))
         assert (report.params, report.macs) == (params, macs)
 
     @pytest.mark.parametrize("k,target", [(3, 1.7), (5, 1.9), (7, 2.2),
@@ -106,19 +106,19 @@ class TestPublishedMacBudgets:
 
 class TestStructuralProperties:
     def test_patchwise_params_strictly_increase_with_footprint(self):
-        counts = [count_params(named_spec("san10", family="patchwise", footprint=k)).params
+        counts = [cost_report(named_spec("san10", family="patchwise", footprint=k)).params
                   for k in (3, 5, 7, 9, 11)]
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
     def test_params_independent_of_input_size(self):
         spec = named_spec("san10")
-        assert count_macs(spec, 224).params == count_macs(spec, 448).params
+        assert cost_report(spec, 224).params == cost_report(spec, 448).params
 
     def test_macs_scale_quadratically_for_stride1_stages(self):
         """Doubling the input side quadruples every block's MACs."""
         spec = named_spec("san-tiny")
-        small = {b.name: b.macs for b in count_macs(spec, 32).breakdown}
-        large = {b.name: b.macs for b in count_macs(spec, 64).breakdown}
+        small = {b.name: b.macs for b in cost_report(spec, 32).breakdown}
+        large = {b.name: b.macs for b in cost_report(spec, 64).breakdown}
         for name, macs in small.items():
             if "block" in name or name == "stem":
                 assert large[name] == 4 * macs
@@ -128,7 +128,7 @@ class TestStructuralProperties:
         3 up to 2; each unit's MACs follow the extents a built resnet26
         actually produces, read from its units one by one."""
         spec = dataclasses.replace(named_spec("resnet26"), input_hw=40)
-        counted = {b.name: b.macs for b in count_macs(spec).breakdown}
+        counted = {b.name: b.macs for b in cost_report(spec).breakdown}
         model = build_model(spec).eval()
         h = Tensor(np.zeros((1, 3, 40, 40), np.float32))
         extents = []
@@ -150,7 +150,7 @@ class TestStructuralProperties:
         assert extents == [10, 5, 5, 3, 3, 3, 3, 2]
 
     def test_breakdown_totals_are_consistent(self):
-        report = count_params(named_spec("san19"))
+        report = cost_report(named_spec("san19"))
         assert report.params == sum(b.params for b in report.breakdown)
 
 

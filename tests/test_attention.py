@@ -8,6 +8,7 @@ import pytest
 
 import sanet.tensor as T
 from sanet.attention import (
+    FAMILY_FIELDS,
     AttentionConfig,
     Conv2d,
     VectorAttention,
@@ -16,7 +17,7 @@ from sanet.attention import (
     mlp_widths,
     pairwise_attention,
     patchwise_attention,
-    position_features,
+    position_map,
     relation_width,
 )
 from sanet.accounting import mlp_params
@@ -32,9 +33,9 @@ from sanet.tensor import ConfigError, DimensionError, Tensor, no_grad
 def make_params(family="pairwise", relation="subtraction", k=3, share=2,
                 position="none", normalize=False, channels=16, seed=0,
                 dtype=np.float64):
-    cfg = AttentionConfig(family=family, relation=relation, footprint=k,
-                          r1=4, r2=2, share=share, position=position,
-                          normalize=normalize)
+    fields = {"share": share, "position": position, "normalize": normalize}
+    cfg = AttentionConfig(family=family, relation=relation, footprint=k, r1=4, r2=2,
+                          **{f: v for f, v in fields.items() if f in FAMILY_FIELDS[family]})
     return VectorAttention(channels, cfg, np.random.default_rng(seed), dtype=dtype)
 
 
@@ -48,24 +49,25 @@ def force_constant_weights(params, value=1.0):
 
 class TestPositionFeatures:
     def test_single_pixel_maps_to_origin(self):
-        out = position_features(1, 1, Tensor(np.eye(2)))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 1, 1)))
+        out = position_map(1, 1, Tensor(np.eye(2)), np.float64)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 2, 1, 1)))
 
     def test_identity_map_corners(self):
-        out = position_features(3, 3, Tensor(np.eye(2))).data
+        out = position_map(3, 3, Tensor(np.eye(2)), np.float64).data[0]
         np.testing.assert_array_equal(out[:, 0, 0], [-1.0, -1.0])
         np.testing.assert_array_equal(out[:, 2, 2], [1.0, 1.0])
 
     def test_five_point_axis_is_linspace(self):
-        out = position_features(5, 5, Tensor(np.eye(2))).data
+        out = position_map(5, 5, Tensor(np.eye(2)), np.float64).data[0]
         np.testing.assert_allclose(out[0, :, 0], np.linspace(-1, 1, 5), atol=1e-15)
         np.testing.assert_allclose(out[1, 0, :], np.linspace(-1, 1, 5), atol=1e-15)
 
     def test_matches_loop_oracle_through_random_map(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(2, 2))
-        out = position_features(4, 6, Tensor(w)).data
-        np.testing.assert_allclose(out, naive_position_map(4, 6, w, np.float64), atol=1e-14)
+        out = position_map(4, 6, Tensor(w), np.float64).data
+        np.testing.assert_allclose(out, naive_position_map(4, 6, w, np.float64)[None],
+                                   atol=1e-14)
 
 
 class TestRelationVectors:
@@ -368,6 +370,27 @@ class TestConv2d:
         conv = Conv2d(3, 8, 3, stride=2, rng=np.random.default_rng(20))
         out = conv.forward(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)))
         assert out.shape == (1, 8, 16, 16)
+
+
+class TestFamilyFields:
+    def test_conv_is_no_attention_family(self):
+        with pytest.raises(ConfigError, match="unknown attention family 'conv'"):
+            AttentionConfig(family="conv")
+
+    @pytest.mark.parametrize("family,relation,field,value", [
+        ("patchwise", "concatenation", "position", "none"),
+        ("scalar", "dot", "share", 4),
+        ("scalar", "dot", "mlp_depth", 1),
+        ("scalar", "dot", "position", "absolute"),
+    ])
+    def test_unread_field_off_its_default_is_rejected(self, family, relation, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} applies to "):
+            AttentionConfig(family=family, relation=relation, **{field: value})
+
+    def test_scalar_attention_has_one_group(self):
+        """One weight per slot for all value channels, whatever ``cm``."""
+        dims = attention_dims(16, AttentionConfig(family="scalar", relation="dot", r2=16))
+        assert (dims.cm, dims.groups) == (1, 1)
 
 
 class TestFootprintRule:

@@ -151,6 +151,45 @@ class TestCount:
         assert "normalize applies to scalar attention only" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--attention", "patchwise", "--position-mode", "absolute"], "position"),
+        (["--attention", "scalar", "--gamma-depth", "3"], "mlp_depth"),
+        (["--attention", "scalar", "--share", "4"], "share"),
+        (["--attention", "scalar", "--position-mode", "none"], "position"),
+    ], ids=["patchwise-position", "scalar-gamma-depth", "scalar-share", "scalar-position"])
+    def test_field_the_family_does_not_read_exits_2_without_run_dir(self, tmp_path, capsys,
+                                                                    flags, field):
+        """Patchwise attention has no position term and scalar attention no
+        perceptron or channel groups; such a value is rejected, not recorded
+        in a manifest while every output stays the same."""
+        out = tmp_path / "c"
+        assert main(["count", "--model", "san-tiny", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} applies to ")
+        assert not out.exists()
+
+    def test_spec_file_with_patchwise_position_exits_2_without_run_dir(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        path = write_tiny_spec(tmp_path, {"family": "patchwise", "relation": "concatenation",
+                                          "position": "none"})
+        assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "(position applies to pairwise attention only)" in err
+        assert not out.exists()
+
+    def test_scalar_attention_ignores_value_width_groups(self, tmp_path):
+        """Scalar attention weighs all value channels of a slot alike, so a
+        value width of one channel (san-tiny's first stage at r2=16) counts
+        and builds; ``share``, which it does not read, keeps its default."""
+        out = tmp_path / "c"
+        assert main(["count", "--model", "san-tiny", "--attention", "scalar", "--r2", "16",
+                     "--verify-runtime", "--out", str(out)]) == 0
+        cost = read_json(out / "cost.json")
+        assert (cost["params"], cost["macs"]) == (7_232, 945_536)
+        assert cost["runtime_check"]["matches"]
+        assert read_json(out / "manifest.json")["config"]["spec"]["attention"]["share"] == 8
+
     @pytest.mark.parametrize("command", ["count", "train"])
     def test_attention_flags_with_spec_file_exit_2_without_run_dir(self, tmp_path, capsys,
                                                                    command):

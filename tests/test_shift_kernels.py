@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import sanet.tensor as T
 from sanet.attention import (
+    FAMILY_FIELDS,
     PAIRWISE_RELATIONS,
     PATCHWISE_RELATIONS,
     POSITION_MODES,
@@ -24,7 +25,7 @@ from sanet.attention import (
     VectorAttention,
     pairwise_attention,
     patchwise_attention,
-    position_features,
+    position_map,
 )
 from sanet.data import augment_batch, make_blobs
 from sanet.models import build_model, named_spec
@@ -76,7 +77,7 @@ def reference_pairwise(x, params, slot_order=None):
         "dot": lambda: T.sum(T.mul(qe, ku), axis=1, keepdims=True),
     }[cfg.relation]()
     if cfg.position != "none":
-        p = T.reshape(position_features(h, w, params.w_pos), (1, 2, h, w))
+        p = position_map(h, w, params.w_pos, x.dtype)
         pu = _gather(p, k, slot_order)
         pos = T.sub(T.reshape(p, (1, 2, 1, h, w)), pu) if cfg.position == "relative" else pu
         rel = T.concat([rel, T.broadcast_to(pos, (n, 2, k * k, h, w))], axis=1)
@@ -116,11 +117,13 @@ def reference_scalar(x, params):
 
 
 def _params(rng, k, **cfg):
-    """Float64 layer with every parameter, biases included, drawn at random."""
-    share = int(rng.choice([1, 2, 8]))
-    depth = int(rng.integers(1, 4))
-    params = VectorAttention(16, AttentionConfig(footprint=k, r1=4, r2=2, share=share,
-                                                 mlp_depth=depth, **cfg),
+    """Float64 layer with every parameter, biases included, drawn at random;
+    ``share`` and the perceptron depth are drawn for every family and passed
+    to those that read them."""
+    drawn = {"share": int(rng.choice([1, 2, 8])), "mlp_depth": int(rng.integers(1, 4))}
+    read = FAMILY_FIELDS[cfg.get("family", "pairwise")]
+    cfg.update({f: v for f, v in drawn.items() if f in read})
+    params = VectorAttention(16, AttentionConfig(footprint=k, r1=4, r2=2, **cfg),
                              rng, dtype=np.float64)
     for _, p in params.named_parameters():
         p.data = rng.normal(scale=0.5, size=p.shape)
