@@ -29,6 +29,7 @@ stays on the tape.  Patchwise concatenation's first layer is a convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from typing import get_type_hints
 
 import numpy as np
@@ -49,11 +50,14 @@ FAMILIES = tuple(FAMILY_FIELDS)
 FOOTPRINT_SIDES = (1, 3, 5, 7, 9, 11)
 
 
+_type_hints = cache(get_type_hints)  # a dataclass's hints, read once per class
+
+
 def check_fields(spec, positive=()):
     """Reject a field of the dataclass ``spec`` declared ``int``, ``bool`` or
     ``str`` that holds another type (a bool is no int), then a field named in
     ``positive`` below 1; each message names the field."""
-    for name, kind in get_type_hints(type(spec)).items():
+    for name, kind in _type_hints(type(spec)).items():
         value = getattr(spec, name)
         if kind in (int, bool, str) and type(value) is not kind:
             raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")

@@ -296,6 +296,8 @@ def load_checkpoint(path) -> Module:
         dtype = np.dtype(header["dtype"])
     except CheckpointError:
         raise
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: checkpoint spec is not accepted ({exc})") from exc
     except Exception as exc:
         raise CheckpointError(f"{path}: corrupted checkpoint header ({exc})") from exc
 

@@ -54,11 +54,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -78,9 +75,6 @@ class Tensor:
 
     def backward(self):
         backward(self)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -353,16 +347,19 @@ def batch_norm(
 ) -> Tensor:
     """Per-channel batch normalization over an NCHW feature map, rectified.
 
-    Training mode normalizes with batch statistics (biased variance) and
-    updates the running buffers in place with the given momentum; eval mode
-    normalizes with the running buffers.  ``eps`` keeps the zero-variance
-    case finite.  The ReLU that follows every normalization in these
-    networks is applied in place, ``out = max(gamma * xhat + beta, 0)``, so
-    no pre-activation copy is kept: the backward masks the incoming
-    gradient with ``out > 0`` and then differentiates the normalization.
-    In training mode the backward keeps the input (on the tape anyway as
-    its parent's output) and rebuilds ``xhat`` from it with the forward's
-    own steps, as in-place activated batch norm does (arXiv:1712.02616).
+    Both modes apply one per-channel scale and shift,
+    ``out = max((x - mean) * scale + beta, 0)`` with
+    ``scale = gamma / sqrt(var + eps)``; ``eps`` keeps the zero-variance case
+    finite.  Training mode takes ``mean`` and the biased ``var`` from the
+    batch and updates the running buffers in place with the given momentum;
+    eval mode reads them from the running buffers.  The ReLU that follows
+    every normalization in these networks is applied in place, so no
+    pre-activation copy is kept: the backward masks the incoming gradient
+    with ``out > 0`` and rebuilds ``x - mean`` from the input (on the tape
+    anyway as its parent's output), as in-place activated batch norm does
+    (arXiv:1712.02616).  Its one training-only term is the gradient through
+    the batch statistics, ``dx -= scale / M * (dbeta + xhat * dgamma)`` over
+    the ``M`` values of each channel (arXiv:1502.03167).
     """
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects an NCHW tensor")
@@ -373,56 +370,36 @@ def batch_norm(
     shape = (1, c, 1, 1)
 
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
+        running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
-        inv_std = 1.0 / np.sqrt(var + eps)
-
-        def normalized():  # in place, as in eval mode below; made again in backward
-            centered = x.data - mu.reshape(shape)
-            return np.multiply(centered, inv_std.reshape(shape), out=centered)
-
-        data = gamma.data.reshape(shape) * normalized()
-        data = data.astype(np.result_type(data, beta.data), copy=False)
-        data += beta.data.reshape(shape)
-        np.maximum(data, 0, out=data)
-
-        def bwd(g):
-            g = g * (data > 0)
-            xhat = normalized()
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            dxhat = g * gamma.data.reshape(shape)
-            m1 = dxhat.mean(axis=axes).reshape(shape)
-            m2 = (dxhat * xhat).mean(axis=axes).reshape(shape)
-            dxhat -= m1
-            dxhat -= xhat * m2  # the product is formed in the wider dtype, not in xhat
-            dxhat *= inv_std.reshape(shape)
-            return dxhat, dgamma, dbeta
-
-        return _node(data, (x, gamma, beta), bwd)
-
-    inv_std = 1.0 / np.sqrt(running_var + eps)
-    mean = running_mean.reshape(shape).copy()  # the buffer may move before backward
+    else:
+        mean, var = running_mean.copy(), running_var  # the buffer may move before backward
+    mean = mean.reshape(shape)
+    inv_std = 1.0 / np.sqrt(var.reshape(shape) + eps)
+    scale = gamma.data.reshape(shape) * inv_std
     # one full-size buffer, promoted up front so the in-place steps never downcast
     dtype = np.result_type(x.data, mean, gamma.data, inv_std, beta.data)
     data = (x.data - mean).astype(dtype, copy=False)
-    data *= gamma.data.reshape(shape) * inv_std.reshape(shape)
+    data *= scale
     data += beta.data.reshape(shape)
     np.maximum(data, 0, out=data)
 
-    def bwd_eval(g):
+    def bwd(g):
         g = g * (data > 0)
         centered = x.data - mean
-        dgamma = (g * centered * inv_std.reshape(shape)).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        dx = g * (gamma.data * inv_std).reshape(shape)
-        return dx, dgamma, dbeta
+        dgamma = (g * centered * inv_std).sum(axis=axes, keepdims=True)
+        dbeta = g.sum(axis=axes, keepdims=True)
+        dx = g * scale
+        del g  # freed before the training term's two full-size temporaries
+        if training:
+            xhat = np.multiply(centered, inv_std, out=centered)
+            dx -= scale / (dx.size // c) * (dbeta + xhat * dgamma)
+        return dx, dgamma.reshape(c), dbeta.reshape(c)
 
-    return _node(data, (x, gamma, beta), bwd_eval)
+    return _node(data, (x, gamma, beta), bwd)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import struct
 import warnings
 
 import numpy as np
@@ -523,3 +524,21 @@ class TestEvalRobustAttack:
         bogus.write_bytes(b"definitely not a checkpoint")
         assert main(["eval", "--checkpoint", str(bogus), "--data", "blobs",
                      "--out", str(tmp_path / "e3")]) == 2
+
+    def test_checkpoint_spec_that_is_not_accepted_exits_2_without_run_dir(self, tmp_path, capsys):
+        """A well-formed header whose spec the configuration rejects (patchwise
+        with ``position: "none"``) is named as not accepted, not as corrupt."""
+        path = tmp_path / "patchwise.ckpt"
+        save_checkpoint(build_model(named_spec("san-tiny", family="patchwise")), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8 : 8 + hlen])
+        header["spec"]["attention"]["position"] = "none"
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", str(path), "--data", "blobs",
+                     "--limit", "20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: checkpoint spec is not accepted "
+                                           "(position applies to pairwise attention only)\n")
+        assert not out.exists()

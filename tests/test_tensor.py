@@ -211,18 +211,21 @@ class TestBatchNorm:
     @staticmethod
     def _relu_bn_reference(x, gamma, beta, rm, rv, training, proj):
         """Batch norm, in the formula of each mode, then a separate ReLU,
-        forward and backward, in plain numpy."""
+        forward and backward, in plain numpy.  Training adds to eval's
+        per-channel scale and shift the gradient through the batch statistics."""
         axes, shape = (0, 2, 3), (1, -1, 1, 1)
         if training:
             inv_std = 1.0 / np.sqrt(x.var(axis=axes) + 1e-5)
-            xhat = (x - x.mean(axis=axes).reshape(shape)) * inv_std.reshape(shape)
-            pre = gamma.reshape(shape) * xhat + beta.reshape(shape)
+            centered = x - x.mean(axis=axes).reshape(shape)
+            scale = (gamma * inv_std).reshape(shape)
+            pre = scale * centered + beta.reshape(shape)
             g = proj * (pre > 0)  # relu's backward
-            dxhat = g * gamma.reshape(shape)
-            m1 = dxhat.mean(axis=axes).reshape(shape)
-            m2 = (dxhat * xhat).mean(axis=axes).reshape(shape)
-            grads = (inv_std.reshape(shape) * (dxhat - m1 - xhat * m2),
-                     (g * xhat).sum(axis=axes), g.sum(axis=axes))
+            dgamma = (g * centered * inv_std.reshape(shape)).sum(axis=axes)
+            dbeta = g.sum(axis=axes)
+            xhat = centered * inv_std.reshape(shape)
+            stats = scale / (x.size // x.shape[1]) * (dbeta.reshape(shape)
+                                                      + xhat * dgamma.reshape(shape))
+            grads = (g * scale - stats, dgamma, dbeta)
         else:
             inv_std = 1.0 / np.sqrt(rv + 1e-5)
             centered = x - rm.reshape(shape)
@@ -261,7 +264,8 @@ class TestBatchNorm:
 
     def test_train_output_takes_the_widest_dtype(self):
         """A float64 shift on float32 input and scale gives float64, as the
-        out-of-place ``gamma * xhat + beta`` would."""
+        out-of-place ``(x - mean) * scale + beta`` would with ``x - mean``
+        promoted to float64 first."""
         rng = np.random.default_rng(35)
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         gamma = rng.normal(size=3).astype(np.float32)
@@ -270,10 +274,36 @@ class TestBatchNorm:
                            training=True).data
         axes, shape = (0, 2, 3), (1, 3, 1, 1)
         inv_std = 1.0 / np.sqrt(x.var(axis=axes) + 1e-5)
-        xhat = (x - x.mean(axis=axes).reshape(shape)) * inv_std.reshape(shape)
-        want = np.maximum(gamma.reshape(shape) * xhat + beta.reshape(shape), 0)
+        centered = x - x.mean(axis=axes).reshape(shape)
+        scale = (gamma * inv_std).reshape(shape)
+        want = np.maximum(centered.astype(np.float64) * scale + beta.reshape(shape), 0)
         assert out.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_matches_textbook_formula_within_sixteen_ulps(self, dtype):
+        """Training output and gradients stay within 16 machine epsilons of the
+        largest entry of the textbook formula: ``gamma * xhat + beta``, and the
+        backward ``inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``."""
+        rng = np.random.default_rng(36)
+        x = rng.normal(0.5, 2.0, size=(8, 4, 6, 6)).astype(dtype)
+        gamma, beta = rng.normal(size=4).astype(dtype), rng.normal(size=4).astype(dtype)
+        proj = rng.normal(size=x.shape).astype(dtype)
+        axes, shape = (0, 2, 3), (1, 4, 1, 1)
+        inv_std = 1.0 / np.sqrt(x.var(axis=axes) + 1e-5)
+        xhat = (x - x.mean(axis=axes).reshape(shape)) * inv_std.reshape(shape)
+        pre = gamma.reshape(shape) * xhat + beta.reshape(shape)
+        g = proj * (pre > 0)  # relu's backward
+        dxhat = g * gamma.reshape(shape)
+        m1 = dxhat.mean(axis=axes).reshape(shape)
+        m2 = (dxhat * xhat).mean(axis=axes).reshape(shape)
+        want = (np.maximum(pre, 0), inv_std.reshape(shape) * (dxhat - m1 - xhat * m2),
+                (g * xhat).sum(axis=axes), g.sum(axis=axes))
+        out, grads = self._run(x, gamma, beta, np.zeros(4, dtype), np.ones(4, dtype), True, proj)
+        assert 0 < np.sum(want[0] == 0) < want[0].size
+        for got, w in zip([out, *grads], want):
+            assert got.dtype == w.dtype == dtype
+            assert np.max(np.abs(got - w)) <= 16 * np.finfo(dtype).eps * np.max(np.abs(w))
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_clipped_outputs_pass_no_gradient(self, training):
