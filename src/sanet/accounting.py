@@ -17,7 +17,7 @@ weights, biases, batch-norm affines, and position linears.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -151,7 +151,7 @@ def unit_plan(spec: ModelSpec, input_hw: int | None = None):
                 hw //= 2
                 yield (f"stage{si + 1}.transition", si, partial(Transition, c, st.channels),
                        (2 * c + linear_params(c, st.channels), c * st.channels * hw * hw))
-            c, cfg = st.channels, spec.attention.with_footprint(st.footprint)
+            c, cfg = st.channels, replace(spec.attention, footprint=st.footprint)
             blocks = [(partial(SelfAttentionBlock, c, cfg), attention_block_cost(c, cfg, hw))]
             blocks *= st.blocks
         for bi, (build, cost) in enumerate(blocks):

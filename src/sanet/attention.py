@@ -28,7 +28,7 @@ stays on the tape.  Patchwise concatenation's first layer is a convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import get_type_hints
 
@@ -66,6 +66,15 @@ def check_fields(spec, positive=()):
             raise ConfigError(f"{name} must be at least 1, got {getattr(spec, name)}")
 
 
+def check_unread(spec, readers: dict, reader: str, noun: str):
+    """Reject a field of the dataclass ``spec``, off its default, that ``reader``
+    does not read; ``readers`` lists per reader the fields not every reader reads."""
+    for field in fields(spec):
+        owners = [name for name, read in readers.items() if field.name in read]
+        if owners and reader not in owners and getattr(spec, field.name) != field.default:
+            raise ConfigError(f"{field.name} applies to {' and '.join(owners)} {noun} only")
+
+
 @dataclass(frozen=True)
 class AttentionConfig:
     """Operator family plus every structural knob of one attention layer.
@@ -97,10 +106,7 @@ class AttentionConfig:
             raise ConfigError(f"unknown attention family {self.family!r}")
         if self.relation not in RELATIONS[self.family]:
             raise ConfigError(f"{self.family} relation must be one of {RELATIONS[self.family]}")
-        for field in fields(self):
-            owners = [family for family, read in FAMILY_FIELDS.items() if field.name in read]
-            if owners and self.family not in owners and getattr(self, field.name) != field.default:
-                raise ConfigError(f"{field.name} applies to {' and '.join(owners)} attention only")
+        check_unread(self, FAMILY_FIELDS, self.family, "attention")
         if self.position not in POSITION_MODES:
             raise ConfigError(f"position mode must be one of {POSITION_MODES}")
         if self.mlp_depth not in (1, 2, 3):
@@ -110,15 +116,11 @@ class AttentionConfig:
                 f"footprint side must be one of {FOOTPRINT_SIDES}, got {self.footprint}"
             )
 
-    def with_footprint(self, k: int) -> "AttentionConfig":
-        return replace(self, footprint=k)
-
 
 @dataclass(frozen=True)
 class AttentionDims:
     """Derived widths of one attention layer at a given channel count."""
 
-    channels: int
     d: int       # query/key width
     cm: int      # value width
     groups: int  # weight components per location-slot (cm / share)
@@ -135,13 +137,8 @@ def attention_dims(channels: int, cfg: AttentionConfig) -> AttentionDims:
         if cm % cfg.share != 0:
             raise ConfigError(f"value width {cm} not divisible by share={cfg.share}")
         groups = cm // cfg.share
-    return AttentionDims(
-        channels=channels,
-        d=channels // cfg.r1,
-        cm=cm,
-        groups=groups,
-        slots=cfg.footprint * cfg.footprint,
-    )
+    return AttentionDims(d=channels // cfg.r1, cm=cm, groups=groups,
+                         slots=cfg.footprint * cfg.footprint)
 
 
 def relation_width(cfg: AttentionConfig, dims: AttentionDims) -> int:

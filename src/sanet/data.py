@@ -126,6 +126,8 @@ def load_dataset(kind: str, root: str | None = None, limit: int | None = None,
                  seed: int = 0) -> Dataset:
     if limit is not None and limit < 1:
         raise ConfigError(f"dataset limit must be at least 1, got {limit}")
+    if kind == "blobs" and limit is not None and limit < 10:
+        raise ConfigError(f"blobs limit must be at least 10 (one image per class), got {limit}")
     if kind == "cifar10":
         if root is None:
             raise ConfigError("cifar10 needs a dataset root (flag or data-root env)")

@@ -2,9 +2,9 @@
 
 A ``ModelSpec`` fully determines a network: architecture family
 (self-attention or convolutional-residual), per-stage channels/blocks/
-footprints, the attention configuration, and the classifier; its fields
-are type-checked, and its name (part of default run directories) and a SAN
-spec's footprints checked, as it is created.
+footprints, the attention configuration, and the classifier; as it is
+created, its fields are type-checked, its name (part of default run
+directories) and footprints checked, and values no builder reads rejected.
 The builders make, run and name the units of ``accounting.unit_plan``,
 the one walk over a spec, bit-reproducibly from a seed.  A checkpoint
 stores one list of arrays, the parameters and then the buffers; loading
@@ -13,16 +13,15 @@ checks both name-and-shape lists and writes each array in place.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .accounting import unit_plan
-from .attention import FAMILY_FIELDS, AttentionConfig, check_fields
+from .attention import FAMILY_FIELDS, AttentionConfig, check_fields, check_unread
 from .module import Module, ModuleList
 from .tensor import ConfigError, Tensor, no_grad
 
@@ -40,8 +39,8 @@ class StageSpec:
     """One resolution stage: channel width, block count, footprint side.
 
     For convolutional-residual networks ``channels`` is the bottleneck
-    width (output channels are four times wider) and ``footprint`` is
-    ignored (the 3x3 convolution is fixed).
+    width (output channels are four times wider) and ``footprint`` must be
+    3 (the 3x3 convolution is fixed).
     """
 
     channels: int
@@ -54,6 +53,9 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """``attention`` and ``first_transition`` apply to SAN only, whose stage
+    footprints replace ``attention.footprint``; unread values keep defaults."""
+
     name: str
     arch: str  # "san" | "resnet"
     stages: tuple[StageSpec, ...]
@@ -72,15 +74,20 @@ class ModelSpec:
         if self.name in ("", ".", "..") or any(
                 c and c in self.name for c in ("/", "\0", os.sep, os.altsep)):
             raise ConfigError(f"name must be a plain file name, got {self.name!r}")
+        check_unread(self, {"san": ("attention", "first_transition")}, self.arch, "networks")
+        if self.arch == "resnet" and any(st.footprint != 3 for st in self.stages):
+            raise ConfigError("resnet stage footprints must be 3: the bottleneck's 3x3 is fixed")
         if self.arch == "san":
+            if self.attention.footprint != AttentionConfig.footprint:
+                raise ConfigError("attention.footprint must stay 7: each san stage sets its own")
             for st in self.stages:  # the attention's footprint rule, checked at spec time
-                self.attention.with_footprint(st.footprint)
+                replace(self.attention, footprint=st.footprint)
             if not self.first_transition and self.stages[0].channels != self.stem_channels:
                 raise ConfigError("without a first transition, stage 1 must match the stem width")
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
-    return dataclasses.asdict(spec)
+    return asdict(spec)
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
@@ -122,8 +129,9 @@ def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
     replace the model's defaults, and a family override without a relation
     takes that family's default relation.  A model default in a field the
     family does not read (``FAMILY_FIELDS``) is dropped.  A footprint
-    override applies to every stage after the first; the first stage keeps
-    its small 3x3 footprint (full-resolution stages are memory-bound).
+    override goes to the stages after the first (full-resolution stages are
+    memory-bound), not to ``attention``.  A ResNet takes no override: its
+    stages get footprint 3, ``attention`` and ``first_transition`` defaults.
     """
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if name in RESNET_BLOCKS:

@@ -17,13 +17,11 @@ import numpy as np
 
 from .attention import (
     FAMILY_FIELDS,
-    PAIRWISE_RELATIONS,
-    PATCHWISE_RELATIONS,
     AttentionConfig,
     Conv2d,
     VectorAttention,
 )
-from .gradcheck import result_record, select_cases
+from .gradcheck import SWEEP_CASES, result_record, select_cases
 from .tensor import ConfigError, Tensor, no_grad
 
 
@@ -241,11 +239,8 @@ def _random_conv_case(rng: np.random.Generator) -> float:
     return float(np.max(np.abs(fast - naive_conv2d(x, conv.kernel.data, bias, stride=stride))))
 
 
-ORACLE_CASES = (
-    [("pairwise", rel, None) for rel in PAIRWISE_RELATIONS]
-    + [("patchwise", rel, None) for rel in PATCHWISE_RELATIONS]
-    + [("scalar", None, None), ("conv", None, None)]
-)
+# the first row of each (kind, relation) that gradcheck sweeps, blocks aside
+ORACLE_CASES = tuple(dict.fromkeys((k, r, None) for k, r, _ in SWEEP_CASES if k != "block"))
 
 
 def _oracle_case(family: str, rel: str | None, cases: int, tol: float, seed) -> dict:

@@ -256,12 +256,7 @@ def take(x: Tensor, indices, axis: int) -> Tensor:
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        dest = [slice(None)] * gx.ndim
-        for pos, src in enumerate(indices):
-            dest[axis] = int(src)
-            sel = [slice(None)] * gx.ndim
-            sel[axis] = pos
-            gx[tuple(dest)] += g[tuple(sel)]
+        np.add.at(gx, (slice(None),) * axis + (indices,), g)
         return (gx,)
 
     return _node(data, (x,), bwd)

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from sanet.cli import main
-from sanet.models import build_model, load_checkpoint, named_spec, save_checkpoint, spec_to_dict
+from sanet.models import (
+    ModelSpec,
+    StageSpec,
+    build_model,
+    load_checkpoint,
+    named_spec,
+    save_checkpoint,
+    spec_to_dict,
+)
 from sanet.training import SGD
 
 
@@ -48,6 +56,35 @@ def write_tiny_spec(tmp_path, edit):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def edit_checkpoint_header(path, edit):
+    """Apply ``edit`` to the header's spec dict of the checkpoint at ``path``."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    edit(header["spec"])
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+
+
+TINY_RESNET = ModelSpec(name="resnet-tiny", arch="resnet", stem_channels=16, classes=10,
+                        input_hw=32, stages=(StageSpec(4, 1, 3), StageSpec(8, 2, 3)))
+
+# A value no builder reads: (spec it is set in, edit of the spec dict, message)
+DEAD_VALUES = {
+    "san-attention-footprint": (named_spec("san-tiny"),
+                                lambda d: d["attention"].update(footprint=3),
+                                "attention.footprint must stay 7"),
+    "resnet-attention": (TINY_RESNET,
+                         lambda d: d["attention"].update(family="patchwise",
+                                                         relation="star_product"),
+                         "attention applies to san networks only"),
+    "resnet-first-transition": (TINY_RESNET, lambda d: d.update(first_transition=False),
+                                "first_transition applies to san networks only"),
+    "resnet-stage-footprint": (TINY_RESNET, lambda d: d["stages"][1].update(footprint=5),
+                               "resnet stage footprints must be 3"),
+}
 
 
 class TestCount:
@@ -101,6 +138,23 @@ class TestCount:
     ], ids=["zero-widths", "footprint-4", "input-hw-33"])
     def test_bad_spec_file_exits_2_without_run_dir(self, tmp_path, capsys, edit, message):
         path = write_tiny_spec(tmp_path, edit)
+        out = tmp_path / "c"
+        assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dead", DEAD_VALUES)
+    def test_spec_file_value_no_builder_reads_exits_2_without_run_dir(self, tmp_path, capsys,
+                                                                       dead):
+        """A SAN stage footprint replaces the attention's, and a ResNet reads
+        neither the attention block, the first transition nor a stage footprint
+        (its 3x3 is fixed): setting one is refused, not recorded and ignored."""
+        spec, edit, message = DEAD_VALUES[dead]
+        d = spec_to_dict(spec)
+        edit(d)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(d))
         out = tmp_path / "c"
         assert main(["count", "--spec-file", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -514,6 +568,19 @@ class TestEvalRobustAttack:
         assert capsys.readouterr().err.startswith("error: dataset limit")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "robust", "attack"])
+    def test_blobs_limit_below_ten_exits_2_without_run_dir(self, tmp_path, capsys, command):
+        """Blobs draws whole images per class, so a limit under 10 would
+        train on 10 images, more than the cap promises."""
+        out = tmp_path / "o"
+        argv = [command, "--data", "blobs", "--limit", "5", "--out", str(out)]
+        if command != "train":
+            argv += ["--checkpoint", str(tmp_path / "unread.ckpt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: blobs limit must be at least 10 (one image per class), got 5\n"
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"), "--data", "blobs",
                      "--out", str(tmp_path / "e4")]) == 2
@@ -530,15 +597,25 @@ class TestEvalRobustAttack:
         with ``position: "none"``) is named as not accepted, not as corrupt."""
         path = tmp_path / "patchwise.ckpt"
         save_checkpoint(build_model(named_spec("san-tiny", family="patchwise")), path)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8 : 8 + hlen])
-        header["spec"]["attention"]["position"] = "none"
-        blob = json.dumps(header).encode()
-        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+        edit_checkpoint_header(path, lambda d: d["attention"].update(position="none"))
         out = tmp_path / "e"
         assert main(["eval", "--checkpoint", str(path), "--data", "blobs",
                      "--limit", "20", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"error: {path}: checkpoint spec is not accepted "
                                            "(position applies to pairwise attention only)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dead", DEAD_VALUES)
+    def test_checkpoint_value_no_builder_reads_exits_2_without_run_dir(self, tmp_path, capsys,
+                                                                        dead):
+        spec, edit, message = DEAD_VALUES[dead]
+        path = tmp_path / "dead.ckpt"
+        save_checkpoint(build_model(spec), path)
+        edit_checkpoint_header(path, edit)
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", str(path), "--data", "blobs",
+                     "--limit", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert err.startswith(f"error: {path}: checkpoint spec is not accepted (")
         assert not out.exists()

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import sanet.tensor as T
+from sanet.attention import FAMILIES
 from sanet.models import (
+    MODEL_NAMES,
     CheckpointError,
     NonFiniteLogits,
     build_model,
@@ -48,9 +50,16 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="mlp_depth does not apply"):
             named_spec("resnet26", mlp_depth=2)
 
-    def test_spec_dict_round_trip(self):
-        spec = named_spec("san-tiny", family="patchwise")
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_spec_dict_round_trip(self, name):
+        """What ``named_spec`` writes keeps every value its builder does not
+        read at its default, so it loads back with each family and footprint."""
+        options = [{}] if name.startswith("resnet") else [
+            {"family": family, "footprint": footprint}
+            for family in FAMILIES for footprint in (None, 5)]
+        for o in options:
+            spec = named_spec(name, **o)
+            assert spec_from_dict(spec_to_dict(spec)) == spec
 
     @pytest.mark.parametrize("field", ["channels", "blocks", "stem_channels", "classes",
                                        "input_hw"])
