@@ -228,15 +228,12 @@ def predict(model: Module, images: np.ndarray, batch_size: int = 64) -> np.ndarr
     Raises ``NonFiniteLogits`` if any logit is NaN or infinite: every score
     read from such logits (top-k, attack success) would be meaningless.
     """
-    was_training = model.training
-    model.eval()
     outs = []
     # an overflow is reported below as non-finite logits, not as numpy warnings
-    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+    with model.evaluating(), no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(images), batch_size):
             chunk = Tensor(images[start : start + batch_size])
             outs.append(model.forward(chunk).data)
-    model.train(was_training)
     logits = np.concatenate(outs, axis=0)
     bad = int((~np.isfinite(logits)).any(axis=1).sum())
     if bad:

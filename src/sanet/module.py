@@ -9,6 +9,8 @@ the parameter declaration order used by checkpoints.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .tensor import Tensor
@@ -68,6 +70,15 @@ class Module:
 
     def eval(self):
         return self.train(False)
+
+    @contextmanager
+    def evaluating(self):
+        """Eval mode inside the block; the caller's mode returns on any exit."""
+        was_training = self.training
+        try:
+            yield self.eval()
+        finally:
+            self.train(was_training)
 
     def zero_grad(self):
         for p in self.parameters():

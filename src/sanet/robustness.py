@@ -89,27 +89,25 @@ def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
         targets = choose_targets(labels, dataset.classes, cfg.seed)
     if np.any(targets == labels):
         raise UsageError("attack targets must differ from the true labels")
-    was_training = model.training
-    model.eval()
     clean = images.astype(np.float32)
     adv = clean.copy()
-    for start in range(0, len(images), batch_size):
-        sl = slice(start, start + batch_size)
-        x_adv = clean[sl].copy()
-        for _ in range(cfg.iters):
-            loss, x = _target_loss(model, dataset, x_adv, targets[sl])
-            model.zero_grad()
-            loss.backward()
-            # normalization is a positive per-channel rescale: the pixel
-            # gradient sign equals the normalized-input gradient sign
-            x_adv = x_adv - cfg.step * np.sign(x.grad)
-            x_adv = np.clip(x_adv, clean[sl] - cfg.eps, clean[sl] + cfg.eps)
-            x_adv = np.clip(x_adv, 0.0, 255.0)
-            linf = np.max(np.abs(x_adv - clean[sl])) if x_adv.size else 0.0
-            if linf > cfg.eps + 1e-3:
-                raise RuntimeError(f"perturbation {linf} escaped the L-inf ball of {cfg.eps}")
-        adv[sl] = x_adv
-    model.train(was_training)
+    with model.evaluating():
+        for start in range(0, len(images), batch_size):
+            sl = slice(start, start + batch_size)
+            x_adv = clean[sl].copy()
+            for _ in range(cfg.iters):
+                loss, x = _target_loss(model, dataset, x_adv, targets[sl])
+                model.zero_grad()
+                loss.backward()
+                # normalization is a positive per-channel rescale: the pixel
+                # gradient sign equals the normalized-input gradient sign
+                x_adv = x_adv - cfg.step * np.sign(x.grad)
+                x_adv = np.clip(x_adv, clean[sl] - cfg.eps, clean[sl] + cfg.eps)
+                x_adv = np.clip(x_adv, 0.0, 255.0)
+                linf = np.max(np.abs(x_adv - clean[sl])) if x_adv.size else 0.0
+                if linf > cfg.eps + 1e-3:
+                    raise RuntimeError(f"perturbation {linf} escaped the L-inf ball of {cfg.eps}")
+            adv[sl] = x_adv
 
     logits = predict(model, dataset.normalize(adv), batch_size=batch_size)
     preds = logits.argmax(axis=1)

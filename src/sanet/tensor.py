@@ -342,57 +342,58 @@ def batch_norm(
 ) -> Tensor:
     """Per-channel batch normalization over an NCHW feature map, rectified.
 
-    Both modes apply one per-channel scale and shift,
-    ``out = max((x - mean) * scale + beta, 0)`` with
-    ``scale = gamma / sqrt(var + eps)``; ``eps`` keeps the zero-variance case
-    finite.  Training mode takes ``mean`` and the biased ``var`` from the
-    batch and updates the running buffers in place with the given momentum;
-    eval mode reads them from the running buffers.  The ReLU that follows
-    every normalization in these networks is applied in place, so no
-    pre-activation copy is kept: the backward masks the incoming gradient
-    with ``out > 0`` and rebuilds ``x - mean`` from the input (on the tape
-    anyway as its parent's output), as in-place activated batch norm does
-    (arXiv:1712.02616).  Its one training-only term is the gradient through
-    the batch statistics, ``dx -= scale / M * (dbeta + xhat * dgamma)`` over
-    the ``M`` values of each channel (arXiv:1502.03167).
+    Both modes apply ``out = max((x - mean) * scale + beta, 0)`` with
+    ``scale = gamma / sqrt(var + eps)``; ``eps`` keeps zero variance finite.
+    Training mode centres ``x`` on the batch mean once, into the output
+    buffer, sums the biased ``var`` from it in one einsum pass, and updates
+    the running buffers with the given momentum.  Eval mode reads the
+    running buffers and folds the mean into the shift,
+    ``x * scale + (beta - mean * scale)``, in three passes.  The ReLU is
+    applied in place, so no pre-activation copy is kept: the backward masks
+    the incoming gradient with ``out > 0`` and rebuilds ``x - mean`` from
+    the input, as in-place activated batch norm does (arXiv:1712.02616).
+    Its one training-only term, the gradient through the batch statistics
+    ``dx -= scale / M * (dbeta + xhat * dgamma)`` over the ``M`` values of
+    each channel (arXiv:1502.03167), is folded into that map in place.
     """
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects an NCHW tensor")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError("batch_norm: affine parameter length must equal channels")
-    axes = (0, 2, 3)
-    shape = (1, c, 1, 1)
-
+    axes, shape, m = (0, 2, 3), (1, c, 1, 1), x.data.size // c
+    # one full-size buffer, promoted up front so the in-place steps never downcast
+    stats = () if training else (running_mean, running_var)
+    dtype = np.result_type(x.data, gamma.data, beta.data, *stats)
     if training:
-        mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        mean = x.data.mean(axis=axes, keepdims=True)
+        data = np.subtract(x.data, mean, dtype=dtype)
+        var = np.einsum("nchw,nchw->c", data, data) / m
+        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mean.reshape(c)
+        running_var[...] = (1.0 - momentum) * running_var + momentum * var
     else:
-        mean, var = running_mean.copy(), running_var  # the buffer may move before backward
-    mean = mean.reshape(shape)
+        mean, var = running_mean.reshape(shape).copy(), running_var  # may move before backward
     inv_std = 1.0 / np.sqrt(var.reshape(shape) + eps)
     scale = gamma.data.reshape(shape) * inv_std
-    # one full-size buffer, promoted up front so the in-place steps never downcast
-    dtype = np.result_type(x.data, mean, gamma.data, inv_std, beta.data)
-    data = (x.data - mean).astype(dtype, copy=False)
-    data *= scale
-    data += beta.data.reshape(shape)
+    if training:
+        data *= scale
+        data += beta.data.reshape(shape)
+    else:
+        data = np.multiply(x.data, scale, dtype=dtype)
+        data += beta.data.reshape(shape) - mean * scale
     np.maximum(data, 0, out=data)
 
     def bwd(g):
         g = g * (data > 0)
-        centered = x.data - mean
-        dgamma = (g * centered * inv_std).sum(axis=axes, keepdims=True)
+        centered = np.subtract(x.data, mean, dtype=dtype)
+        dgamma = np.einsum("nchw,nchw->c", g, centered).reshape(shape) * inv_std
         dbeta = g.sum(axis=axes, keepdims=True)
-        dx = g * scale
-        del g  # freed before the training term's two full-size temporaries
+        g *= scale
         if training:
-            xhat = np.multiply(centered, inv_std, out=centered)
-            dx -= scale / (dx.size // c) * (dbeta + xhat * dgamma)
-        return dx, dgamma.reshape(c), dbeta.reshape(c)
+            centered *= scale / m * inv_std * dgamma
+            centered += scale / m * dbeta
+            g -= centered
+        return g, dgamma.reshape(c), dbeta.reshape(c)
 
     return _node(data, (x, gamma, beta), bwd)
 

@@ -147,6 +147,18 @@ class TestBuild:
             predict(model, images, batch_size=2)
 
 
+    def test_predict_restores_train_mode_when_forward_raises(self, monkeypatch):
+        """An exception inside forward leaves every module in the caller's mode."""
+        model = build_model(named_spec("san-tiny"), seed=0)
+
+        def fail(x):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(model.classifier, "forward", fail)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            predict(model, np.zeros((2, 3, 32, 32), dtype=np.float32))
+        assert model.training and model.classifier.training
+
 class TestCheckpoints:
     def _roundtrip(self, tmp_path, model):
         path = os.path.join(tmp_path, "model.ckpt")

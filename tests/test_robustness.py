@@ -135,6 +135,20 @@ class TestPgd:
         assert not out["success"].any()
 
 
+    def test_attack_restores_train_mode_when_forward_raises(self, monkeypatch):
+        """An exception inside the attack's forward leaves every module in
+        the caller's mode, here training."""
+        ds = make_blobs(train_per_class=2, val_per_class=2, seed=9)
+        model = build_model(named_spec("san-tiny"), seed=9)
+
+        def fail(x):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(model.classifier, "forward", fail)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            pgd_attack(model, ds.val_images[:2], ds.val_labels[:2], ds, AttackConfig(iters=1))
+        assert model.training and model.classifier.training
+
 class TestReports:
     def test_untrained_model_sits_at_chance(self):
         ds = make_blobs(train_per_class=5, val_per_class=20, seed=7)  # 200 val images

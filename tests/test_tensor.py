@@ -179,7 +179,8 @@ class TestBatchNorm:
                                                     (np.float64, np.float64),
                                                     (np.float32, np.float64)])
     def test_eval_matches_out_of_place_formula_bitwise(self, dtype, affine_dtype):
-        """The in-place eval path equals max(gamma*inv_std*(x - mean) + beta, 0) bit for bit."""
+        """The in-place eval path equals the folded shift
+        max(x*scale + (beta - mean*scale), 0), scale = gamma*inv_std, bit for bit."""
         rng = np.random.default_rng(5)
         x = rng.normal(1.0, 3.0, size=(2, 4, 5, 6)).astype(dtype)
         gamma = rng.normal(size=4).astype(affine_dtype)
@@ -187,13 +188,14 @@ class TestBatchNorm:
         rm, rv = rng.normal(size=4).astype(dtype), rng.uniform(0.1, 4.0, 4).astype(dtype)
         proj = rng.normal(size=x.shape).astype(np.result_type(dtype, affine_dtype))
         shape = (1, 4, 1, 1)
-        inv_std = 1.0 / np.sqrt(rv + 1e-5)
-        centered = x - rm.reshape(shape)
-        pre = gamma.reshape(shape) * inv_std.reshape(shape) * centered + beta.reshape(shape)
+        inv_std = (1.0 / np.sqrt(rv + 1e-5)).reshape(shape)
+        scale = gamma.reshape(shape) * inv_std
+        pre = x * scale + (beta.reshape(shape) - rm.reshape(shape) * scale)
         want = np.maximum(pre, 0)
         masked = proj * (pre > 0)
-        want_grads = (masked * (gamma * inv_std).reshape(shape),
-                      (masked * centered * inv_std.reshape(shape)).sum(axis=(0, 2, 3)),
+        centered = x.astype(want.dtype) - rm.reshape(shape)  # centred in the output dtype
+        want_grads = (masked * scale,
+                      np.einsum("nchw,nchw->c", masked, centered) * inv_std.ravel(),
                       masked.sum(axis=(0, 2, 3)))
 
         leaves = [Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
@@ -211,29 +213,31 @@ class TestBatchNorm:
     @staticmethod
     def _relu_bn_reference(x, gamma, beta, rm, rv, training, proj):
         """Batch norm, in the formula of each mode, then a separate ReLU,
-        forward and backward, in plain numpy.  Training adds to eval's
-        per-channel scale and shift the gradient through the batch statistics."""
-        axes, shape = (0, 2, 3), (1, -1, 1, 1)
+        forward and backward, in plain out-of-place numpy.  Training centres
+        ``x`` in the output dtype and sums the variance and ``dgamma`` with
+        einsum; eval folds the running mean into the shift.  Training adds
+        to eval's per-channel scale and shift the gradient through the batch
+        statistics."""
+        axes, shape, m = (0, 2, 3), (1, -1, 1, 1), x.size // x.shape[1]
+        dtype = np.result_type(x, gamma, beta, *(() if training else (rm, rv)))
         if training:
-            inv_std = 1.0 / np.sqrt(x.var(axis=axes) + 1e-5)
-            centered = x - x.mean(axis=axes).reshape(shape)
-            scale = (gamma * inv_std).reshape(shape)
-            pre = scale * centered + beta.reshape(shape)
-            g = proj * (pre > 0)  # relu's backward
-            dgamma = (g * centered * inv_std.reshape(shape)).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            xhat = centered * inv_std.reshape(shape)
-            stats = scale / (x.size // x.shape[1]) * (dbeta.reshape(shape)
-                                                      + xhat * dgamma.reshape(shape))
-            grads = (g * scale - stats, dgamma, dbeta)
+            centered = x.astype(dtype) - x.mean(axis=axes).reshape(shape)
+            inv_std = (1.0 / np.sqrt(np.einsum("nchw,nchw->c", centered, centered) / m
+                                     + 1e-5)).reshape(shape)
+            scale = gamma.reshape(shape) * inv_std
+            pre = centered * scale + beta.reshape(shape)
         else:
-            inv_std = 1.0 / np.sqrt(rv + 1e-5)
-            centered = x - rm.reshape(shape)
-            pre = (gamma * inv_std).reshape(shape) * centered + beta.reshape(shape)
-            g = proj * (pre > 0)  # relu's backward
-            grads = (g * (gamma * inv_std).reshape(shape),
-                     (g * centered * inv_std.reshape(shape)).sum(axis=axes), g.sum(axis=axes))
-        return np.maximum(pre, 0), grads
+            inv_std = (1.0 / np.sqrt(rv + 1e-5)).reshape(shape)
+            scale = gamma.reshape(shape) * inv_std
+            pre = x * scale + (beta.reshape(shape) - rm.reshape(shape) * scale)
+            centered = x.astype(dtype) - rm.reshape(shape)
+        g = proj * (pre > 0)  # relu's backward
+        dgamma = np.einsum("nchw,nchw->c", g, centered).reshape(shape) * inv_std
+        dbeta = g.sum(axis=axes).reshape(shape)
+        dx = g * scale
+        if training:
+            dx = dx - (centered * (scale / m * inv_std * dgamma) + scale / m * dbeta)
+        return np.maximum(pre, 0), (dx, dgamma.ravel(), dbeta.ravel())
 
     def _run(self, x, gamma, beta, rm, rv, training, proj):
         leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
@@ -263,9 +267,8 @@ class TestBatchNorm:
             np.testing.assert_array_equal(got, g)
 
     def test_train_output_takes_the_widest_dtype(self):
-        """A float64 shift on float32 input and scale gives float64, as the
-        out-of-place ``(x - mean) * scale + beta`` would with ``x - mean``
-        promoted to float64 first."""
+        """A float64 shift on float32 input and scale gives float64: ``x`` is
+        centred in float64, and the variance is summed from that buffer."""
         rng = np.random.default_rng(35)
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         gamma = rng.normal(size=3).astype(np.float32)
@@ -273,10 +276,10 @@ class TestBatchNorm:
         out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(3), np.ones(3),
                            training=True).data
         axes, shape = (0, 2, 3), (1, 3, 1, 1)
-        inv_std = 1.0 / np.sqrt(x.var(axis=axes) + 1e-5)
-        centered = x - x.mean(axis=axes).reshape(shape)
+        centered = x.astype(np.float64) - x.mean(axis=axes).reshape(shape)
+        inv_std = 1.0 / np.sqrt(np.einsum("nchw,nchw->c", centered, centered) / 32 + 1e-5)
         scale = (gamma * inv_std).reshape(shape)
-        want = np.maximum(centered.astype(np.float64) * scale + beta.reshape(shape), 0)
+        want = np.maximum(centered * scale + beta.reshape(shape), 0)
         assert out.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(out, want)
 
@@ -304,6 +307,67 @@ class TestBatchNorm:
         for got, w in zip([out, *grads], want):
             assert got.dtype == w.dtype == dtype
             assert np.max(np.abs(got - w)) <= 16 * np.finfo(dtype).eps * np.max(np.abs(w))
+
+    def test_train_at_benchmark_shape_within_sixteen_ulps(self):
+        """At the san-tiny benchmark shape, float32 [64, 16, 32, 32] (65,536
+        values per channel), the float32 einsum sums of the variance and of
+        ``dgamma`` keep the output and every gradient within 16 epsilons of
+        the largest entry of the same formula run in float64."""
+        rng = np.random.default_rng(37)
+        x = rng.normal(0.5, 2.0, size=(64, 16, 32, 32)).astype(np.float32)
+        gamma, beta = (rng.normal(size=16).astype(np.float32) for _ in range(2))
+        proj = rng.normal(size=x.shape).astype(np.float32)
+        rm, rv = np.zeros(16, np.float32), np.ones(16, np.float32)
+        out, grads = self._run(x, gamma, beta, rm, rv, True, proj)
+        x64, gamma64, beta64, rm64, rv64, proj64 = (
+            a.astype(np.float64) for a in (x, gamma, beta, rm, rv, proj))
+        want, want_grads = self._relu_bn_reference(x64, gamma64, beta64, rm64, rv64, True, proj64)
+        for got, w in zip([out, *grads], [want, *want_grads]):
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - w)) <= 16 * np.finfo(np.float32).eps * np.max(np.abs(w))
+
+    def test_eval_folded_shift_far_from_zero_within_sixteen_ulps(self):
+        """Eval mode folds the running mean into the shift, so a channel
+        whose mean sits 8 standard deviations from zero cancels two large
+        terms.  The float32 output stays within 16 epsilons of the largest
+        entry of the float64 ``(x - mean) * gamma * inv_std + beta``."""
+        rng = np.random.default_rng(38)
+        sigma, mean = rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
+        mean[2] = 8 * sigma[2]
+        shape = (1, 4, 1, 1)
+        x = (mean.reshape(shape) + sigma.reshape(shape) * rng.normal(size=(8, 4, 8, 8)))
+        x, rm, rv = x.astype(np.float32), mean.astype(np.float32), (sigma**2).astype(np.float32)
+        gamma, beta = rng.normal(size=4).astype(np.float32), rng.normal(size=4).astype(np.float32)
+        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=False).data
+        x64, rm64, rv64, gamma64, beta64 = (a.astype(np.float64) for a in (x, rm, rv, gamma, beta))
+        want = np.maximum((x64 - rm64.reshape(shape)) * gamma64.reshape(shape)
+                          / np.sqrt(rv64 + 1e-5).reshape(shape) + beta64.reshape(shape), 0)
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - want)) <= 16 * np.finfo(np.float32).eps * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_backward_peaks_at_two_full_maps(self, training):
+        """The backward closure of a float32 [64, 16, 32, 32] batch norm
+        allocates at most 2.25 maps at its peak, the returned ``dx``
+        included: the masked gradient (which becomes ``dx``) and the
+        rebuilt ``x - mean``, which absorbs the training term in place.
+        (With a separate ``dx`` and training temporaries it peaked at 4.0.)"""
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(64, 16, 32, 32)).astype(np.float32)
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in (x, rng.normal(size=16).astype(np.float32),
+                            rng.normal(size=16).astype(np.float32))]
+        out = T.batch_norm(*leaves, rng.normal(size=16).astype(np.float32),
+                           rng.uniform(0.5, 2.0, 16).astype(np.float32), training=training)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dx, _, _ = out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == x.shape and dx.dtype == np.float32
+        assert peak <= 2.25 * x.nbytes, f"backward peaked at {peak / x.nbytes:.2f} maps"
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_clipped_outputs_pass_no_gradient(self, training):
