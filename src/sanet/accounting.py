@@ -168,19 +168,19 @@ def cost_report(spec: ModelSpec, input_hw: int | None = None) -> CostReport:
                                       for name, _, _, cost in unit_plan(spec, hw)])
 
 
-def verify_against_runtime(spec: ModelSpec, seed: int = 0) -> dict:
+def verify_against_runtime(spec: ModelSpec) -> dict:
     """Cross-check symbolic parameter counts against a built model, exactly.
 
     Returns a report dict; ``report["matches"]`` is False when any unit
     disagrees, with the offending units listed.  Both sides walk the same
     ``unit_plan``, so they agree on the unit names by construction.
     """
-    from .models import build_model, named_units
+    from .models import build_model
 
     symbolic = cost_report(spec)
-    model = build_model(spec, seed=seed)
+    model = build_model(spec)  # parameter counts do not depend on the seed
     mismatches = [{"layer": b.name, "symbolic": b.params, "runtime": unit.param_count()}
-                  for b, (_, unit) in zip(symbolic.breakdown, named_units(model))
+                  for b, (_, unit) in zip(symbolic.breakdown, model.units)
                   if b.params != unit.param_count()]
     total_runtime = model.param_count()
     return {

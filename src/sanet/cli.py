@@ -27,7 +27,7 @@ from . import __version__
 from .accounting import cost_report, verify_against_runtime
 from .attention import FAMILIES, POSITION_MODES
 from .data import load_dataset
-from .gradcheck import SWEEP_CASES, plan_sweep
+from .gradcheck import DEFAULT_TOL, SWEEP_CASES, plan_sweep
 from .models import (
     MODEL_NAMES,
     CheckpointError,
@@ -36,9 +36,8 @@ from .models import (
     load_checkpoint,
     load_spec_file,
     named_spec,
-    spec_to_dict,
 )
-from .reference import ORACLE_CASES, plan_oracle_sweep
+from .reference import DEFAULT_CASES, ORACLE_CASES, ORACLE_TOL, plan_oracle_sweep
 from .robustness import (
     MANIPULATIONS,
     AttackConfig,
@@ -108,7 +107,7 @@ def cmd_count(args) -> int:
     spec = _resolve_spec(args)
     report = cost_report(spec)
     out = args.out or f"runs/count-{spec.name}"
-    _emit_manifest(out, "count", {"spec": spec_to_dict(spec), "input_hw": spec.input_hw})
+    _emit_manifest(out, "count", {"spec": asdict(spec), "input_hw": spec.input_hw})
     payload = report.to_dict()
     if args.verify_runtime:
         payload["runtime_check"] = verify_against_runtime(spec)
@@ -172,11 +171,11 @@ def cmd_train(args) -> int:
     model = build_model(spec, seed=args.seed)
     out = args.out or f"runs/train-{spec.name}-{dataset.name}"
     _emit_manifest(out, "train", {
-        "spec": spec_to_dict(spec), "train": config.to_dict(),
+        "spec": asdict(spec), "train": asdict(config),
         "data": {"kind": args.data, "limit": args.limit, "seed": args.seed},
     })
     report = train(model, dataset, config, run_dir=out, log=print)
-    _write_json(os.path.join(out, "report.json"), report.to_dict())
+    _write_json(os.path.join(out, "report.json"), asdict(report))
     print(f"best val top-1 {report.best_top1:.4f} (epoch {report.best_epoch}) -> {out}")
     return 0
 
@@ -275,22 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--relation", default=None)
         p.add_argument("--position-mode", default=None, dest="position",
                        choices=list(POSITION_MODES))
-        p.add_argument("--tol", type=float, default=1e-4)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     with command("oracle", cmd_oracle, "vectorized vs naive-loop comparison") as p:
         p.add_argument("--kind", default=None,
                        choices=list(dict.fromkeys(k for k, _, _ in ORACLE_CASES)))
         p.add_argument("--relation", default=None)
-        p.add_argument("--cases", type=int, default=20)
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--cases", type=int, default=DEFAULT_CASES)
+        p.add_argument("--tol", type=float, default=ORACLE_TOL)
 
     with command("train", cmd_train, "train a model", model=True, data=True) as p:
-        p.add_argument("--epochs", type=int, default=20)
-        p.add_argument("--batch-size", type=int, default=64)
-        p.add_argument("--lr", type=float, default=0.1)
-        p.add_argument("--momentum", type=float, default=0.9)
-        p.add_argument("--weight-decay", type=float, default=1e-4)
-        p.add_argument("--label-smoothing", type=float, default=0.1)
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+        p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+        p.add_argument("--lr", type=float, default=TrainConfig.base_lr)
+        p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+        p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+        p.add_argument("--label-smoothing", type=float, default=TrainConfig.label_smoothing)
 
     with command("eval", cmd_eval, "evaluate a checkpoint", checkpoint=True, data=True):
         pass
@@ -300,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manipulation", default=None, choices=list(MANIPULATIONS))
 
     with command("attack", cmd_attack, "targeted PGD attack", checkpoint=True, data=True) as p:
-        p.add_argument("--eps", type=float, default=8.0)
-        p.add_argument("--step", type=float, default=4.0)
-        p.add_argument("--iters", type=int, default=2)
-        p.add_argument("--count", type=int, default=500)
+        p.add_argument("--eps", type=float, default=AttackConfig.eps)
+        p.add_argument("--step", type=float, default=AttackConfig.step)
+        p.add_argument("--iters", type=int, default=AttackConfig.iters)
+        p.add_argument("--count", type=int, default=AttackConfig.count)
 
     return parser
 

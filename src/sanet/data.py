@@ -22,6 +22,10 @@ from .tensor import ConfigError
 CIFAR_SIDE = 32
 CIFAR_RECORD = 1 + 3 * CIFAR_SIDE * CIFAR_SIDE
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
+CIFAR_VAL_PER_CLASS = 50
+# synthetic blobs: classes, image side, template cell side, pixel noise std
+BLOB_CLASSES, BLOB_SIDE, BLOB_CELL, BLOB_NOISE = 10, 32, 4, 25.0
+AUGMENT_PAD = 4
 
 
 @dataclass
@@ -35,9 +39,9 @@ class Dataset:
     std: np.ndarray
     classes: int
 
-    def normalize(self, images: np.ndarray, dtype=np.float32) -> np.ndarray:
-        """Evaluation path: channel statistics only, no augmentation."""
-        x = images.astype(dtype)
+    def normalize(self, images: np.ndarray) -> np.ndarray:
+        """Evaluation path: float32 by channel statistics only, no augmentation."""
+        x = images.astype(np.float32)
         return (x - self.mean.reshape(1, 3, 1, 1)) / self.std.reshape(1, 3, 1, 1)
 
 
@@ -58,11 +62,10 @@ def _read_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def load_cifar10(root, limit: int | None = None, val_per_class: int = 50,
-                 seed: int = 0) -> Dataset:
+def load_cifar10(root, limit: int | None = None, seed: int = 0) -> Dataset:
     """Load the binary batches under ``root`` with a held-out validation split.
 
-    The validation split samples ``val_per_class`` images per category
+    The validation split samples ``CIFAR_VAL_PER_CLASS`` images per category
     from the training batches (seeded, deterministic); ``limit`` then
     truncates the remaining training pool to a fixed-size subset.
     """
@@ -78,7 +81,7 @@ def load_cifar10(root, limit: int | None = None, val_per_class: int = 50,
     val_idx = []
     for c in range(10):
         pool = np.flatnonzero(labels == c)
-        val_idx.append(rng.choice(pool, size=val_per_class, replace=False))
+        val_idx.append(rng.choice(pool, size=CIFAR_VAL_PER_CLASS, replace=False))
     val_idx = np.sort(np.concatenate(val_idx))
     val_mask = np.zeros(len(labels), dtype=bool)
     val_mask[val_idx] = True
@@ -91,25 +94,24 @@ def load_cifar10(root, limit: int | None = None, val_per_class: int = 50,
                      images[val_idx], labels[val_idx], classes=10)
 
 
-def make_blobs(classes: int = 10, train_per_class: int = 100,
-               val_per_class: int = 20, side: int = 32, cell: int = 4,
-               noise: float = 25.0, seed: int = 0) -> Dataset:
+def make_blobs(train_per_class: int = 100, val_per_class: int = 20, seed: int = 0) -> Dataset:
     """Gaussian class clusters rendered as blocky images.
 
-    Each class owns a random low-resolution template upsampled to the
-    target side; samples add pixel noise.  Linearly separable by design,
-    so a sound training loop reaches high accuracy within a couple of
-    epochs.
+    Each of ``BLOB_CLASSES`` classes owns a random low-resolution template
+    upsampled to ``BLOB_SIDE``; samples add pixel noise.  Linearly separable
+    by design, so a sound training loop reaches high accuracy within a
+    couple of epochs.
     """
     rng = np.random.default_rng(seed)
-    low = side // cell
-    templates = rng.uniform(40.0, 215.0, size=(classes, 3, low, low))
-    templates = np.kron(templates, np.ones((1, 1, cell, cell)))
+    low = BLOB_SIDE // BLOB_CELL
+    templates = rng.uniform(40.0, 215.0, size=(BLOB_CLASSES, 3, low, low))
+    templates = np.kron(templates, np.ones((1, 1, BLOB_CELL, BLOB_CELL)))
 
     def render(per_class):
         xs, ys = [], []
-        for c in range(classes):
-            samples = templates[c] + rng.normal(0.0, noise, size=(per_class, 3, side, side))
+        for c in range(BLOB_CLASSES):
+            samples = templates[c] + rng.normal(
+                0.0, BLOB_NOISE, size=(per_class, 3, BLOB_SIDE, BLOB_SIDE))
             xs.append(np.clip(samples, 0, 255).astype(np.uint8))
             ys.append(np.full(per_class, c, dtype=np.int64))
         x = np.concatenate(xs)
@@ -119,21 +121,22 @@ def make_blobs(classes: int = 10, train_per_class: int = 100,
 
     tr_x, tr_y = render(train_per_class)
     va_x, va_y = render(val_per_class)
-    return _finalize("blobs", tr_x, tr_y, va_x, va_y, classes)
+    return _finalize("blobs", tr_x, tr_y, va_x, va_y, BLOB_CLASSES)
 
 
 def load_dataset(kind: str, root: str | None = None, limit: int | None = None,
                  seed: int = 0) -> Dataset:
     if limit is not None and limit < 1:
         raise ConfigError(f"dataset limit must be at least 1, got {limit}")
-    if kind == "blobs" and limit is not None and limit < 10:
-        raise ConfigError(f"blobs limit must be at least 10 (one image per class), got {limit}")
+    if kind == "blobs" and limit is not None and limit < BLOB_CLASSES:
+        raise ConfigError(f"blobs limit must be at least {BLOB_CLASSES} (one image per class), "
+                          f"got {limit}")
     if kind == "cifar10":
         if root is None:
             raise ConfigError("cifar10 needs a dataset root (flag or data-root env)")
         return load_cifar10(root, limit=limit, seed=seed)
     if kind == "blobs":
-        per_class = 100 if limit is None else max(1, limit // 10)
+        per_class = 100 if limit is None else limit // BLOB_CLASSES
         return make_blobs(train_per_class=per_class, seed=seed)
     raise ConfigError(f"unknown dataset kind {kind!r} (expected cifar10 or blobs)")
 
@@ -143,13 +146,14 @@ def load_dataset(kind: str, root: str | None = None, limit: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def augment(image: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.ndarray:
-    """Zero-pad, randomly crop back to native size, flip horizontally p=0.5.
+def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pad ``AUGMENT_PAD`` zeros, randomly crop back to native size, flip horizontally p=0.5.
 
     Training path only; operates on one uint8 [3, H, W] image and is
     byte-deterministic given the generator state.
     """
     _, h, w = image.shape
+    pad = AUGMENT_PAD
     padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
     dy = int(rng.integers(0, 2 * pad + 1))
     dx = int(rng.integers(0, 2 * pad + 1))
@@ -159,5 +163,5 @@ def augment(image: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.nda
     return np.ascontiguousarray(out)
 
 
-def augment_batch(images: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.ndarray:
-    return np.stack([augment(img, rng, pad) for img in images])
+def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return np.stack([augment(img, rng) for img in images])

@@ -3,7 +3,7 @@
 Each check builds a scalar probe ``loss = sum(output * projection)`` with
 a fixed random projection, computes analytic leaf gradients with one
 backward pass, then re-derives every leaf coordinate's gradient from two
-forward evaluations at ``x +- h``.  Checks run in float64.  This sweep
+forward evaluations at ``x +- DEFAULT_STEP``.  Checks run in float64.  This sweep
 and the naive-loop oracle share one case filter, ``select_cases``, and one
 plain-dict result record, ``result_record``, in which a NaN error fails.
 """
@@ -60,8 +60,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def check_gradients(build, leaves: dict[str, Tensor], name: str = "case",
-                    h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
-                    seed: int = 0) -> dict:
+                    tol: float = DEFAULT_TOL, seed: int = 0) -> dict:
     """Compare backward() gradients of ``build()`` against finite differences.
 
     ``build`` must return the operator output as a function of the current
@@ -91,12 +90,12 @@ def check_gradients(build, leaves: dict[str, Tensor], name: str = "case",
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + DEFAULT_STEP
             f_plus = probe()
-            flat[i] = orig - h
+            flat[i] = orig - DEFAULT_STEP
             f_minus = probe()
             flat[i] = orig
-            numeric[i] = (f_plus - f_minus) / (2.0 * h)
+            numeric[i] = (f_plus - f_minus) / (2.0 * DEFAULT_STEP)
         per_leaf[lname] = relative_error(analytic[lname].reshape(-1), numeric)
     return result_record(name, "max_rel_error", per_leaf.values(), tol, per_leaf=per_leaf)
 
@@ -183,8 +182,3 @@ def plan_sweep(kind: str | None = None, relation: str | None = None,
     """Select the cases now; return one zero-argument check per case."""
     return [partial(check_gradients, build, leaves, name=name, tol=tol, seed=seed)
             for name, build, leaves in sweep_cases(kind, relation, position, seed=seed)]
-
-
-def run_sweep(kind: str | None = None, relation: str | None = None,
-              position: str | None = None, tol: float = DEFAULT_TOL, seed: int = 7) -> list[dict]:
-    return [check() for check in plan_sweep(kind, relation, position, tol, seed)]

@@ -86,10 +86,6 @@ class ModelSpec:
                 raise ConfigError("without a first transition, stage 1 must match the stem width")
 
 
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return asdict(spec)
-
-
 def spec_from_dict(d: dict) -> ModelSpec:
     d = dict(d)
     d["stages"] = tuple(StageSpec(**s) for s in d["stages"])
@@ -188,7 +184,7 @@ class SANetwork(Module):
     def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.spec = spec
-        self.units = []  # the named_units record
+        self.units = []  # (CostReport name, unit), in forward order
         for name, stage, build, _ in unit_plan(spec):
             module = build(rng, dtype)
             self.units.append((name, module))
@@ -215,14 +211,10 @@ def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Module:
     return (ResNetwork if spec.arch == "resnet" else SANetwork)(spec, rng, dtype)
 
 
-def named_units(model: Module) -> list[tuple[str, Module]]:
-    """``(CostReport name, module)`` for every unit of a built network, in
-    forward order: stem, ``stageN.transition`` / ``stageN.blockM``, then
-    ``bn_out`` (ResNet only) and the classifier."""
-    return model.units
+INFERENCE_BATCH = 64  # images per forward; the logits do not depend on it
 
 
-def predict(model: Module, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def predict(model: Module, images: np.ndarray, batch_size: int = INFERENCE_BATCH) -> np.ndarray:
     """Eval-mode logits for a raw image batch, without recording a graph.
 
     Raises ``NonFiniteLogits`` if any logit is NaN or infinite: every score
@@ -270,7 +262,7 @@ def save_checkpoint(model: Module, path):
     header = {
         "format": "sanet-checkpoint",
         "version": _CKPT_VERSION,
-        "spec": spec_to_dict(model.spec),
+        "spec": asdict(model.spec),
         "dtype": dtype_code,
         **_layout(arrays),
     }

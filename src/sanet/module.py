@@ -46,26 +46,30 @@ class Module:
             self._children[name] = value
         object.__setattr__(self, name, value)
 
-    def named_parameters(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def named_modules(self, prefix: str = ""):
+        """``(prefix, module)`` for this module and every descendant, each
+        before its children, in registration order."""
+        yield prefix, self
         for cname, child in self._children.items():
-            yield from child.named_parameters(prefix + cname + ".")
+            yield from child.named_modules(prefix + cname + ".")
+
+    def named_parameters(self, prefix: str = ""):
+        for path, m in self.named_modules(prefix):
+            for name, p in m._params.items():
+                yield path + name, p
 
     def parameters(self):
         for _, p in self.named_parameters():
             yield p
 
-    def named_buffers(self, prefix: str = ""):
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for cname, child in self._children.items():
-            yield from child.named_buffers(prefix + cname + ".")
+    def named_buffers(self):
+        for path, m in self.named_modules():
+            for name, b in m._buffers.items():
+                yield path + name, b
 
     def train(self, mode: bool = True):
-        object.__setattr__(self, "training", mode)
-        for child in self._children.values():
-            child.train(mode)
+        for _, m in self.named_modules():
+            m.training = mode
         return self
 
     def eval(self):
@@ -73,12 +77,13 @@ class Module:
 
     @contextmanager
     def evaluating(self):
-        """Eval mode inside the block; the caller's mode returns on any exit."""
-        was_training = self.training
+        """Eval mode inside the block; every module's own mode returns on any exit."""
+        modes = [(m, m.training) for _, m in self.named_modules()]
         try:
             yield self.eval()
         finally:
-            self.train(was_training)
+            for m, mode in modes:
+                m.training = mode
 
     def zero_grad(self):
         for p in self.parameters():

@@ -241,6 +241,8 @@ def _random_conv_case(rng: np.random.Generator) -> float:
 
 # the first row of each (kind, relation) that gradcheck sweeps, blocks aside
 ORACLE_CASES = tuple(dict.fromkeys((k, r, None) for k, r, _ in SWEEP_CASES if k != "block"))
+DEFAULT_CASES = 20  # random cases per operator
+ORACLE_TOL = 1e-10
 
 
 def _oracle_case(family: str, rel: str | None, cases: int, tol: float, seed) -> dict:
@@ -255,16 +257,10 @@ def _oracle_case(family: str, rel: str | None, cases: int, tol: float, seed) -> 
 
 
 def plan_oracle_sweep(kind: str | None = None, relation: str | None = None,
-                      cases: int = 20, tol: float = 1e-10, seed: int = 0) -> list:
-    """Select the operators now; return one zero-argument comparison each."""
+                      cases: int = DEFAULT_CASES, tol: float = ORACLE_TOL, seed: int = 0) -> list:
+    """Select the operators now; return one zero-argument fast-vs-naive comparison each."""
     if cases < 1:
         raise ConfigError(f"oracle needs at least one case per operator, got {cases}")
     rows = select_cases(ORACLE_CASES, "oracle", kind, relation)
     return [partial(_oracle_case, family, rel, cases, tol, [seed, index])
             for index, (family, rel, _) in enumerate(rows)]
-
-
-def run_oracle_sweep(kind: str | None = None, relation: str | None = None,
-                     cases: int = 20, tol: float = 1e-10, seed: int = 0) -> list[dict]:
-    """Random-case agreement between fast operators and the naive loops."""
-    return [compare() for compare in plan_oracle_sweep(kind, relation, cases, tol, seed)]

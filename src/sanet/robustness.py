@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import predict
+from .attention import check_fields
+from .models import INFERENCE_BATCH, predict
 from .module import Module
 from .tensor import ConfigError, DimensionError, Tensor, UsageError
 from .training import cross_entropy_smoothed, top_k_accuracy
@@ -49,14 +50,18 @@ class AttackConfig:
     count: int = 500
 
     def __post_init__(self):
+        try:
+            check_fields(self, positive=("count",))
+        except ConfigError as exc:
+            raise ConfigError(f"attack {exc}") from None
         budget = (self.eps, self.step)
         if not all(math.isfinite(v) and v >= 0 for v in budget) or self.iters < 0:
             raise ConfigError(
                 f"attack budget must be finite and non-negative, got eps={self.eps} "
                 f"step={self.step} iters={self.iters}"
             )
-        if self.count < 1:
-            raise ConfigError(f"attack count must be at least 1, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"attack seed must be non-negative, got {self.seed}")
 
 
 def choose_targets(labels: np.ndarray, classes: int, seed: int) -> np.ndarray:
@@ -77,7 +82,7 @@ def _target_loss(model: Module, dataset: Dataset, pixels: np.ndarray,
 
 def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
                dataset: Dataset, cfg: AttackConfig,
-               targets: np.ndarray | None = None, batch_size: int = 64) -> dict:
+               targets: np.ndarray | None = None) -> dict:
     """Drive the model toward a wrong class within the pixel L-inf ball.
 
     Starts from the clean image and iterates
@@ -92,8 +97,8 @@ def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
     clean = images.astype(np.float32)
     adv = clean.copy()
     with model.evaluating():
-        for start in range(0, len(images), batch_size):
-            sl = slice(start, start + batch_size)
+        for start in range(0, len(images), INFERENCE_BATCH):
+            sl = slice(start, start + INFERENCE_BATCH)
             x_adv = clean[sl].copy()
             for _ in range(cfg.iters):
                 loss, x = _target_loss(model, dataset, x_adv, targets[sl])
@@ -109,7 +114,7 @@ def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
                     raise RuntimeError(f"perturbation {linf} escaped the L-inf ball of {cfg.eps}")
             adv[sl] = x_adv
 
-    logits = predict(model, dataset.normalize(adv), batch_size=batch_size)
+    logits = predict(model, dataset.normalize(adv))
     preds = logits.argmax(axis=1)
     return {
         "adv_images": adv,
@@ -121,14 +126,14 @@ def pgd_attack(model: Module, images: np.ndarray, labels: np.ndarray,
 
 
 def manipulation_report(model: Module, dataset: Dataset,
-                        manipulations=MANIPULATIONS, batch_size: int = 64) -> list[dict]:
+                        manipulations=MANIPULATIONS) -> list[dict]:
     """Zero-shot top-1/top-5 per manipulation with drops against clean.
 
     Rows follow the declared manipulation order; the clean row is always
     evaluated (drops are relative to it) and reported first when present.
     """
     images, labels = dataset.val_images, dataset.val_labels
-    clean_logits = predict(model, dataset.normalize(images), batch_size=batch_size)
+    clean_logits = predict(model, dataset.normalize(images))
     clean1, clean5 = (top_k_accuracy(clean_logits, labels, k) for k in (1, 5))
     rows = []
     for kind in manipulations:
@@ -136,7 +141,7 @@ def manipulation_report(model: Module, dataset: Dataset,
             top1, top5 = clean1, clean5
         else:
             moved = manipulate(images, kind)
-            logits = predict(model, dataset.normalize(moved), batch_size=batch_size)
+            logits = predict(model, dataset.normalize(moved))
             top1, top5 = (top_k_accuracy(logits, labels, k) for k in (1, 5))
         rows.append({
             "manipulation": kind,
@@ -159,8 +164,7 @@ def format_manipulation_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def attack_report(model: Module, dataset: Dataset, cfg: AttackConfig,
-                  batch_size: int = 64) -> dict:
+def attack_report(model: Module, dataset: Dataset, cfg: AttackConfig) -> dict:
     """Attack a fixed seeded subset of the validation split."""
     n = min(cfg.count, len(dataset.val_images))
     rng = np.random.default_rng(cfg.seed)
@@ -168,9 +172,9 @@ def attack_report(model: Module, dataset: Dataset, cfg: AttackConfig,
     images = dataset.val_images[idx]
     labels = dataset.val_labels[idx]
 
-    clean_logits = predict(model, dataset.normalize(images), batch_size=batch_size)
+    clean_logits = predict(model, dataset.normalize(images))
     clean_top1 = top_k_accuracy(clean_logits, labels, 1)
-    result = pgd_attack(model, images, labels, dataset, cfg, batch_size=batch_size)
+    result = pgd_attack(model, images, labels, dataset, cfg)
     adv_top1 = float(np.mean(result["predictions"] == labels))
     return {
         **asdict(cfg),

@@ -330,24 +330,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _node(data, tuple(parents), bwd)
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
+BN_MOMENTUM = 0.1  # weight of the batch statistics in each running-buffer update
+BN_EPS = 1e-5
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch normalization over an NCHW feature map, rectified.
 
     Both modes apply ``out = max((x - mean) * scale + beta, 0)`` with
-    ``scale = gamma / sqrt(var + eps)``; ``eps`` keeps zero variance finite.
-    Training mode centres ``x`` on the batch mean once, into the output
-    buffer, sums the biased ``var`` from it in one einsum pass, and updates
-    the running buffers with the given momentum.  Eval mode reads the
-    running buffers and folds the mean into the shift,
+    ``scale = gamma / sqrt(var + BN_EPS)``; ``BN_EPS`` keeps zero variance
+    finite.  Training mode centres ``x`` on the batch mean once, into the
+    output buffer, sums the biased ``var`` from it in one einsum pass, and
+    updates the running buffers with momentum ``BN_MOMENTUM``.  Eval mode
+    reads the running buffers and folds the mean into the shift,
     ``x * scale + (beta - mean * scale)``, in three passes.  The ReLU is
     applied in place, so no pre-activation copy is kept: the backward masks
     the incoming gradient with ``out > 0`` and rebuilds ``x - mean`` from
@@ -369,11 +365,11 @@ def batch_norm(
         mean = x.data.mean(axis=axes, keepdims=True)
         data = np.subtract(x.data, mean, dtype=dtype)
         var = np.einsum("nchw,nchw->c", data, data) / m
-        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mean.reshape(c)
-        running_var[...] = (1.0 - momentum) * running_var + momentum * var
+        running_mean[...] = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean.reshape(c)
+        running_var[...] = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     else:
         mean, var = running_mean.reshape(shape).copy(), running_var  # may move before backward
-    inv_std = 1.0 / np.sqrt(var.reshape(shape) + eps)
+    inv_std = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
     scale = gamma.data.reshape(shape) * inv_std
     if training:
         data *= scale

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .attention import check_fields
 from .data import Dataset, augment_batch
-from .models import NonFiniteLogits, named_units, predict, save_checkpoint
+from .models import NonFiniteLogits, predict, save_checkpoint
 from .module import Module
 from .tensor import ConfigError, Tensor
 
@@ -46,17 +46,13 @@ class TrainConfig:
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     """``base_lr * 0.5 * (1 + cos(pi * t / T))``: starts at base, ends at 0."""
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def cross_entropy_smoothed(logits: Tensor, labels: np.ndarray,
-                           smoothing: float = 0.1) -> Tensor:
+def cross_entropy_smoothed(logits: Tensor, labels: np.ndarray, smoothing: float) -> Tensor:
     """Mean cross-entropy against a label-smoothed target distribution.
 
     The target puts ``1 - smoothing`` on the true class and spreads
@@ -74,7 +70,7 @@ def cross_entropy_smoothed(logits: Tensor, labels: np.ndarray,
 class SGD:
     """Momentum SGD; weight decay enters as an L2 term on the gradient."""
 
-    def __init__(self, params, momentum: float = 0.9, weight_decay: float = 1e-4):
+    def __init__(self, params, momentum: float, weight_decay: float):
         self.params = list(params)
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -96,9 +92,9 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float((top == labels[:, None]).any(axis=1).mean())
 
 
-def evaluate(model: Module, dataset: Dataset, batch_size: int = 256) -> dict:
+def evaluate(model: Module, dataset: Dataset) -> dict:
     """Eval-mode top-1/top-5 on the center (untouched) validation images."""
-    logits = predict(model, dataset.normalize(dataset.val_images), batch_size=batch_size)
+    logits = predict(model, dataset.normalize(dataset.val_images))
     k5 = min(5, dataset.classes)
     return {
         "top1": top_k_accuracy(logits, dataset.val_labels, 1),
@@ -114,15 +110,12 @@ class RunReport:
     best_epoch: int = -1
     run_dir: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _check_finite(model: Module, where: str):
     """Raise ``TrainingDiverged`` naming the first parameter, in forward
     order and by its cost-report unit, whose gradient or updated value is
     not finite."""
-    for unit, module in named_units(model):
+    for unit, module in model.units:
         for name, p in module.named_parameters(unit + "."):
             for kind, arr in (("gradient", p.grad), ("value", p.data)):
                 if arr is not None and not np.isfinite(arr).all():
@@ -141,7 +134,7 @@ def train(model: Module, dataset: Dataset, config: TrainConfig,
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "config.json"), "w") as fh:
-            json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(config), fh, indent=2, sort_keys=True)
         metrics_fh = open(os.path.join(run_dir, "metrics.csv"), "w", newline="")
         writer = csv.writer(metrics_fh)
         writer.writerow(["epoch", "lr", "train_loss", "val_top1", "val_top5"])

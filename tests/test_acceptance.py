@@ -17,9 +17,9 @@ from sanet.attention import FAMILY_FIELDS, AttentionConfig, VectorAttention, con
 from sanet.blocks import Bottleneck, SelfAttentionBlock
 from sanet.cli import main as cli_main
 from sanet.data import load_cifar10, make_blobs
-from sanet.gradcheck import run_sweep
+from sanet.gradcheck import plan_sweep
 from sanet.models import build_model, named_spec
-from sanet.reference import run_oracle_sweep
+from sanet.reference import plan_oracle_sweep
 from sanet.robustness import MANIPULATIONS, AttackConfig, attack_report, manipulate
 from sanet.tensor import Tensor, no_grad
 from sanet.training import TrainConfig, train
@@ -106,7 +106,7 @@ class TestCriterion2Macs:
 class TestCriterion3Gradients:
     def test_gradient_suite(self):
         t0 = time.perf_counter()
-        results = run_sweep(tol=1e-4)
+        results = [check() for check in plan_sweep(tol=1e-4)]
         elapsed = time.perf_counter() - t0
         worst = max(results, key=lambda r: r["max_rel_error"])
         report("3 (gradient suite)",
@@ -118,7 +118,7 @@ class TestCriterion3Gradients:
 class TestCriterion4Oracles:
     def test_oracle_suite(self):
         t0 = time.perf_counter()
-        results = run_oracle_sweep(cases=20, tol=1e-10, seed=0)
+        results = [compare() for compare in plan_oracle_sweep(cases=20, tol=1e-10, seed=0)]
         elapsed = time.perf_counter() - t0
         worst = max(results, key=lambda r: r["max_abs_diff"])
         report("4 (naive-loop oracles)",

@@ -9,7 +9,7 @@ import pytest
 
 from sanet.accounting import cost_report, verify_against_runtime
 from sanet.blocks import Bottleneck
-from sanet.models import ModelSpec, StageSpec, build_model, named_spec, named_units
+from sanet.models import ModelSpec, StageSpec, build_model, named_spec
 from sanet.tensor import Tensor, no_grad
 
 
@@ -133,7 +133,7 @@ class TestStructuralProperties:
         h = Tensor(np.zeros((1, 3, 40, 40), np.float32))
         extents = []
         with no_grad():
-            for name, unit in named_units(model):
+            for name, unit in model.units:
                 if name == "stem":
                     side = unit.conv(h).shape[2]
                     assert counted[name] == 3 * 64 * 49 * side * side

@@ -1,6 +1,7 @@
 """Command-line contracts: outputs, exit codes, filters, determinism."""
 
 import dataclasses
+import inspect
 import json
 import os
 import struct
@@ -9,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sanet.cli import main
+from sanet.cli import build_parser, main
+from sanet.gradcheck import DEFAULT_TOL, plan_sweep
 from sanet.models import (
     ModelSpec,
     StageSpec,
@@ -17,9 +19,10 @@ from sanet.models import (
     load_checkpoint,
     named_spec,
     save_checkpoint,
-    spec_to_dict,
 )
-from sanet.training import SGD
+from sanet.reference import DEFAULT_CASES, ORACLE_TOL, plan_oracle_sweep
+from sanet.robustness import AttackConfig
+from sanet.training import SGD, TrainConfig
 
 
 def read_json(path):
@@ -50,7 +53,7 @@ def snapshot(out_dir):
 def write_tiny_spec(tmp_path, edit):
     """A san-tiny spec file with ``edit`` applied to the spec, its attention
     configuration and every stage."""
-    spec = spec_to_dict(named_spec("san-tiny"))
+    spec = dataclasses.asdict(named_spec("san-tiny"))
     for part in (spec, spec["attention"], *spec["stages"]):
         part.update({k: v for k, v in edit.items() if k in part})
     path = tmp_path / "spec.json"
@@ -151,7 +154,7 @@ class TestCount:
         neither the attention block, the first transition nor a stage footprint
         (its 3x3 is fixed): setting one is refused, not recorded and ignored."""
         spec, edit, message = DEAD_VALUES[dead]
-        d = spec_to_dict(spec)
+        d = dataclasses.asdict(spec)
         edit(d)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(d))
@@ -329,6 +332,24 @@ def test_negative_seed_exits_2_without_run_dir(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: seed must be non-negative")
     assert not out.exists()
+
+
+def test_defaults_are_read_from_the_configs_and_sweeps():
+    """Each command default equals the value its config or sweep holds, so no
+    second copy can drift from it."""
+    parse = build_parser().parse_args
+    dest = {"base_lr": "lr"}  # the one field whose flag has another name
+    for command, config in (("train", TrainConfig()), ("attack", AttackConfig())):
+        args = parse([command])
+        for field, value in dataclasses.asdict(config).items():
+            assert getattr(args, dest.get(field, field)) == value, (command, field)
+    gradcheck, oracle = parse(["gradcheck"]), parse(["oracle"])
+    assert (gradcheck.tol, oracle.cases, oracle.tol) == (DEFAULT_TOL, DEFAULT_CASES, ORACLE_TOL)
+    grad_plan, oracle_plan = (inspect.signature(plan).parameters
+                              for plan in (plan_sweep, plan_oracle_sweep))
+    assert grad_plan["tol"].default == DEFAULT_TOL
+    assert (oracle_plan["cases"].default, oracle_plan["tol"].default) == (DEFAULT_CASES,
+                                                                          ORACLE_TOL)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import numpy as np
 
 import sanet.tensor as T
 from sanet.cli import main
-from sanet.gradcheck import relative_error, run_sweep, sweep_cases
+from sanet.gradcheck import plan_sweep, relative_error, sweep_cases
 
 
 class TestSweepComposition:
@@ -60,17 +60,20 @@ def _sabotage(monkeypatch, primitive, corrupt):
     monkeypatch.setattr(T, primitive, sabotaged)
 
 
+SUBTRACTION = {"kind": "pairwise", "relation": "subtraction", "position": "none"}
+
+
 class TestDetection:
     def test_wrong_sign_gradient_is_detected(self, monkeypatch):
         """Flipping one primitive's backward must fail the sweep."""
         _sabotage(monkeypatch, "slot_aggregate", lambda gr: -gr)
-        results = run_sweep(kind="pairwise", relation="subtraction", position="none")
+        results = [check() for check in plan_sweep(**SUBTRACTION)]
         assert any(not r["passed"] for r in results)
 
     def test_nan_gradient_fails_the_case_and_the_command(self, monkeypatch, tmp_path):
         """A NaN error is the worst error, never one that max() skips."""
         _sabotage(monkeypatch, "slot_aggregate", lambda gr: np.full_like(gr, np.nan))
-        [result] = run_sweep(kind="pairwise", relation="subtraction", position="none")
+        [result] = [check() for check in plan_sweep(**SUBTRACTION)]
         assert not result["passed"] and np.isnan(result["max_rel_error"])
         out = tmp_path / "g"
         assert main(["gradcheck", "--kind", "pairwise", "--relation", "subtraction",
@@ -78,5 +81,5 @@ class TestDetection:
         assert json.loads((out / "gradcheck.json").read_text())["passed"] is False
 
     def test_honest_gradients_pass_the_same_case(self):
-        results = run_sweep(kind="pairwise", relation="subtraction", position="none")
+        results = [check() for check in plan_sweep(**SUBTRACTION)]
         assert all(r["passed"] for r in results)

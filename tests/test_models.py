@@ -4,23 +4,26 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import sanet.tensor as T
 from sanet.attention import FAMILIES
+from sanet.blocks import Bottleneck, SelfAttentionBlock
 from sanet.models import (
     MODEL_NAMES,
     CheckpointError,
+    ModelSpec,
     NonFiniteLogits,
+    StageSpec,
     build_model,
     load_checkpoint,
     named_spec,
     predict,
     save_checkpoint,
     spec_from_dict,
-    spec_to_dict,
 )
 from sanet.tensor import ConfigError, Tensor, no_grad
 
@@ -59,19 +62,19 @@ class TestSpecs:
             for family in FAMILIES for footprint in (None, 5)]
         for o in options:
             spec = named_spec(name, **o)
-            assert spec_from_dict(spec_to_dict(spec)) == spec
+            assert spec_from_dict(asdict(spec)) == spec
 
     @pytest.mark.parametrize("field", ["channels", "blocks", "stem_channels", "classes",
                                        "input_hw"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_size_below_one_rejected(self, field, value):
-        d = spec_to_dict(named_spec("san-tiny"))
+        d = asdict(named_spec("san-tiny"))
         (d["stages"][1] if field in ("channels", "blocks") else d)[field] = value
         with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
             spec_from_dict(d)
 
     def test_san_stage_footprint_checked_at_spec_time(self):
-        d = spec_to_dict(named_spec("san-tiny"))
+        d = asdict(named_spec("san-tiny"))
         d["stages"][1]["footprint"] = 4
         with pytest.raises(ConfigError, match="footprint side must be one of"):
             spec_from_dict(d)
@@ -134,7 +137,7 @@ class TestBuild:
         assert len(seen) == calls
 
     def test_san_transitions_must_halve_the_input(self):
-        d = spec_to_dict(named_spec("san-tiny"))
+        d = asdict(named_spec("san-tiny"))
         d["input_hw"] = 33
         with pytest.raises(ConfigError, match="^stage 2 transition needs an even extent, got 33$"):
             build_model(spec_from_dict(d), seed=0)
@@ -158,6 +161,35 @@ class TestBuild:
         with pytest.raises(RuntimeError, match="forward failed"):
             predict(model, np.zeros((2, 3, 32, 32), dtype=np.float32))
         assert model.training and model.classifier.training
+
+    def test_predict_restores_each_modules_own_mode(self):
+        """A unit the caller put in eval mode inside a training model stays there."""
+        model = build_model(named_spec("san-tiny"), seed=0)
+        model.train()
+        model.stem.eval()
+        predict(model, np.zeros((2, 3, 32, 32), dtype=np.float32))
+        assert not model.stem.training and not model.stem.linear.training
+        assert model.training and model.stages[0][0].bn_in.training and model.classifier.training
+
+    @pytest.mark.parametrize("spec", [
+        named_spec("san-tiny"), named_spec("san-tiny", family="patchwise"),
+        named_spec("san-tiny", family="scalar"),
+        ModelSpec(name="resnet-tiny", arch="resnet", stem_channels=16, classes=10, input_hw=32,
+                  stages=(StageSpec(4, 1, 3), StageSpec(8, 2, 3))),
+    ], ids=["pairwise", "patchwise", "scalar", "resnet"])
+    def test_predict_logits_do_not_depend_on_batch_size(self, spec):
+        """Eval-mode logits of an image are the same bits whatever batch it
+        runs in, so every inference path can share one batch size."""
+        model = build_model(spec, seed=0)
+        rng = np.random.default_rng(3)
+        for _, unit in model.units:  # residual units start as the identity
+            if isinstance(unit, (SelfAttentionBlock, Bottleneck)):
+                w = unit.expand.w if isinstance(unit, SelfAttentionBlock) else unit.conv3.kernel
+                w.data[...] = rng.normal(0.0, 0.2, w.shape)
+        images = rng.normal(0.0, 1.0, (64, 3, 32, 32)).astype(np.float32)
+        want = predict(model, images, batch_size=64)
+        for batch_size in (1, 7):
+            np.testing.assert_array_equal(predict(model, images, batch_size=batch_size), want)
 
 class TestCheckpoints:
     def _roundtrip(self, tmp_path, model):

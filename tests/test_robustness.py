@@ -108,9 +108,11 @@ class TestPgd:
 
     @pytest.mark.parametrize("budget", [{"eps": -1.0}, {"eps": float("nan")},
                                         {"step": float("nan")}, {"step": float("inf")},
-                                        {"iters": -1}, {"count": 0}])
+                                        {"iters": -1}, {"count": 0}, {"iters": 2.5},
+                                        {"count": True}, {"count": 2.5}, {"seed": -1}])
     def test_invalid_budget_is_config_error(self, budget):
-        with pytest.raises(ConfigError):
+        [field] = budget
+        with pytest.raises(ConfigError, match=f"^attack .*{field}"):
             AttackConfig(**budget)
 
     def test_targets_must_differ_from_labels(self, setup):

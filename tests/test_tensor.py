@@ -167,9 +167,10 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.normal(1.0, 2.0, size=(16, 2, 5, 5))
         rm, rv = self._buffers(2)
-        T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
-                     training=True, momentum=1.0)
-        np.testing.assert_allclose(rm, x.mean(axis=(0, 2, 3)), atol=1e-12)
+        T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, training=True)
+        m = T.BN_MOMENTUM  # from the zero mean and unit variance the buffers start at
+        np.testing.assert_allclose(rm, m * x.mean(axis=(0, 2, 3)), atol=1e-12)
+        np.testing.assert_allclose(rv, (1 - m) + m * x.var(axis=(0, 2, 3)), atol=1e-12)
         out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
                            training=False).data
         expected = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv + 1e-5).reshape(1, 2, 1, 1)
@@ -612,7 +613,7 @@ class TestBackward:
         model, x, labels = _tiny_step(batch=8)
         tracemalloc.start()
         try:
-            loss = cross_entropy_smoothed(model(x), labels)
+            loss = cross_entropy_smoothed(model(x), labels, 0.1)
             loss.backward()
             live = tracemalloc.get_traced_memory()[0]
         finally:
@@ -646,7 +647,7 @@ class TestBackward:
         grads = []
         for walk in (T.backward, _keep_everything_backward):
             model, x, labels = _tiny_step(batch=8, spec=spec)
-            walk(cross_entropy_smoothed(model(x), labels))
+            walk(cross_entropy_smoothed(model(x), labels, 0.1))
             grads.append([p.grad for p in model.parameters()])
         assert all(g is not None and np.abs(g).max() > 0 for g in grads[1])
         for got, want in zip(*grads):
