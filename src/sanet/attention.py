@@ -28,9 +28,10 @@ stays on the tape.  Patchwise concatenation's first layer is a convolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .tensor import ConfigError, DimensionError, Tensor
 PAIRWISE_RELATIONS = ("summation", "subtraction", "concatenation", "hadamard", "dot")
 PATCHWISE_RELATIONS = ("star_product", "clique_product", "concatenation")
 RELATIONS = {"pairwise": PAIRWISE_RELATIONS, "patchwise": PATCHWISE_RELATIONS, "scalar": ("dot",)}
+DEFAULT_RELATION = {"pairwise": "subtraction", "patchwise": "concatenation", "scalar": "dot"}
 POSITION_MODES = ("none", "absolute", "relative")
 # The AttentionConfig fields each family reads, beyond those every family reads
 FAMILY_FIELDS = {"pairwise": ("share", "mlp_depth", "position"),
@@ -53,17 +55,33 @@ FOOTPRINT_SIDES = (1, 3, 5, 7, 9, 11)
 _type_hints = cache(get_type_hints)  # a dataclass's hints, read once per class
 
 
-def check_fields(spec, positive=()):
-    """Reject a field of the dataclass ``spec`` declared ``int``, ``bool`` or
-    ``str`` that holds another type (a bool is no int), then a field named in
-    ``positive`` below 1; each message names the field."""
+def check_fields(spec, positive=(), nonnegative=(), choices=None):
+    """Check each field of the dataclass ``spec`` against its annotation, then
+    against the range its class declares; each message names the field.
+
+    A field annotated with a class (``int``, ``bool``, ``str``, a config
+    dataclass) holds exactly that type, so a bool is no int; a ``float`` field
+    holds a finite ``int`` or ``float``; a ``tuple[X, ...]`` field a tuple of
+    ``X``.  A field named in ``positive`` is at least 1, one named in
+    ``nonnegative`` at least 0, and one keyed in ``choices`` one of its values.
+    """
     for name, kind in _type_hints(type(spec)).items():
         value = getattr(spec, name)
-        if kind in (int, bool, str) and type(value) is not kind:
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            if type(value) is not tuple or any(type(v) is not item for v in value):
+                raise ConfigError(f"{name} must be a tuple of {item.__name__}, got {value!r}")
+        elif kind is float:
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        elif type(value) is not kind:
             raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    for name in positive:
-        if getattr(spec, name) < 1:
-            raise ConfigError(f"{name} must be at least 1, got {getattr(spec, name)}")
+        if name in positive and value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+        if name in nonnegative and value < 0:
+            raise ConfigError(f"{name} must be non-negative, got {value}")
+        if choices and name in choices and value not in choices[name]:
+            raise ConfigError(f"{name} must be one of {choices[name]}, got {value!r}")
 
 
 def check_unread(spec, readers: dict, reader: str, noun: str):
@@ -91,7 +109,7 @@ class AttentionConfig:
     """
 
     family: str = "pairwise"
-    relation: str = "subtraction"
+    relation: str = ""  # "" takes the family's DEFAULT_RELATION
     footprint: int = 7
     r1: int = 16
     r2: int = 4
@@ -101,20 +119,13 @@ class AttentionConfig:
     normalize: bool = False
 
     def __post_init__(self):
-        check_fields(self, positive=("r1", "r2", "share"))
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown attention family {self.family!r}")
+        check_fields(self, positive=("r1", "r2", "share"), choices={"family": FAMILIES,
+            "footprint": FOOTPRINT_SIDES, "mlp_depth": (1, 2, 3), "position": POSITION_MODES})
+        if not self.relation:
+            object.__setattr__(self, "relation", DEFAULT_RELATION[self.family])
         if self.relation not in RELATIONS[self.family]:
             raise ConfigError(f"{self.family} relation must be one of {RELATIONS[self.family]}")
         check_unread(self, FAMILY_FIELDS, self.family, "attention")
-        if self.position not in POSITION_MODES:
-            raise ConfigError(f"position mode must be one of {POSITION_MODES}")
-        if self.mlp_depth not in (1, 2, 3):
-            raise ConfigError("mlp_depth must be 1, 2 or 3")
-        if self.footprint not in FOOTPRINT_SIDES:
-            raise ConfigError(
-                f"footprint side must be one of {FOOTPRINT_SIDES}, got {self.footprint}"
-            )
 
 
 @dataclass(frozen=True)

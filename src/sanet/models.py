@@ -57,7 +57,7 @@ class ModelSpec:
     footprints replace ``attention.footprint``; unread values keep defaults."""
 
     name: str
-    arch: str  # "san" | "resnet"
+    arch: str
     stages: tuple[StageSpec, ...]
     stem_channels: int
     classes: int = 1000
@@ -66,11 +66,10 @@ class ModelSpec:
     first_transition: bool = True  # san: pool+linear between stem and stage 1
 
     def __post_init__(self):
-        if self.arch not in ("san", "resnet"):
-            raise ConfigError(f"unknown architecture {self.arch!r}")
+        check_fields(self, positive=("stem_channels", "classes", "input_hw"),
+                     choices={"arch": ("san", "resnet")})
         if not self.stages:
             raise ConfigError("model needs at least one stage")
-        check_fields(self, positive=("stem_channels", "classes", "input_hw"))
         if self.name in ("", ".", "..") or any(
                 c and c in self.name for c in ("/", "\0", os.sep, os.altsep)):
             raise ConfigError(f"name must be a plain file name, got {self.name!r}")
@@ -154,9 +153,6 @@ def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
         raise ConfigError(f"unknown model {name!r} (expected one of {MODEL_NAMES})")
 
     family = overrides.get("family", AttentionConfig.family)
-    family_relation = {"patchwise": "concatenation", "scalar": "dot"}.get(family)
-    if family_relation is not None:
-        overrides.setdefault("relation", family_relation)
     base = {k: v for k, v in base.items() if k in ("r1", "r2", *FAMILY_FIELDS.get(family, ()))}
     if "footprint" in overrides:
         footprints = (footprints[0],) + (overrides.pop("footprint"),) * (len(blocks) - 1)

@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from .attention import (
+    DEFAULT_RELATION,
     FAMILY_FIELDS,
     AttentionConfig,
     Conv2d,
@@ -250,7 +251,7 @@ def _oracle_case(family: str, rel: str | None, cases: int, tol: float, seed) -> 
     if family == "conv":
         name, draw = "conv", partial(_random_conv_case, rng)
     else:
-        rel = rel or "dot"
+        rel = rel or DEFAULT_RELATION[family]
         name, draw = f"{family}/{rel}", partial(_random_attention_case, family, rel, rng)
     diffs = [draw() for _ in range(cases)]
     return result_record(name, "max_abs_diff", diffs, tol, cases=cases)

@@ -9,7 +9,6 @@ only the gradient sign is used, so the pixel-scale step is well-defined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,17 +50,9 @@ class AttackConfig:
 
     def __post_init__(self):
         try:
-            check_fields(self, positive=("count",))
+            check_fields(self, positive=("count",), nonnegative=("eps", "step", "iters", "seed"))
         except ConfigError as exc:
             raise ConfigError(f"attack {exc}") from None
-        budget = (self.eps, self.step)
-        if not all(math.isfinite(v) and v >= 0 for v in budget) or self.iters < 0:
-            raise ConfigError(
-                f"attack budget must be finite and non-negative, got eps={self.eps} "
-                f"step={self.step} iters={self.iters}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"attack seed must be non-negative, got {self.seed}")
 
 
 def choose_targets(labels: np.ndarray, classes: int, seed: int) -> np.ndarray:

@@ -38,12 +38,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, positive=("epochs", "batch_size"))
-        for name in ("base_lr", "momentum", "weight_decay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if not 0.0 <= self.label_smoothing < 1.0:
+        check_fields(self, positive=("epochs", "batch_size"), nonnegative=(
+            "base_lr", "momentum", "weight_decay", "label_smoothing", "seed"))
+        if self.label_smoothing >= 1.0:
             raise ConfigError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}")
 
 

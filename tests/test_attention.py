@@ -8,6 +8,7 @@ import pytest
 
 import sanet.tensor as T
 from sanet.attention import (
+    FAMILIES,
     FAMILY_FIELDS,
     AttentionConfig,
     Conv2d,
@@ -374,8 +375,12 @@ class TestConv2d:
 
 class TestFamilyFields:
     def test_conv_is_no_attention_family(self):
-        with pytest.raises(ConfigError, match="unknown attention family 'conv'"):
+        with pytest.raises(ConfigError, match="^family must be one of .*, got 'conv'"):
             AttentionConfig(family="conv")
+
+    def test_no_relation_takes_the_family_default(self):
+        relations = [AttentionConfig(family=family).relation for family in FAMILIES]
+        assert relations == ["subtraction", "concatenation", "dot"]
 
     @pytest.mark.parametrize("family,relation,field,value", [
         ("patchwise", "concatenation", "position", "none"),
@@ -403,5 +408,5 @@ class TestFootprintRule:
 
     @pytest.mark.parametrize("k", [0, 2, 13])
     def test_rejects_out_of_range(self, k):
-        with pytest.raises(ConfigError, match="footprint side must be one of"):
+        with pytest.raises(ConfigError, match="^footprint must be one of"):
             AttentionConfig(footprint=k)

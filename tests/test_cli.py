@@ -136,7 +136,7 @@ class TestCount:
 
     @pytest.mark.parametrize("edit,message", [
         ({"stem_channels": 0, "channels": 0}, "channels must be at least 1"),
-        ({"footprint": 4}, "footprint side must be one of"),
+        ({"footprint": 4}, "footprint must be one of"),
         ({"input_hw": 33}, "transition needs an even extent, got 33"),
     ], ids=["zero-widths", "footprint-4", "input-hw-33"])
     def test_bad_spec_file_exits_2_without_run_dir(self, tmp_path, capsys, edit, message):
@@ -410,7 +410,7 @@ class TestTrainCommand:
         assert main(["train", "--spec-file", str(write_tiny_spec(tmp_path, {"footprint": 4})),
                      "--limit", "20", "--epochs", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "footprint side must be one of" in err
+        assert err.count("\n") == 1 and "footprint must be one of" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("input_hw", [33, 64])
@@ -571,7 +571,7 @@ class TestEvalRobustAttack:
         assert main(["attack", "--checkpoint", str(train_run / "best.ckpt"),
                      "--data", "blobs", "--limit", "200", "--eps", "-1",
                      "--out", str(tmp_path / "a")]) == 2
-        assert capsys.readouterr().err.startswith("error: attack budget")
+        assert capsys.readouterr().err.startswith("error: attack eps must be non-negative")
 
     def test_zero_attack_count_exits_2(self, train_run, tmp_path, capsys):
         out = tmp_path / "a"

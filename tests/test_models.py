@@ -4,13 +4,14 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import sanet.tensor as T
-from sanet.attention import FAMILIES
+from sanet.attention import FAMILIES, AttentionConfig
 from sanet.blocks import Bottleneck, SelfAttentionBlock
 from sanet.models import (
     MODEL_NAMES,
@@ -25,7 +26,31 @@ from sanet.models import (
     save_checkpoint,
     spec_from_dict,
 )
+from sanet.robustness import AttackConfig
 from sanet.tensor import ConfigError, Tensor, no_grad
+from sanet.training import TrainConfig
+
+
+def wrong_kinds(annotation) -> list:
+    """Values of the wrong kind for a config field's annotation."""
+    if annotation in (int, float):
+        return ["1", None, True] + ([2.5] if annotation is int else [])
+    if annotation is bool:
+        return ["yes", None, 1]
+    if annotation is str:
+        return [None, 1]
+    if annotation is AttentionConfig:
+        return [None, asdict(AttentionConfig())]
+    return [None, [StageSpec(16, 1)], (asdict(StageSpec(16, 1)),)]  # tuple[StageSpec, ...]
+
+
+CONFIGS = (AttentionConfig(), StageSpec(16, 1), named_spec("san-tiny"), TrainConfig(),
+           AttackConfig())
+WRONG_KIND_CASES = [
+    pytest.param(config, field.name, value, id=f"{type(config).__name__}.{field.name}={value!r}")
+    for config in CONFIGS for field in fields(config)
+    for value in wrong_kinds(get_type_hints(type(config))[field.name])
+]
 
 
 class TestSpecs:
@@ -73,10 +98,15 @@ class TestSpecs:
         with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
             spec_from_dict(d)
 
+    @pytest.mark.parametrize("config,field,value", WRONG_KIND_CASES)
+    def test_wrong_kind_in_any_config_field_is_config_error(self, config, field, value):
+        with pytest.raises(ConfigError, match=rf"\b{field} must be"):
+            replace(config, **{field: value})
+
     def test_san_stage_footprint_checked_at_spec_time(self):
         d = asdict(named_spec("san-tiny"))
         d["stages"][1]["footprint"] = 4
-        with pytest.raises(ConfigError, match="footprint side must be one of"):
+        with pytest.raises(ConfigError, match="^footprint must be one of"):
             spec_from_dict(d)
 
 

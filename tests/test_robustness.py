@@ -109,7 +109,8 @@ class TestPgd:
     @pytest.mark.parametrize("budget", [{"eps": -1.0}, {"eps": float("nan")},
                                         {"step": float("nan")}, {"step": float("inf")},
                                         {"iters": -1}, {"count": 0}, {"iters": 2.5},
-                                        {"count": True}, {"count": 2.5}, {"seed": -1}])
+                                        {"count": True}, {"count": 2.5}, {"seed": -1},
+                                        {"eps": "8"}, {"step": None}, {"eps": True}])
     def test_invalid_budget_is_config_error(self, budget):
         [field] = budget
         with pytest.raises(ConfigError, match=f"^attack .*{field}"):

@@ -171,6 +171,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field,value", [
         ("momentum", float("nan")), ("momentum", -0.5), ("weight_decay", float("inf")),
         ("weight_decay", -1.0), ("label_smoothing", 1.0), ("label_smoothing", -0.1),
+        ("base_lr", "0.1"), ("label_smoothing", None), ("seed", -1),
     ])
     def test_invalid_optimizer_setting_is_config_error(self, field, value):
         with pytest.raises(ConfigError, match=field):
