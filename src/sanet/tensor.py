@@ -13,10 +13,22 @@ same graph raises ``UsageError``.
 Feature maps use NCHW layout throughout.  Two dtypes are supported:
 float64 for verification (gradient checks, oracle comparisons) and
 float32 for training.
+
+The primitives run on the calling thread, except ``slot_aggregate``: its
+numpy loop over footprint slots runs a batch of two or more images as two
+halves, the first on one lazily started worker thread, so that both cores
+of a small host work on it while numpy and BLAS release the GIL.  Batch-1
+calls, such as inference on one image and ``sanet gradcheck``, start no
+thread.  The split is always two halves, whatever the core count, so
+results do not depend on the machine; only the weight perceptron's tail
+gradients differ in rounding from a single pass.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -445,6 +457,32 @@ def _scatter_windows(slot_grads, shape, k: int, stride: int, pad: int, dtype) ->
     return buf[:, :, pad : pad + h, pad : pad + w]
 
 
+_worker = None  # (pid, pool): the one thread that runs the first half of a split batch
+
+
+def _in_halves(part_fn, n: int, split: bool) -> list:
+    """Run ``part_fn(lo, hi)`` over the batch ``[0, n)``; return its results.
+
+    Unsplit, ``part_fn(0, n)`` runs on the calling thread.  Split, images
+    ``[0, n // 2)`` run on the one worker thread, in a copy of the caller's
+    context so that numpy's error state holds there too, while images
+    ``[n // 2, n)`` run on the calling thread.  The worker's part is always
+    waited for, also when the caller's part raises; the worker's exception,
+    if any, is raised here.
+    """
+    if not split:
+        return [part_fn(0, n)]
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():  # a forked child has no worker thread
+        _worker = os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="sanet-half")
+    first = _worker[1].submit(contextvars.copy_context().run, part_fn, 0, n // 2)
+    try:
+        second = part_fn(n // 2, n)
+    finally:
+        wait((first,))
+    return [first.result(), second]
+
+
 def slot_offsets(k: int, slots, who: str) -> list[tuple[int, int]]:
     """Footprint offset ``(dy, dx)`` of each slot: row-major by default, or
     footprint slot ``slots[s]`` for slot ``s``; ``slots`` must permute range(k*k)."""
@@ -552,6 +590,16 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     The value map is padded once and read through k*k shifted slices, so no
     ``[N, Cm, K, H, W]`` gather is built in either direction; the backward
     pads the value and neighbor maps again, so no padded copy is kept.
+
+    Every image is computed on its own, so a batch of ``N >= 2`` runs as two
+    fixed halves, forward and backward: images ``[0, N // 2)`` on one worker
+    thread and ``[N // 2, N)`` on the calling thread, each writing only its
+    own images of the output and the gradients (see ``_in_halves``).  It
+    runs as one part for ``N == 1`` and for a batch-1 neighbor, whose
+    gradient is summed over the batch before each slot's scatter.  Split or
+    not, the output and the weight, value and neighbor gradients are bit
+    for bit those of one pass; only the tail ``(w, b)`` gradients, summed
+    per half and then added, may round differently.
     """
     if values.data.ndim != 4:
         raise DimensionError("slot_aggregate expects an NCHW value map")
@@ -577,17 +625,18 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     footprint_order = np.argsort([dy * k + dx for dy, dx in offsets])
     pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
 
-    def slot_weights(s, window, nb):
-        """The weights of slot ``s`` and the rectified input of each layer;
-        ``nb`` is the padded neighbor map or None."""
-        a = weights.data[:, :, s if per_slot else 0]
+    def slot_weights(s, window, part, nb):
+        """The weights of slot ``s`` for images ``part`` and the rectified
+        input of each layer; ``nb`` is the padded neighbor map or None."""
+        a = weights.data[part, :, s if per_slot else 0]
+        m = a.shape[0]
         if nb is not None:
             a = a + nb[window]
         inputs = []
         for wt, bt in mlp:
             a = np.maximum(a, 0)
             inputs.append(a)
-            a = np.matmul(wt.data[None], a.reshape(n, a.shape[1], -1)).reshape(n, -1, h, w)
+            a = np.matmul(wt.data[None], a.reshape(m, a.shape[1], -1)).reshape(m, -1, h, w)
             a += bt.data.reshape(1, -1, 1, 1)
         return a, inputs
 
@@ -595,13 +644,21 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         v5 = np.pad(values.data, pads).reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
         return v5, None if neighbor is None else np.pad(neighbor.data, pads)
 
+    # a batch-1 neighbor's gradient is summed over the batch before each scatter
+    split = n >= 2 and (neighbor is None or neighbor.shape[0] == n)
     parents = (weights, values) + (() if neighbor is None else (neighbor,))
     parents += tuple(t for pair in mlp for t in pair)
     v5, nb = padded()
     out = np.zeros((n, groups, share, h, w), dtype=np.result_type(*(t.data for t in parents)))
-    for s, (dy, dx) in enumerate(offsets):
-        window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
-        out += slot_weights(s, window, nb)[0][:, :, None] * v5[window]
+
+    def aggregate(lo, hi):
+        part = slice(lo, hi)
+        o, v5p, nbp = out[part], v5[part], None if nb is None else nb[part]
+        for s, (dy, dx) in enumerate(offsets):
+            window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
+            o += slot_weights(s, window, part, nbp)[0][:, :, None] * v5p[window]
+
+    _in_halves(aggregate, n, split)
 
     def bwd(g):
         g5 = g.reshape(n, groups, share, h, w)
@@ -609,26 +666,38 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         gw = (np.empty if per_slot else np.zeros)(weights.shape, dtype=g.dtype)
         gv5 = np.zeros_like(v5, dtype=g.dtype)
         gn = None if nb is None else np.zeros_like(nb, dtype=g.dtype)
-        gtail = [(np.zeros_like(wt.data, dtype=g.dtype), np.zeros_like(bt.data, dtype=g.dtype))
-                 for wt, bt in mlp]
-        for s in footprint_order:
-            dy, dx = offsets[s]
-            window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
-            a, inputs = slot_weights(s, window, nb)
-            ga = np.einsum("ngshw,ngshw->nghw", g5, v5[window])
-            gv5[window] += g5 * a[:, :, None]
-            for (wt, _), r, (gwt, gbt) in zip(mlp[::-1], inputs[::-1], gtail[::-1]):
-                g3 = ga.reshape(n, ga.shape[1], -1)
-                gwt += np.matmul(g3, np.moveaxis(r.reshape(n, r.shape[1], -1), 1, 2)).sum(axis=0)
-                gbt += g3.sum(axis=(0, 2))
-                ga = np.matmul(wt.data.T[None], g3).reshape(r.shape)
-                ga *= r > 0
-            if per_slot:
-                gw[:, :, s] = ga
-            else:
-                gw[:, :, 0] += ga
-            if gn is not None:
-                gn[window] += _unbroadcast(ga, gn.shape[:2] + (h, w))
+
+        def accumulate(lo, hi):
+            """Fill images ``lo:hi`` of every gradient; return this part's tail sums."""
+            part = slice(lo, hi)
+            g5p, v5p, gv5p, gwp = g5[part], v5[part], gv5[part], gw[part]
+            nbp, gnp = (None, None) if nb is None else (nb[part], gn[part])
+            gtail = [(np.zeros_like(wt.data, dtype=g.dtype), np.zeros_like(bt.data, dtype=g.dtype))
+                     for wt, bt in mlp]
+            for s in footprint_order:
+                dy, dx = offsets[s]
+                window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
+                a, inputs = slot_weights(s, window, part, nbp)
+                ga = np.einsum("ngshw,ngshw->nghw", g5p, v5p[window])
+                gv5p[window] += g5p * a[:, :, None]
+                for (wt, _), r, (gwt, gbt) in zip(mlp[::-1], inputs[::-1], gtail[::-1]):
+                    g3 = ga.reshape(hi - lo, ga.shape[1], -1)
+                    r3 = r.reshape(hi - lo, r.shape[1], -1)
+                    gwt += np.matmul(g3, np.moveaxis(r3, 1, 2)).sum(axis=0)
+                    gbt += g3.sum(axis=(0, 2))
+                    ga = np.matmul(wt.data.T[None], g3).reshape(r.shape)
+                    ga *= r > 0
+                if per_slot:
+                    gwp[:, :, s] = ga
+                else:
+                    gwp[:, :, 0] += ga
+                if gnp is not None:
+                    gnp[window] += _unbroadcast(ga, gnp.shape[:2] + (h, w))
+            return gtail
+
+        tails = _in_halves(accumulate, n, split)
+        gtail = tails[0] if len(tails) == 1 else [
+            (gw0 + gw1, gb0 + gb1) for (gw0, gb0), (gw1, gb1) in zip(*tails)]
         inner = (Ellipsis, slice(pad, pad + h), slice(pad, pad + w))
         grads = [gw, gv5.reshape(n, cm, h + 2 * pad, w + 2 * pad)[inner]]
         if gn is not None:

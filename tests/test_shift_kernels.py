@@ -219,6 +219,70 @@ def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
                              neighbor=None if neighbor is None else _zeros(*neighbor))
 
 
+def _aggregate_and_grads(weights, values, neighbor, tail, k, slots, proj):
+    """One ``slot_aggregate`` call on fresh leaves: its output with the
+    weight, value and neighbor gradients, and the perceptron tail gradients."""
+    leaves = [Tensor(a, requires_grad=True) for a in (weights, values, neighbor) if a is not None]
+    layers = [(Tensor(wt, requires_grad=True), Tensor(bt, requires_grad=True)) for wt, bt in tail]
+    out = T.slot_aggregate(leaves[0], leaves[1], k, slots=slots,
+                           neighbor=leaves[2] if neighbor is not None else None, mlp=layers)
+    T.sum(T.mul(out, Tensor(proj))).backward()
+    return [out.data] + [t.grad for t in leaves], [t.grad for pair in layers for t in pair]
+
+
+# (weights, neighbor, widths D, ..., G): per-slot [N, G, K, H, W] weights as
+# patchwise and scalar pass them, the per-slot product term of Hadamard and
+# dot under a tail layer, and shared [N, D, 1, H, W] weights with a
+# full-batch neighbor under one or two tail layers
+SPLIT_CASES = [("per-slot", False, (4,)), ("per-slot", False, (3, 4)),
+               ("shared", True, (3, 4)), ("shared", True, (3, 5, 4))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ordered", [False, True], ids=["slots", "slot_order"])
+@pytest.mark.parametrize("weights_kind,has_neighbor,widths", SPLIT_CASES,
+                         ids=["per-slot", "per-slot-tail", "shared-tail1", "shared-tail2"])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_split_batch_matches_per_image_calls(n, weights_kind, has_neighbor, widths, ordered,
+                                             dtype):
+    """A batch of two or more runs as two halves, one on a worker thread.  It
+    must equal the per-image calls concatenated: bit for bit in the output and
+    the weight, value and neighbor gradients, and within tolerance in the tail
+    gradients, which each half sums on its own.  Two identical calls agree
+    bit for bit."""
+    rng = np.random.default_rng(40 + n)
+    k, h, w, d, g = 3, 4, 5, widths[0], widths[-1]
+
+    def draw(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    if weights_kind == "per-slot":  # a strided view, as patchwise's transpose leaves it
+        weights = draw(n, k * k, d, h, w).transpose(0, 2, 1, 3, 4)
+    else:
+        weights = draw(n, d, 1, h, w)
+    values, proj = draw(n, 2 * g, h, w), draw(n, 2 * g, h, w)
+    neighbor = draw(n, d, h, w) if has_neighbor else None
+    tail = [(draw(fan_out, fan_in), draw(fan_out))
+            for fan_in, fan_out in zip(widths[:-1], widths[1:])]
+    slots = list(rng.permutation(k * k)) if ordered else None
+
+    def call(part):
+        return _aggregate_and_grads(weights[part], values[part],
+                                    None if neighbor is None else neighbor[part],
+                                    tail, k, slots, proj[part])
+
+    whole, whole_tail = call(slice(None))
+    again, again_tail = call(slice(None))
+    images = [call(slice(i, i + 1)) for i in range(n)]
+    for got, repeat, parts in zip(whole, again, zip(*(maps for maps, _ in images))):
+        assert np.array_equal(got, np.concatenate(parts))
+        assert np.array_equal(got, repeat)
+    tol = REL_TOL if dtype == np.float64 else DRIFT_REL
+    for got, repeat, parts in zip(whole_tail, again_tail, zip(*(grads for _, grads in images))):
+        assert _rel_err(got, np.sum(parts, axis=0)) <= tol
+        assert np.array_equal(got, repeat)
+
+
 def reference_max_pool(x, k, stride, pad):
     """Window maximum through a copied window stack, plus its gradient map.
 

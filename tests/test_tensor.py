@@ -1,6 +1,13 @@
 """Primitive operations: exact semantics, gradients, and serialization."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
+import warnings
 import weakref
 from contextlib import nullcontext
 
@@ -847,3 +854,116 @@ class TestDeterminismAndFiniteness:
                          np.zeros(3), np.ones(3), training=True),
         ):
             assert np.all(np.isfinite(out.data))
+
+
+class TestBatchSplit:
+    """``slot_aggregate`` runs a batch of two or more as two halves, images
+    ``[0, N // 2)`` on one worker thread and the rest on the caller's."""
+
+    def test_both_halves_run_under_the_callers_error_state(self):
+        """Only the worker's images overflow, once in forward and once in
+        backward: under ``over="raise"`` the call raises, and under
+        ``over="ignore"`` with warnings as errors it stays silent, as the
+        caller's own half would."""
+        ones, big = np.ones((4, 2, 3, 3), np.float32), np.float32(1e30)
+
+        def weights(first):  # images 0 and 1, the worker's half, get ``first``
+            w = np.ones((4, 2, 9, 3, 3), np.float32)
+            w[:2] = first
+            return Tensor(w, requires_grad=True)
+
+        def forward():
+            T.slot_aggregate(weights(big), Tensor(ones * big), 3)
+
+        def backward():  # the value gradient, 1e20 * 1e20, overflows
+            proj = ones.copy()
+            proj[:2] = 1e20
+            with np.errstate(over="ignore"):
+                out = T.slot_aggregate(weights(1e20), Tensor(ones, requires_grad=True), 3)
+                loss = T.sum(T.mul(out, Tensor(proj)))
+            loss.backward()
+
+        for run in (forward, backward):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                run()
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run()
+        # the caller's half raises too; the worker is joined and serves the next call
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            T.slot_aggregate(weights(big), Tensor(np.full_like(ones, big)), 3)
+        out = T.slot_aggregate(weights(2.0), Tensor(ones), 3)
+        assert np.all(np.isfinite(out.data))
+
+    def test_worker_half_is_joined_when_the_callers_half_raises(self):
+        """The caller's exception leaves only after the worker's half is done,
+        so no half still writes into buffers the caller has given up."""
+        finished = []
+
+        def part(lo, hi):
+            if lo > 0:
+                raise ValueError("the caller's half")
+            time.sleep(0.2)
+            finished.append((lo, hi))
+
+        with pytest.raises(ValueError):
+            T._in_halves(part, 5, split=True)
+        assert finished == [(0, 2)]
+
+    def test_one_worker_thread_started_by_the_first_split_call(self):
+        """Importing the package, building a model and predicting one image
+        start no thread; split calls share one worker, not one per call."""
+        script = textwrap.dedent("""
+            import json, threading
+            import numpy as np
+            counts = [threading.active_count()]
+            import sanet
+            from sanet.models import build_model, named_spec, predict
+            from sanet.tensor import Tensor, slot_aggregate
+            counts.append(threading.active_count())
+            model = build_model(named_spec("san-tiny"), seed=0)
+            counts.append(threading.active_count())
+            predict(model, np.zeros((1, 3, 32, 32), np.float32))
+            counts.append(threading.active_count())
+            before, workers = set(threading.enumerate()), set()
+            for _ in range(4):
+                slot_aggregate(Tensor(np.ones((4, 2, 9, 3, 3))), Tensor(np.ones((4, 2, 3, 3))), 3)
+                counts.append(threading.active_count())
+                workers |= set(threading.enumerate()) - before
+            print(json.dumps({"counts": counts, "workers": len(workers)}))
+        """)
+        seen = self._run_script(script)
+        counts = seen["counts"]
+        assert counts[:4] == [counts[0]] * 4
+        assert counts[4:] == [counts[0] + 1] * 4
+        assert seen["workers"] == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self):
+        """A child forked after a split call inherits the pool but not its
+        thread; its own split calls must not wait on that thread forever."""
+        script = textwrap.dedent("""
+            import json, os, signal
+            import numpy as np
+            from sanet.tensor import Tensor, slot_aggregate
+            def call():
+                slot_aggregate(Tensor(np.ones((4, 2, 9, 3, 3))), Tensor(np.ones((4, 2, 3, 3))), 3)
+            call()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)  # a hung child ends with SIGALRM, not never
+                call()
+                os._exit(0)
+            print(json.dumps({"status": os.waitpid(pid, 0)[1]}))
+        """)
+        assert self._run_script(script) == {"status": 0}
+
+    @staticmethod
+    def _run_script(script):
+        """Run ``script`` in a fresh interpreter; return its last line as JSON."""
+        src = os.path.dirname(os.path.dirname(T.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        return json.loads(run.stdout.splitlines()[-1])
