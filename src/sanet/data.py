@@ -164,4 +164,20 @@ def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return np.stack([augment(img, rng) for img in images])
+    """``augment`` applied to each uint8 [3, H, W] image of ``images`` in turn.
+
+    The batch is padded once and each image's crop, flipped or not, is
+    copied into one output array.  The generator is drawn in ``augment``'s
+    order, image by image, so the result is byte-identical to stacking
+    ``augment(image, rng)`` over the batch.
+    """
+    _, _, h, w = images.shape
+    pad = AUGMENT_PAD
+    padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty_like(images)
+    for i, src in enumerate(padded):
+        dy = int(rng.integers(0, 2 * pad + 1))
+        dx = int(rng.integers(0, 2 * pad + 1))
+        crop = src[:, dy : dy + h, dx : dx + w]
+        out[i] = crop[:, :, ::-1] if rng.random() < 0.5 else crop
+    return out

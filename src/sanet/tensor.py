@@ -14,14 +14,19 @@ Feature maps use NCHW layout throughout.  Two dtypes are supported:
 float64 for verification (gradient checks, oracle comparisons) and
 float32 for training.
 
-The primitives run on the calling thread, except ``slot_aggregate``: its
-numpy loop over footprint slots runs a batch of two or more images as two
-halves, the first on one lazily started worker thread, so that both cores
-of a small host work on it while numpy and BLAS release the GIL.  Batch-1
-calls, such as inference on one image and ``sanet gradcheck``, start no
-thread.  The split is always two halves, whatever the core count, so
-results do not depend on the machine; only the weight perceptron's tail
-gradients differ in rounding from a single pass.
+Every image of a batch is computed on its own, except that batch norm
+couples images through its per-channel statistics.  So ``linear``,
+``max_pool`` and ``slot_aggregate`` run a batch of two or more images as
+two halves, and ``batch_norm`` runs such a batch as two halves of its
+channels: the first half on one lazily started worker thread, the second
+on the calling thread, so that both cores of a small host work while numpy
+and BLAS release the GIL (see ``_in_halves``).  Each half writes only its
+own slice of the output and the gradients.  Batch-1 calls, such as
+inference on one image and ``sanet gradcheck``, start no thread, and the
+other primitives run on the calling thread.  The split is always two
+halves, whatever the core count, so results do not depend on the machine;
+only the weight perceptron's tail gradients in ``slot_aggregate`` differ in
+rounding from a single pass.
 """
 
 from __future__ import annotations
@@ -302,37 +307,63 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``[Cout, Cin]``.  Every location is mapped independently:
     ``out[n, o, ...] = sum_i weight[o, i] * x[n, i, ...] + bias[o] + add[n, o, ...]``.
     ``bias`` and ``add`` (a residual or position map, which must broadcast
-    to the output) are summed in place in the wider dtype, so no sum node
-    keeps the output alive.  The backward reads ``x`` and ``weight``, never the output.
+    to the output) are summed in place, each in the wider of its own dtype
+    and that of the sum so far, so no sum node keeps the output alive.  The
+    backward reads ``x`` and ``weight``, never the output.
+
+    A batch of ``N >= 2`` runs as two halves of its images (see
+    ``_in_halves``): each half maps its images and adds the bias and the
+    addend, and in backward writes its images of the input gradient and of
+    the per-image weight products, which the calling thread then sums over
+    the batch.  Split or not, output and gradients are the same bits.
     """
     if x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise DimensionError(
             f"linear: x channels {x.shape} incompatible with weight {weight.shape}"
         )
     shape = x.shape
-    c_out = weight.shape[0]
-    x3 = x.data.reshape(shape[0], shape[1], -1)  # [N, Cin, R]
-    data = np.matmul(weight.data[None], x3).reshape((shape[0], c_out) + shape[2:])
-    parents = [x, weight]
+    n, c_out = shape[0], weight.shape[0]
+    out_shape = (n, c_out) + shape[2:]
+    x3 = x.data.reshape(n, shape[1], -1)  # [N, Cin, R]
+    parents, terms = [x, weight], []
     if bias is not None:
         if bias.shape != (c_out,):
             raise DimensionError("linear: bias length must equal output channels")
-        data = data.astype(np.result_type(data, bias.data), copy=False)
-        data += bias.data.reshape((1, -1) + (1,) * (x.data.ndim - 2))
         parents.append(bias)
+        terms.append(bias.data.reshape((1, -1) + (1,) * (x.data.ndim - 2)))
     if add is not None:
-        if add.data.ndim > data.ndim or any(
-                a not in (1, o) for a, o in zip(add.shape[::-1], data.shape[::-1])):
-            raise DimensionError(f"linear: addend {add.shape} does not broadcast to {data.shape}")
-        data = data.astype(np.result_type(data, add.data), copy=False)
-        data += add.data
+        if add.data.ndim > len(out_shape) or any(
+                a not in (1, o) for a, o in zip(add.shape[::-1], out_shape[::-1])):
+            raise DimensionError(f"linear: addend {add.shape} does not broadcast to {out_shape}")
         parents.append(add)
+        terms.append(add.data)
+    product_dtype = np.result_type(weight.data, x.data)
+    data = np.empty(out_shape, np.result_type(product_dtype, *terms))
+
+    def forward(lo, hi):
+        o = data[lo:hi]
+        y = np.matmul(weight.data, x3[lo:hi], out=o.reshape(hi - lo, c_out, -1)
+                      if o.dtype == product_dtype else None).reshape(o.shape)
+        for t in terms:  # the bias, then the addend, each in the wider dtype so far
+            y = y.astype(np.result_type(y, t), copy=False)
+            y += t[lo:hi] if t.ndim == y.ndim and t.shape[0] == n else t
+        if y is not o:
+            o[...] = y
+
+    split = n >= 2
+    _in_halves(forward, n, split)
 
     def bwd(g):
-        g3 = g.reshape(shape[0], c_out, -1)
-        gx = np.matmul(weight.data.T[None], g3).reshape(shape)
-        gw = np.matmul(g3, np.moveaxis(x3, 1, 2)).sum(axis=0)
-        grads = [gx, gw]
+        g3 = g.reshape(n, c_out, -1)
+        gx = np.empty((n,) + x3.shape[1:], np.result_type(weight.data, g))
+        gw = np.empty((n,) + weight.shape, np.result_type(g, x.data))  # per image
+
+        def backward(lo, hi):
+            np.matmul(weight.data.T, g3[lo:hi], out=gx[lo:hi])
+            np.matmul(g3[lo:hi], np.moveaxis(x3[lo:hi], 1, 2), out=gw[lo:hi])
+
+        _in_halves(backward, n, split)
+        grads = [gx.reshape(shape), gw.sum(axis=0)]
         if bias is not None:
             grads.append(g3.sum(axis=(0, 2)))
         if add is not None:
@@ -352,56 +383,95 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     Both modes apply ``out = max((x - mean) * scale + beta, 0)`` with
     ``scale = gamma / sqrt(var + BN_EPS)``; ``BN_EPS`` keeps zero variance
-    finite.  Training mode centres ``x`` on the batch mean once, into the
-    output buffer, sums the biased ``var`` from it in one einsum pass, and
-    updates the running buffers with momentum ``BN_MOMENTUM``.  Eval mode
-    reads the running buffers and folds the mean into the shift,
-    ``x * scale + (beta - mean * scale)``, in three passes.  The ReLU is
-    applied in place, so no pre-activation copy is kept: the backward masks
-    the incoming gradient with ``out > 0`` and rebuilds ``x - mean`` from
-    the input, as in-place activated batch norm does (arXiv:1712.02616).
-    Its one training-only term, the gradient through the batch statistics
-    ``dx -= scale / M * (dbeta + xhat * dgamma)`` over the ``M`` values of
-    each channel (arXiv:1502.03167), is folded into that map in place.
+    finite.  Training mode sums the batch mean in one einsum pass, centres
+    ``x`` on it once, into the output buffer, sums the biased ``var`` from
+    it in one more, and updates the running buffers with momentum
+    ``BN_MOMENTUM``.  Eval mode reads the running buffers and folds the
+    mean into the shift, ``x * scale + (beta - mean * scale)``, in three
+    passes.  The ReLU is applied in place, so no pre-activation copy is
+    kept: the backward masks the incoming gradient with ``out > 0`` and
+    rebuilds ``x - mean`` from the input, as in-place activated batch norm
+    does (arXiv:1712.02616).  Its one training-only term, the gradient
+    through the batch statistics ``dx -= scale / M * (dbeta + xhat * dgamma)``
+    over the ``M`` values of each channel (arXiv:1502.03167), is folded
+    into that map in place.
+
+    Channels are normalized independently, so a batch of ``N >= 2`` with
+    ``C >= 2`` channels runs as two halves of its channels, forward and
+    backward (see ``_in_halves``); each half does its own channels'
+    statistics, running-buffer update and gradients.  Every reduction is a
+    ``"nchw->c"`` einsum, which sums a channel slice as it sums the whole
+    map, so output, gradients and running buffers are the same bits split
+    or not.
     """
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects an NCHW tensor")
-    c = x.shape[1]
+    n, c = x.shape[:2]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError("batch_norm: affine parameter length must equal channels")
-    axes, shape, m = (0, 2, 3), (1, c, 1, 1), x.data.size // c
+    m = x.data.size // c
+    # the running mean is copied, as it may move before backward
+    stats = () if training else (running_mean.copy(), running_var)
     # one full-size buffer, promoted up front so the in-place steps never downcast
-    stats = () if training else (running_mean, running_var)
     dtype = np.result_type(x.data, gamma.data, beta.data, *stats)
-    if training:
-        mean = x.data.mean(axis=axes, keepdims=True)
-        data = np.subtract(x.data, mean, dtype=dtype)
-        var = np.einsum("nchw,nchw->c", data, data) / m
-        running_mean[...] = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean.reshape(c)
-        running_var[...] = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
-    else:
-        mean, var = running_mean.reshape(shape).copy(), running_var  # may move before backward
-    inv_std = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
-    scale = gamma.data.reshape(shape) * inv_std
-    if training:
-        data *= scale
-        data += beta.data.reshape(shape)
-    else:
-        data = np.multiply(x.data, scale, dtype=dtype)
-        data += beta.data.reshape(shape) - mean * scale
-    np.maximum(data, 0, out=data)
+    data = np.empty(x.shape, dtype)
+    gamma4, beta4 = (t.data.reshape(1, c, 1, 1) for t in (gamma, beta))
+
+    def forward(lo, hi):
+        """Normalize channels ``lo:hi``; return their mean, 1 / std and scale."""
+        xs, out = x.data[:, lo:hi], data[:, lo:hi]
+        if training:
+            mean = np.einsum("nchw->c", xs) / m
+            np.subtract(xs, mean.reshape(1, -1, 1, 1), out=out, dtype=dtype)
+            var = np.einsum("nchw,nchw->c", out, out) / m
+            running_mean[lo:hi] = (1.0 - BN_MOMENTUM) * running_mean[lo:hi] + BN_MOMENTUM * mean
+            running_var[lo:hi] = (1.0 - BN_MOMENTUM) * running_var[lo:hi] + BN_MOMENTUM * var
+        else:
+            mean, var = stats[0][lo:hi], stats[1][lo:hi]
+        mean = mean.reshape(1, -1, 1, 1)
+        inv_std = 1.0 / np.sqrt(var.reshape(1, -1, 1, 1) + BN_EPS)
+        scale = gamma4[:, lo:hi] * inv_std
+        if training:
+            out *= scale
+            out += beta4[:, lo:hi]
+        else:
+            np.multiply(xs, scale, out=out, dtype=dtype)
+            out += beta4[:, lo:hi] - mean * scale
+        np.maximum(out, 0, out=out)
+        return mean, inv_std, scale
+
+    split = n >= 2 and c >= 2
+    mean, inv_std, scale = (np.concatenate(t, axis=1)
+                            for t in zip(*_in_halves(forward, c, split)))
 
     def bwd(g):
-        g = g * (data > 0)
-        centered = np.subtract(x.data, mean, dtype=dtype)
-        dgamma = np.einsum("nchw,nchw->c", g, centered).reshape(shape) * inv_std
-        dbeta = g.sum(axis=axes, keepdims=True)
-        g *= scale
-        if training:
-            centered *= scale / m * inv_std * dgamma
-            centered += scale / m * dbeta
-            g -= centered
-        return g, dgamma.reshape(c), dbeta.reshape(c)
+        # one dtype for both einsum operands: a cast would sum in buffered chunks
+        # that depend on the slice, and the split would change the bits
+        wide = np.result_type(g, data)
+        gx = np.empty(g.shape, wide)
+
+        def mask(lo, hi):
+            np.multiply(g[:, lo:hi], data[:, lo:hi] > 0, out=gx[:, lo:hi])
+
+        _in_halves(mask, c, split)
+        rebuilt = np.empty(x.shape, wide)  # after the masks, so the peak stays at two maps
+
+        def backward(lo, hi):
+            """Fill channels ``lo:hi`` of ``dx``; return their ``dgamma``, ``dbeta``."""
+            gs, centered = gx[:, lo:hi], rebuilt[:, lo:hi]
+            np.subtract(x.data[:, lo:hi], mean[:, lo:hi], out=centered, dtype=wide)
+            inv, sc = inv_std[:, lo:hi], scale[:, lo:hi]
+            dgamma = np.einsum("nchw,nchw->c", gs, centered).reshape(1, -1, 1, 1) * inv
+            dbeta = np.einsum("nchw->c", gs).reshape(1, -1, 1, 1)
+            gs *= sc
+            if training:
+                centered *= sc / m * inv * dgamma
+                centered += sc / m * dbeta
+                gs -= centered
+            return dgamma.reshape(-1), dbeta.reshape(-1)
+
+        dgamma, dbeta = (np.concatenate(t) for t in zip(*_in_halves(backward, c, split)))
+        return gx, dgamma, dbeta
 
     return _node(data, (x, gamma, beta), bwd)
 
@@ -441,32 +511,32 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _scatter_windows(slot_grads, shape, k: int, stride: int, pad: int, dtype) -> np.ndarray:
-    """Sum window gradients back onto an NCHW input of ``shape``.
+def _scatter_windows(slot_grads, buf: np.ndarray, k: int, stride: int):
+    """Sum window gradients into ``buf``, an NCHW map padded as the windows read it.
 
     ``slot_grads`` yields one ``[N, C, Ho, Wo]`` gradient per footprint
     slot, row-major; they are consumed one at a time so no stacked copy of
     all slots is ever held.
     """
-    n, c, h, w = shape
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
     for slot, sg in enumerate(slot_grads):
         dy, dx = divmod(slot, k)
         ho, wo = sg.shape[2:]
         buf[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += sg
-    return buf[:, :, pad : pad + h, pad : pad + w]
 
 
-_worker = None  # (pid, pool): the one thread that runs the first half of a split batch
+_worker = None  # (pid, pool): the one thread that runs the first half of a split call
 
 
 def _in_halves(part_fn, n: int, split: bool) -> list:
-    """Run ``part_fn(lo, hi)`` over the batch ``[0, n)``; return its results.
+    """Run ``part_fn(lo, hi)`` over ``[0, n)``; return its results in order.
 
-    Unsplit, ``part_fn(0, n)`` runs on the calling thread.  Split, images
-    ``[0, n // 2)`` run on the one worker thread, in a copy of the caller's
-    context so that numpy's error state holds there too, while images
-    ``[n // 2, n)`` run on the calling thread.  The worker's part is always
+    ``[0, n)`` indexes the axis a primitive splits: images for ``linear``,
+    ``max_pool`` and ``slot_aggregate``, channels for ``batch_norm``.
+    Unsplit, ``part_fn(0, n)`` runs on the calling thread.  Split,
+    ``[0, n // 2)`` runs on the one worker thread, in a copy of the caller's
+    context so that numpy's error state holds there too, while
+    ``[n // 2, n)`` runs on the calling thread.  Each part writes only its
+    own slice of the caller's buffers.  The worker's part is always
     waited for, also when the caller's part raises; the worker's exception,
     if any, is raised here.
     """
@@ -520,8 +590,9 @@ def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
             data[:, :, s] = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
 
     def bwd(g):
-        per_slot = (g[:, :, s] for s in range(k * k))
-        return (_scatter_windows(per_slot, (n, c, h, w), k, stride, pad, g.dtype),)
+        buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), g.dtype)
+        _scatter_windows((g[:, :, s] for s in range(k * k)), buf, k, stride)
+        return (buf[:, :, pad : pad + h, pad : pad + w],)
 
     return _node(data, (x,), bwd)
 
@@ -529,11 +600,15 @@ def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
 def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     """Max pooling; gradient routes to the first maximal slot per window.
 
-    The input is padded once with ``-inf`` and the window maximum is folded
+    The input is padded with ``-inf`` and the window maximum is folded
     over its k*k strided slices, so no ``[N, C, Ho, Wo, k*k]`` window copy
     is built.  A NaN in a window wins over every number, as with ``argmax``.
     The winning slot of each window is recorded only when the output goes
-    on the tape.
+    on the tape.  A batch of ``N >= 2`` runs as two halves of its images,
+    forward and backward (see ``_in_halves``): each half pads its images,
+    writes their maxima and winning slots, and scatters their gradient
+    into its own images of the padded gradient map, the same bits as one
+    part.
     """
     if x.data.ndim != 4:
         raise DimensionError("max_pool expects an NCHW tensor")
@@ -543,25 +618,40 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
     pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    src = np.pad(x.data, pads, constant_values=-np.inf) if pad > 0 else x.data
     taped = _grad_enabled and x.requires_grad
-    data = src[:, :, : stride * ho : stride, : stride * wo : stride].copy()
+    data = np.empty((n, c, ho, wo), x.dtype)
     arg = np.zeros(data.shape, np.min_scalar_type(k * k - 1)) if taped else None
-    for s in range(1, k * k):
-        dy, dx = divmod(s, k)
-        sl = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
-        if taped:
-            # a later slot wins only if it is greater, or NaN over a number;
-            # slots rise, so a win always raises the recorded index
-            better = ~(sl <= data) & (data == data)
-            np.maximum(arg, better * arg.dtype.type(s), out=arg)
-        # on a tie np.maximum keeps its second operand, the earlier slot; of
-        # two NaNs it keeps the first, so only a NaN payload can differ from argmax
-        np.maximum(sl, data, out=data)
+
+    def forward(lo, hi):
+        src = x.data[lo:hi]
+        if pad > 0:
+            src = np.pad(src, pads, constant_values=-np.inf)
+        out, won = data[lo:hi], None if arg is None else arg[lo:hi]
+        out[...] = src[:, :, : stride * ho : stride, : stride * wo : stride]
+        for s in range(1, k * k):
+            dy, dx = divmod(s, k)
+            sl = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
+            if taped:
+                # a later slot wins only if it is greater, or NaN over a number;
+                # slots rise, so a win always raises the recorded index
+                better = ~(sl <= out) & (out == out)
+                np.maximum(won, better * won.dtype.type(s), out=won)
+            # on a tie np.maximum keeps its second operand, the earlier slot; of
+            # two NaNs it keeps the first, so only a NaN payload can differ from argmax
+            np.maximum(sl, out, out=out)
+
+    split = n >= 2
+    _in_halves(forward, n, split)
 
     def bwd(g):
-        slots = (g * (arg == s) for s in range(k * k))
-        return (_scatter_windows(slots, (n, c, h, w), k, stride, pad, g.dtype),)
+        buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), g.dtype)
+
+        def backward(lo, hi):
+            gp, ap = g[lo:hi], arg[lo:hi]
+            _scatter_windows((gp * (ap == s) for s in range(k * k)), buf[lo:hi], k, stride)
+
+        _in_halves(backward, n, split)
+        return (buf[:, :, pad : pad + h, pad : pad + w],)
 
     return _node(data, (x,), bwd)
 
@@ -587,9 +677,10 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     in footprint order, as ``unfold``'s backward does, so the neighbor
     gradient is scattered in the same order as that of a gathered neighbor.
 
-    The value map is padded once and read through k*k shifted slices, so no
-    ``[N, Cm, K, H, W]`` gather is built in either direction; the backward
-    pads the value and neighbor maps again, so no padded copy is kept.
+    The value map is padded once, each half padding its own images, and
+    read through k*k shifted slices, so no ``[N, Cm, K, H, W]`` gather is
+    built in either direction; the backward pads the value and neighbor
+    maps again, so no padded copy is kept.
 
     Every image is computed on its own, so a batch of ``N >= 2`` runs as two
     fixed halves, forward and backward: images ``[0, N // 2)`` on one worker
@@ -640,20 +731,19 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
             a += bt.data.reshape(1, -1, 1, 1)
         return a, inputs
 
-    def padded():  # made again in backward, not kept on the tape
-        v5 = np.pad(values.data, pads).reshape(n, groups, share, h + 2 * pad, w + 2 * pad)
-        return v5, None if neighbor is None else np.pad(neighbor.data, pads)
+    def padded(part):  # images ``part``, made again in backward, not kept on the tape
+        v5 = np.pad(values.data[part], pads).reshape(-1, groups, share, h + 2 * pad, w + 2 * pad)
+        return v5, None if neighbor is None else np.pad(neighbor.data[part], pads)
 
     # a batch-1 neighbor's gradient is summed over the batch before each scatter
     split = n >= 2 and (neighbor is None or neighbor.shape[0] == n)
     parents = (weights, values) + (() if neighbor is None else (neighbor,))
     parents += tuple(t for pair in mlp for t in pair)
-    v5, nb = padded()
     out = np.zeros((n, groups, share, h, w), dtype=np.result_type(*(t.data for t in parents)))
 
     def aggregate(lo, hi):
         part = slice(lo, hi)
-        o, v5p, nbp = out[part], v5[part], None if nb is None else nb[part]
+        o, (v5p, nbp) = out[part], padded(part)
         for s, (dy, dx) in enumerate(offsets):
             window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
             o += slot_weights(s, window, part, nbp)[0][:, :, None] * v5p[window]
@@ -662,16 +752,16 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
 
     def bwd(g):
         g5 = g.reshape(n, groups, share, h, w)
-        v5, nb = padded()
         gw = (np.empty if per_slot else np.zeros)(weights.shape, dtype=g.dtype)
-        gv5 = np.zeros_like(v5, dtype=g.dtype)
-        gn = None if nb is None else np.zeros_like(nb, dtype=g.dtype)
+        gv5 = np.zeros((n, groups, share, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+        gn = None if neighbor is None else np.zeros(
+            neighbor.shape[:2] + gv5.shape[3:], dtype=g.dtype)
 
         def accumulate(lo, hi):
             """Fill images ``lo:hi`` of every gradient; return this part's tail sums."""
             part = slice(lo, hi)
-            g5p, v5p, gv5p, gwp = g5[part], v5[part], gv5[part], gw[part]
-            nbp, gnp = (None, None) if nb is None else (nb[part], gn[part])
+            (v5p, nbp), g5p, gv5p, gwp = padded(part), g5[part], gv5[part], gw[part]
+            gnp = None if gn is None else gn[part]
             gtail = [(np.zeros_like(wt.data, dtype=g.dtype), np.zeros_like(bt.data, dtype=g.dtype))
                      for wt, bt in mlp]
             for s in footprint_order:

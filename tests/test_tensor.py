@@ -204,7 +204,7 @@ class TestBatchNorm:
         centered = x.astype(want.dtype) - rm.reshape(shape)  # centred in the output dtype
         want_grads = (masked * scale,
                       np.einsum("nchw,nchw->c", masked, centered) * inv_std.ravel(),
-                      masked.sum(axis=(0, 2, 3)))
+                      np.einsum("nchw->c", masked))
 
         leaves = [Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
                   Tensor(beta, requires_grad=True)]
@@ -221,15 +221,16 @@ class TestBatchNorm:
     @staticmethod
     def _relu_bn_reference(x, gamma, beta, rm, rv, training, proj):
         """Batch norm, in the formula of each mode, then a separate ReLU,
-        forward and backward, in plain out-of-place numpy.  Training centres
-        ``x`` in the output dtype and sums the variance and ``dgamma`` with
-        einsum; eval folds the running mean into the shift.  Training adds
+        forward and backward, in plain out-of-place numpy.  Every reduction
+        is an einsum: training sums the mean in the input dtype, centres
+        ``x`` in the output dtype and sums the variance from that; eval
+        folds the running mean into the shift.  Training adds
         to eval's per-channel scale and shift the gradient through the batch
         statistics."""
-        axes, shape, m = (0, 2, 3), (1, -1, 1, 1), x.size // x.shape[1]
+        shape, m = (1, -1, 1, 1), x.size // x.shape[1]
         dtype = np.result_type(x, gamma, beta, *(() if training else (rm, rv)))
         if training:
-            centered = x.astype(dtype) - x.mean(axis=axes).reshape(shape)
+            centered = x.astype(dtype) - (np.einsum("nchw->c", x) / m).reshape(shape)
             inv_std = (1.0 / np.sqrt(np.einsum("nchw,nchw->c", centered, centered) / m
                                      + 1e-5)).reshape(shape)
             scale = gamma.reshape(shape) * inv_std
@@ -241,7 +242,7 @@ class TestBatchNorm:
             centered = x.astype(dtype) - rm.reshape(shape)
         g = proj * (pre > 0)  # relu's backward
         dgamma = np.einsum("nchw,nchw->c", g, centered).reshape(shape) * inv_std
-        dbeta = g.sum(axis=axes).reshape(shape)
+        dbeta = np.einsum("nchw->c", g).reshape(shape)
         dx = g * scale
         if training:
             dx = dx - (centered * (scale / m * inv_std * dgamma) + scale / m * dbeta)
@@ -275,21 +276,45 @@ class TestBatchNorm:
             np.testing.assert_array_equal(got, g)
 
     def test_train_output_takes_the_widest_dtype(self):
-        """A float64 shift on float32 input and scale gives float64: ``x`` is
-        centred in float64, and the variance is summed from that buffer."""
+        """A float64 shift on float32 input and scale gives float64: the mean
+        is summed in float32, ``x`` is centred in float64, and the variance
+        is summed from that buffer."""
         rng = np.random.default_rng(35)
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         gamma = rng.normal(size=3).astype(np.float32)
         beta = rng.normal(size=3)
         out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(3), np.ones(3),
                            training=True).data
-        axes, shape = (0, 2, 3), (1, 3, 1, 1)
-        centered = x.astype(np.float64) - x.mean(axis=axes).reshape(shape)
+        shape = (1, 3, 1, 1)
+        centered = x.astype(np.float64) - (np.einsum("nchw->c", x) / 32).reshape(shape)
         inv_std = 1.0 / np.sqrt(np.einsum("nchw,nchw->c", centered, centered) / 32 + 1e-5)
         scale = (gamma * inv_std).reshape(shape)
         want = np.maximum(centered * scale + beta.reshape(shape), 0)
         assert out.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(out, want)
+
+    def test_channel_slice_statistics_equal_the_whole_maps(self):
+        """Training batch norm on a channel slice gives that slice's output,
+        running buffers and gradients bit for bit as on the whole map.  On
+        this float32 [2, 3, 4, 4] map split into 1 + 2 channels, the sums of
+        ``x.mean(axis=(0, 2, 3))`` differ between slice and whole map, while
+        the ``"nchw->c"`` einsum sums match."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.5, 2.0, size=(2, 3, 4, 4)).astype(np.float32)
+        gamma, beta = rng.normal(size=3).astype(np.float32), rng.normal(size=3).astype(np.float32)
+        proj = rng.normal(size=x.shape).astype(np.float32)
+
+        def run(cs):
+            leaves = [Tensor(a, requires_grad=True) for a in (x[:, cs], gamma[cs], beta[cs])]
+            rm, rv = np.zeros(3, np.float32)[cs], np.ones(3, np.float32)[cs]
+            out = T.batch_norm(*leaves, rm, rv, training=True)
+            T.sum(T.mul(out, Tensor(proj[:, cs]))).backward()
+            return [out.data, rm, rv] + [leaf.grad for leaf in leaves]
+
+        whole = run(slice(None))
+        for cs in (slice(0, 1), slice(1, 3)):
+            for got, want in zip(run(cs), whole):
+                np.testing.assert_array_equal(got, want[:, cs] if got.ndim == 4 else want[cs])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_matches_textbook_formula_within_sixteen_ulps(self, dtype):
@@ -856,9 +881,121 @@ class TestDeterminismAndFiniteness:
             assert np.all(np.isfinite(out.data))
 
 
+def _split_and_one_part(run, monkeypatch):
+    """``run()`` as the primitives split it, then with every call as one part.
+
+    Returns both results and whether the first run split any call."""
+    calls = []
+    in_halves = T._in_halves
+
+    def spy(fn, n, split):
+        calls.append(split)
+        return in_halves(fn, n, split)
+
+    monkeypatch.setattr(T, "_in_halves", spy)
+    split = run()
+    monkeypatch.setattr(T, "_in_halves", lambda fn, n, split: [fn(0, n)])
+    one = run()
+    return split, one, any(calls)
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+class TestSplitMatchesOnePart:
+    """Each split primitive gives the output, gradients and buffers of its
+    one-part run, bit for bit."""
+
+    @pytest.mark.parametrize("case", [
+        ("4d", None, None), ("4d", np.float64, None), ("4d", np.float32, "full"),
+        ("4d", np.float32, "full64"), ("4d", None, "batch1"), ("4d", np.float32, "lower"),
+        ("2d", np.float32, "full"), ("2d", np.float64, "lower")],
+        ids=["4d", "4d-bias64", "4d-full", "4d-full64", "4d-batch1", "4d-lower",
+             "2d-full", "2d-bias64-lower"])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_linear(self, n, case, monkeypatch):
+        """4-D and 2-D inputs; a float64 bias or addend on float32 products;
+        full-batch, batch-1 and lower-rank addends."""
+        rank, bias_dtype, addend = case
+        rng = np.random.default_rng(40 + n)
+        tail = (5, 6) if rank == "4d" else ()
+        out_shape = (n, 3) + tail
+        add_shape = {"full": out_shape, "full64": out_shape, "batch1": (1,) + out_shape[1:],
+                     "lower": out_shape[2:] or (3,)}.get(addend)
+        arrays = [rng.normal(size=(n, 4) + tail).astype(np.float32),
+                  rng.normal(size=(3, 4)).astype(np.float32)]
+        if bias_dtype is not None:
+            arrays.append(rng.normal(size=3).astype(bias_dtype))
+        if addend is not None:
+            arrays.append(rng.normal(size=add_shape).astype(
+                np.float64 if addend == "full64" else np.float32))
+        proj = Tensor(rng.normal(size=out_shape))
+
+        def run():
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            x, w, rest = leaves[0], leaves[1], leaves[2:]
+            b = rest.pop(0) if bias_dtype is not None else None
+            out = T.linear(x, w, b, add=rest[0] if rest else None)
+            T.sum(T.mul(out, proj)).backward()
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        split, one, did_split = _split_and_one_part(run, monkeypatch)
+        assert did_split
+        _assert_all_equal(split, one)
+
+    @pytest.mark.parametrize("dtype,affine_dtype", [(np.float32, np.float32),
+                                                    (np.float64, np.float64),
+                                                    (np.float32, np.float64)],
+                             ids=["float32", "float64", "mixed"])
+    @pytest.mark.parametrize("c", [1, 2, 3, 16])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batch_norm(self, training, c, dtype, affine_dtype, monkeypatch):
+        rng = np.random.default_rng(50 + c)
+        x = rng.normal(0.5, 2.0, size=(3, c, 5, 6)).astype(dtype)
+        gamma, beta = (rng.normal(size=c).astype(affine_dtype) for _ in range(2))
+        rm, rv = rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype)
+        proj = Tensor(rng.normal(size=x.shape))
+
+        def run():
+            leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            buffers = [rm.copy(), rv.copy()]
+            out = T.batch_norm(*leaves, *buffers, training=training)
+            T.sum(T.mul(out, proj)).backward()
+            return [out.data] + [leaf.grad for leaf in leaves] + buffers
+
+        split, one, did_split = _split_and_one_part(run, monkeypatch)
+        assert did_split == (c >= 2)
+        _assert_all_equal(split, one)
+
+    @pytest.mark.parametrize("window", [(2, 2, 0), (3, 2, 1)], ids=["k2s2", "k3s2p1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_max_pool(self, n, dtype, window, monkeypatch):
+        """Small integers make ties in most windows; a few NaNs win theirs."""
+        rng = np.random.default_rng(60 + n)
+        x = rng.integers(0, 3, size=(n, 3, 7, 8)).astype(dtype)
+        x.reshape(-1)[rng.choice(x.size, 6, replace=False)] = np.nan
+        proj = Tensor(rng.normal(size=(n, 3) + T.max_pool(Tensor(x), *window).shape[2:]))
+
+        def run():
+            leaf = Tensor(x, requires_grad=True)
+            out = T.max_pool(leaf, *window)
+            T.sum(T.mul(out, proj)).backward()
+            return [out.data, leaf.grad]
+
+        split, one, did_split = _split_and_one_part(run, monkeypatch)
+        assert did_split and np.isnan(split[0]).any()
+        _assert_all_equal(split, one)
+
+
 class TestBatchSplit:
-    """``slot_aggregate`` runs a batch of two or more as two halves, images
-    ``[0, N // 2)`` on one worker thread and the rest on the caller's."""
+    """``slot_aggregate``, ``linear`` and ``max_pool`` run a batch of two or
+    more as two halves, images ``[0, N // 2)`` on one worker thread and the
+    rest on the caller's; ``batch_norm`` splits its channels the same way."""
 
     def test_both_halves_run_under_the_callers_error_state(self):
         """Only the worker's images overflow, once in forward and once in
@@ -895,6 +1032,50 @@ class TestBatchSplit:
         out = T.slot_aggregate(weights(2.0), Tensor(ones), 3)
         assert np.all(np.isfinite(out.data))
 
+    def test_linear_and_batch_norm_halves_run_under_the_callers_error_state(self):
+        """As above for ``linear``, whose worker takes images 0 and 1, and for
+        ``batch_norm``, whose worker takes channels 0 and 1: only that half
+        overflows, once in forward and once in backward."""
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(4, 4, 3, 3)).astype(np.float32)
+
+        def linear_forward():  # 1e30 * 1e10 in the worker's images
+            big = x.copy()
+            big[:2] = 1e30
+            T.linear(Tensor(big), Tensor(np.full((2, 4), 1e10, np.float32)))
+
+        def linear_backward():  # 1e20 * 1e20 into the worker's images of dx
+            proj = np.ones((4, 2, 3, 3), np.float32)
+            proj[:2] = 1e20
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = T.linear(Tensor(x, requires_grad=True),
+                               Tensor(np.full((2, 4), 1e20, np.float32)))
+                loss = T.sum(T.mul(out, Tensor(proj)))
+            loss.backward()
+
+        def norm_forward():  # the worker's channels scale by 3e38 and shift by 3e38
+            gamma, beta = np.ones(4, np.float32), np.zeros(4, np.float32)
+            gamma[:2] = beta[:2] = 3e38
+            T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(4, np.float32),
+                         np.ones(4, np.float32), training=True)
+
+        def norm_backward():  # a 1e20 gradient times the worker's 1e20 scale
+            gamma, proj = np.ones(4, np.float32), np.ones_like(x)
+            gamma[:2] = proj[:, :2] = 1e20
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = T.batch_norm(Tensor(x, requires_grad=True), Tensor(gamma),
+                                   Tensor(np.ones(4, np.float32)), np.zeros(4, np.float32),
+                                   np.ones(4, np.float32), training=False)
+                loss = T.sum(T.mul(out, Tensor(proj)))
+            loss.backward()
+
+        for run in (linear_forward, linear_backward, norm_forward, norm_backward):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                run()
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run()
+
     def test_worker_half_is_joined_when_the_callers_half_raises(self):
         """The caller's exception leaves only after the worker's half is done,
         so no half still writes into buffers the caller has given up."""
@@ -911,8 +1092,10 @@ class TestBatchSplit:
         assert finished == [(0, 2)]
 
     def test_one_worker_thread_started_by_the_first_split_call(self):
-        """Importing the package, building a model and predicting one image
-        start no thread; split calls share one worker, not one per call."""
+        """Importing the package, building models and predicting one image
+        with san-tiny and with resnet26 (whose convolutions reach ``linear``,
+        ``max_pool`` and ``batch_norm``) start no thread; split calls share
+        one worker, not one per call."""
         script = textwrap.dedent("""
             import json, threading
             import numpy as np
@@ -925,6 +1108,9 @@ class TestBatchSplit:
             counts.append(threading.active_count())
             predict(model, np.zeros((1, 3, 32, 32), np.float32))
             counts.append(threading.active_count())
+            predict(build_model(named_spec("resnet26"), seed=0),
+                    np.zeros((1, 3, 64, 64), np.float32))
+            counts.append(threading.active_count())
             before, workers = set(threading.enumerate()), set()
             for _ in range(4):
                 slot_aggregate(Tensor(np.ones((4, 2, 9, 3, 3))), Tensor(np.ones((4, 2, 3, 3))), 3)
@@ -934,8 +1120,8 @@ class TestBatchSplit:
         """)
         seen = self._run_script(script)
         counts = seen["counts"]
-        assert counts[:4] == [counts[0]] * 4
-        assert counts[4:] == [counts[0] + 1] * 4
+        assert counts[:5] == [counts[0]] * 5
+        assert counts[5:] == [counts[0] + 1] * 4
         assert seen["workers"] == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

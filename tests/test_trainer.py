@@ -48,6 +48,19 @@ class TestAugment:
         np.testing.assert_array_equal(a, b)
         assert a.dtype == np.uint8
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_batch_matches_stacked_single_image_calls(self, n, seed):
+        """``augment_batch`` equals ``augment`` on each image in turn, byte for
+        byte, and leaves the generator where those calls leave it."""
+        imgs = np.random.default_rng(100 + seed).integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = augment_batch(imgs, rng)
+        want = np.stack([augment(img, ref) for img in imgs])
+        assert got.dtype == want.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+        assert rng.random() == ref.random()
+
     def test_eval_path_normalizes_only(self):
         ds = make_blobs(train_per_class=5, val_per_class=2, seed=0)
         x = ds.normalize(ds.val_images)
