@@ -284,8 +284,8 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     the zero key and zero position of a zero-padded neighbor.  Returns
     ``(base, neighbor)``: the center map ``[N, d1, 1, H, W]`` (for Hadamard
     and dot, the ``[N, d1, K, H, W]`` product term with the center added)
-    and the neighbor map ``[N or 1, d1, H, W]`` or None, for
-    ``slot_aggregate`` to add slot by slot.
+    and the neighbor map ``[N, d1, H, W]`` or None, for ``slot_aggregate``
+    to add slot by slot.
     """
     cfg, d = params.cfg, params.dims.d
     layer = params.mlp[0]
@@ -299,6 +299,8 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
             rel = T.sum(rel, axis=1, keepdims=True)
         center = None if center is None else T.reshape(center, (1, layer.w.shape[0], 1, h, w))
         base = T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b, add=center)
+        if neighbor is not None:  # the position term is the same for every image
+            neighbor = T.broadcast_to(neighbor, (n,) + neighbor.shape[1:])
         return base, neighbor
     key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
     w_key = T.take(layer.w, key_cols, axis=1)
@@ -314,7 +316,7 @@ def _key_products(q: Tensor, k: Tensor, footprint: int, slot_order=None) -> Tens
     n, d, h, w = q.shape
     ku = T.unfold(k, footprint)
     if slot_order is not None:  # checked first: np.take raises IndexError out of range
-        T.slot_offsets(footprint, slot_order, "pairwise_attention")
+        T.footprint_windows(footprint, h, w, slots=slot_order, who="pairwise_attention")
         ku = T.take(ku, slot_order, axis=2)
     return T.mul(T.reshape(q, (n, d, 1, h, w)), ku)
 

@@ -58,6 +58,8 @@ def _read_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"{path}: not a CIFAR-10 binary batch ({raw.size} bytes)")
     records = raw.reshape(-1, CIFAR_RECORD)
     labels = records[:, 0].astype(np.int64)
+    if labels.max() > 9:
+        raise ConfigError(f"{path}: not a CIFAR-10 binary batch (label {labels.max()} > 9)")
     images = records[:, 1:].reshape(-1, 3, CIFAR_SIDE, CIFAR_SIDE)
     return images, labels
 
@@ -81,6 +83,9 @@ def load_cifar10(root, limit: int | None = None, seed: int = 0) -> Dataset:
     val_idx = []
     for c in range(10):
         pool = np.flatnonzero(labels == c)
+        if pool.size < CIFAR_VAL_PER_CLASS:
+            raise ConfigError(f"CIFAR-10 class {c} has {pool.size} images, fewer than the "
+                              f"{CIFAR_VAL_PER_CLASS} its validation split takes")
         val_idx.append(rng.choice(pool, size=CIFAR_VAL_PER_CLASS, replace=False))
     val_idx = np.sort(np.concatenate(val_idx))
     val_mask = np.zeros(len(labels), dtype=bool)

@@ -8,7 +8,9 @@ directories) and footprints checked, and values no builder reads rejected.
 The builders make, run and name the units of ``accounting.unit_plan``,
 the one walk over a spec, bit-reproducibly from a seed.  A checkpoint
 stores one list of arrays, the parameters and then the buffers; loading
-checks both name-and-shape lists and writes each array in place.
+checks both name-and-shape lists and writes each array in place, and
+rejects what saving never writes: another version or dtype code, a
+non-finite value or a negative running variance.
 """
 
 from __future__ import annotations
@@ -283,9 +285,13 @@ def load_checkpoint(path) -> Module:
             raise CheckpointError(f"{path}: not a checkpoint file")
         (hlen,) = struct.unpack("<I", raw[4:8])
         header = json.loads(raw[8 : 8 + hlen])
-        if header.get("format") != "sanet-checkpoint" or header.get("version") != _CKPT_VERSION:
+        version = header.get("version")
+        if (header.get("format") != "sanet-checkpoint" or type(version) is not int
+                or version != _CKPT_VERSION):
             raise CheckpointError(f"{path}: unsupported checkpoint version")
         spec = spec_from_dict(header["spec"])
+        if header["dtype"] not in ("<f4", "<f8"):  # the codes save_checkpoint writes
+            raise CheckpointError(f"{path}: unsupported checkpoint dtype {header['dtype']!r}")
         dtype = np.dtype(header["dtype"])
     except CheckpointError:
         raise
@@ -302,10 +308,12 @@ def load_checkpoint(path) -> Module:
     offset = 8 + hlen
     if len(raw) - offset != sum(a.size for _, _, a in arrays) * dtype.itemsize:
         raise CheckpointError(f"{path}: truncated checkpoint payload")
-    for _, _, a in arrays:
+    for _, name, a in arrays:
         nbytes = a.size * dtype.itemsize
         a[...] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(a.shape)
         offset += nbytes
+        if not np.isfinite(a).all() or name.endswith("running_var") and (a < 0).any():
+            raise CheckpointError(f"{path}: corrupted checkpoint payload ({name} out of range)")
     return model
 
 

@@ -350,8 +350,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if y is not o:
             o[...] = y
 
-    split = n >= 2
-    _in_halves(forward, n, split)
+    _in_halves(forward, n, n >= 2)
 
     def bwd(g):
         g3 = g.reshape(n, c_out, -1)
@@ -362,7 +361,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             np.matmul(weight.data.T, g3[lo:hi], out=gx[lo:hi])
             np.matmul(g3[lo:hi], np.moveaxis(x3[lo:hi], 1, 2), out=gw[lo:hi])
 
-        _in_halves(backward, n, split)
+        _in_halves(backward, n, n >= 2)
         grads = [gx.reshape(shape), gw.sum(axis=0)]
         if bias is not None:
             grads.append(g3.sum(axis=(0, 2)))
@@ -511,19 +510,6 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _scatter_windows(slot_grads, buf: np.ndarray, k: int, stride: int):
-    """Sum window gradients into ``buf``, an NCHW map padded as the windows read it.
-
-    ``slot_grads`` yields one ``[N, C, Ho, Wo]`` gradient per footprint
-    slot, row-major; they are consumed one at a time so no stacked copy of
-    all slots is ever held.
-    """
-    for slot, sg in enumerate(slot_grads):
-        dy, dx = divmod(slot, k)
-        ho, wo = sg.shape[2:]
-        buf[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += sg
-
-
 _worker = None  # (pid, pool): the one thread that runs the first half of a split call
 
 
@@ -553,14 +539,19 @@ def _in_halves(part_fn, n: int, split: bool) -> list:
     return [first.result(), second]
 
 
-def slot_offsets(k: int, slots, who: str) -> list[tuple[int, int]]:
-    """Footprint offset ``(dy, dx)`` of each slot: row-major by default, or
-    footprint slot ``slots[s]`` for slot ``s``; ``slots`` must permute range(k*k)."""
+def footprint_windows(k: int, ho: int, wo: int, stride: int = 1, slots=None,
+                      who: str = "footprint_windows") -> list[tuple]:
+    """The index ``(..., rows, cols)`` of each slot's window in a map padded
+    for a k*k footprint: the ``ho x wo`` locations, ``stride`` apart, that
+    slot ``s`` reads at footprint offset ``divmod(s, k)`` (row-major), or at
+    ``divmod(slots[s], k)`` when ``slots`` is given, which must permute
+    range(k*k).  Every footprint walk in this module goes through it."""
     k2 = k * k
-    offsets = [divmod(int(s), k) for s in (range(k2) if slots is None else slots)]
-    if sorted(offsets) != [divmod(s, k) for s in range(k2)]:
+    order = range(k2) if slots is None else [int(s) for s in slots]
+    if sorted(order) != list(range(k2)):
         raise DimensionError(f"{who}: slots must permute range({k2})")
-    return offsets
+    return [(Ellipsis, slice(dy, dy + stride * ho, stride), slice(dx, dx + stride * wo, stride))
+            for dy, dx in (divmod(s, k) for s in order)]
 
 
 def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
@@ -580,18 +571,19 @@ def unfold(x: Tensor, k: int, stride: int = 1) -> Tensor:
     ho = _out_extent(h, k, stride, pad)
     wo = _out_extent(w, k, stride, pad)
     src = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad > 0 else x.data
+    windows = footprint_windows(k, ho, wo, stride)
     if k == 1:
-        data = src[:, :, None, ::stride, ::stride]  # one slot: a view, no copy
+        data = src[windows[0]][:, :, None]  # one slot: a view, no copy
         data.flags.writeable = False
     else:
         data = np.empty((n, c, k * k, ho, wo), src.dtype)
-        for s in range(k * k):
-            dy, dx = divmod(s, k)
-            data[:, :, s] = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
+        for s, window in enumerate(windows):
+            data[:, :, s] = src[window]
 
     def bwd(g):
         buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), g.dtype)
-        _scatter_windows((g[:, :, s] for s in range(k * k)), buf, k, stride)
+        for s, window in enumerate(windows):
+            buf[window] += g[:, :, s]
         return (buf[:, :, pad : pad + h, pad : pad + w],)
 
     return _node(data, (x,), bwd)
@@ -621,16 +613,16 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     taped = _grad_enabled and x.requires_grad
     data = np.empty((n, c, ho, wo), x.dtype)
     arg = np.zeros(data.shape, np.min_scalar_type(k * k - 1)) if taped else None
+    windows = footprint_windows(k, ho, wo, stride)
 
     def forward(lo, hi):
         src = x.data[lo:hi]
         if pad > 0:
             src = np.pad(src, pads, constant_values=-np.inf)
         out, won = data[lo:hi], None if arg is None else arg[lo:hi]
-        out[...] = src[:, :, : stride * ho : stride, : stride * wo : stride]
-        for s in range(1, k * k):
-            dy, dx = divmod(s, k)
-            sl = src[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
+        out[...] = src[windows[0]]
+        for s, window in enumerate(windows[1:], 1):
+            sl = src[window]
             if taped:
                 # a later slot wins only if it is greater, or NaN over a number;
                 # slots rise, so a win always raises the recorded index
@@ -640,17 +632,17 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
             # two NaNs it keeps the first, so only a NaN payload can differ from argmax
             np.maximum(sl, out, out=out)
 
-    split = n >= 2
-    _in_halves(forward, n, split)
+    _in_halves(forward, n, n >= 2)
 
     def bwd(g):
         buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), g.dtype)
 
         def backward(lo, hi):
-            gp, ap = g[lo:hi], arg[lo:hi]
-            _scatter_windows((gp * (ap == s) for s in range(k * k)), buf[lo:hi], k, stride)
+            gp, ap, bp = g[lo:hi], arg[lo:hi], buf[lo:hi]
+            for s, window in enumerate(windows):
+                bp[window] += gp * (ap == s)
 
-        _in_halves(backward, n, split)
+        _in_halves(backward, n, n >= 2)
         return (buf[:, :, pad : pad + h, pad : pad + w],)
 
     return _node(data, (x,), bwd)
@@ -668,7 +660,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
 
     ``a_s = mlp(weights[:, :, s] + shift_s(neighbor))``.  ``weights`` is
     ``[N, D, K, H, W]`` with ``K = k*k``, or ``[N, D, 1, H, W]`` shared by
-    every slot; the optional ``neighbor`` is ``[N or 1, D, H, W]``, read
+    every slot; the optional ``neighbor`` is ``[N, D, H, W]``, read
     zero-padded at slot ``s``'s offset as ``unfold`` gathers it; ``mlp`` is
     a sequence of ``(w, b)`` layers from ``D`` to ``G`` channels, each
     preceded by a ReLU (none by default, so ``D = G``).  Each slot's weights
@@ -678,17 +670,15 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     gradient is scattered in the same order as that of a gathered neighbor.
 
     The value map is padded once, each half padding its own images, and
-    read through k*k shifted slices, so no ``[N, Cm, K, H, W]`` gather is
-    built in either direction; the backward pads the value and neighbor
-    maps again, so no padded copy is kept.
+    read through the k*k windows of ``footprint_windows``, so no
+    ``[N, Cm, K, H, W]`` gather is built in either direction; the backward
+    pads the value and neighbor maps again, so no padded copy is kept.
 
     Every image is computed on its own, so a batch of ``N >= 2`` runs as two
     fixed halves, forward and backward: images ``[0, N // 2)`` on one worker
     thread and ``[N // 2, N)`` on the calling thread, each writing only its
-    own images of the output and the gradients (see ``_in_halves``).  It
-    runs as one part for ``N == 1`` and for a batch-1 neighbor, whose
-    gradient is summed over the batch before each slot's scatter.  Split or
-    not, the output and the weight, value and neighbor gradients are bit
+    own images of the output and the gradients (see ``_in_halves``).  Split
+    or not, the output and the weight, value and neighbor gradients are bit
     for bit those of one pass; only the tail ``(w, b)`` gradients, summed
     per half and then added, may round differently.
     """
@@ -704,25 +694,24 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         groups = wt.shape[0]
     if (not chained or cm % groups
             or weights.shape not in ((n, d, k * k, h, w), (n, d, 1, h, w))
-            or neighbor is not None and neighbor.shape not in ((n, d, h, w), (1, d, h, w))):
+            or neighbor is not None and neighbor.shape != (n, d, h, w)):
         raise DimensionError(
             f"slot_aggregate: weights {weights.shape}, neighbor {getattr(neighbor, 'shape', None)} "
             f"and layers {[wt.shape for wt, _ in mlp]} do not fit values {values.shape} "
             f"and footprint {k}"
         )
     share, pad = cm // groups, (k - 1) // 2
-    offsets = slot_offsets(k, slots, "slot_aggregate")
+    windows = footprint_windows(k, h, w, slots=slots, who="slot_aggregate")
     per_slot = weights.shape[2] > 1
-    footprint_order = np.argsort([dy * k + dx for dy, dx in offsets])
     pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
 
-    def slot_weights(s, window, part, nb):
+    def slot_weights(s, part, nb):
         """The weights of slot ``s`` for images ``part`` and the rectified
         input of each layer; ``nb`` is the padded neighbor map or None."""
         a = weights.data[part, :, s if per_slot else 0]
         m = a.shape[0]
         if nb is not None:
-            a = a + nb[window]
+            a = a + nb[windows[s]]
         inputs = []
         for wt, bt in mlp:
             a = np.maximum(a, 0)
@@ -735,8 +724,6 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         v5 = np.pad(values.data[part], pads).reshape(-1, groups, share, h + 2 * pad, w + 2 * pad)
         return v5, None if neighbor is None else np.pad(neighbor.data[part], pads)
 
-    # a batch-1 neighbor's gradient is summed over the batch before each scatter
-    split = n >= 2 and (neighbor is None or neighbor.shape[0] == n)
     parents = (weights, values) + (() if neighbor is None else (neighbor,))
     parents += tuple(t for pair in mlp for t in pair)
     out = np.zeros((n, groups, share, h, w), dtype=np.result_type(*(t.data for t in parents)))
@@ -744,18 +731,16 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     def aggregate(lo, hi):
         part = slice(lo, hi)
         o, (v5p, nbp) = out[part], padded(part)
-        for s, (dy, dx) in enumerate(offsets):
-            window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
-            o += slot_weights(s, window, part, nbp)[0][:, :, None] * v5p[window]
+        for s, window in enumerate(windows):
+            o += slot_weights(s, part, nbp)[0][:, :, None] * v5p[window]
 
-    _in_halves(aggregate, n, split)
+    _in_halves(aggregate, n, n >= 2)
 
     def bwd(g):
         g5 = g.reshape(n, groups, share, h, w)
         gw = (np.empty if per_slot else np.zeros)(weights.shape, dtype=g.dtype)
         gv5 = np.zeros((n, groups, share, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        gn = None if neighbor is None else np.zeros(
-            neighbor.shape[:2] + gv5.shape[3:], dtype=g.dtype)
+        gn = None if neighbor is None else np.zeros((n, d) + gv5.shape[3:], dtype=g.dtype)
 
         def accumulate(lo, hi):
             """Fill images ``lo:hi`` of every gradient; return this part's tail sums."""
@@ -764,12 +749,10 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
             gnp = None if gn is None else gn[part]
             gtail = [(np.zeros_like(wt.data, dtype=g.dtype), np.zeros_like(bt.data, dtype=g.dtype))
                      for wt, bt in mlp]
-            for s in footprint_order:
-                dy, dx = offsets[s]
-                window = (Ellipsis, slice(dy, dy + h), slice(dx, dx + w))
-                a, inputs = slot_weights(s, window, part, nbp)
-                ga = np.einsum("ngshw,ngshw->nghw", g5p, v5p[window])
-                gv5p[window] += g5p * a[:, :, None]
+            for s in range(k * k) if slots is None else np.argsort(slots):  # footprint order
+                a, inputs = slot_weights(s, part, nbp)
+                ga = np.einsum("ngshw,ngshw->nghw", g5p, v5p[windows[s]])
+                gv5p[windows[s]] += g5p * a[:, :, None]
                 for (wt, _), r, (gwt, gbt) in zip(mlp[::-1], inputs[::-1], gtail[::-1]):
                     g3 = ga.reshape(hi - lo, ga.shape[1], -1)
                     r3 = r.reshape(hi - lo, r.shape[1], -1)
@@ -782,10 +765,10 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
                 else:
                     gwp[:, :, 0] += ga
                 if gnp is not None:
-                    gnp[window] += _unbroadcast(ga, gnp.shape[:2] + (h, w))
+                    gnp[windows[s]] += ga
             return gtail
 
-        tails = _in_halves(accumulate, n, split)
+        tails = _in_halves(accumulate, n, n >= 2)
         gtail = tails[0] if len(tails) == 1 else [
             (gw0 + gw1, gb0 + gb1) for (gw0, gb0), (gw1, gb1) in zip(*tails)]
         inner = (Ellipsis, slice(pad, pad + h), slice(pad, pad + w))

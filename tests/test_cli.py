@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sanet.cli import build_parser, main
+from sanet.data import CIFAR_RECORD, CIFAR_TRAIN_FILES
 from sanet.gradcheck import DEFAULT_TOL, plan_sweep
 from sanet.models import (
     ModelSpec,
@@ -61,14 +62,18 @@ def write_tiny_spec(tmp_path, edit):
     return path
 
 
-def edit_checkpoint_header(path, edit):
-    """Apply ``edit`` to the header's spec dict of the checkpoint at ``path``."""
-    raw = path.read_bytes()
+def rewrite_header(raw, edit):
+    """The checkpoint bytes ``raw`` with ``edit`` applied to the header dict."""
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + hlen])
-    edit(header["spec"])
+    edit(header)
     blob = json.dumps(header).encode()
-    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+    return raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :]
+
+
+def edit_checkpoint_header(path, edit):
+    """Apply ``edit`` to the header's spec dict of the checkpoint at ``path``."""
+    path.write_bytes(rewrite_header(path.read_bytes(), lambda header: edit(header["spec"])))
 
 
 TINY_RESNET = ModelSpec(name="resnet-tiny", arch="resnet", stem_channels=16, classes=10,
@@ -640,3 +645,74 @@ class TestEvalRobustAttack:
         assert err.count("\n") == 1 and message in err
         assert err.startswith(f"error: {path}: checkpoint spec is not accepted (")
         assert not out.exists()
+
+
+
+def _header(edit):
+    return lambda raw: rewrite_header(raw, edit)
+
+
+# case -> (what is mutated, how, a part of the one error line); the CIFAR-10
+# cases give the labels of each of the five batches
+BOUNDARY_CASES = {
+    "version-true": ("header", _header(lambda h: h.update(version=True)),
+                     "unsupported checkpoint version"),
+    "version-float": ("header", _header(lambda h: h.update(version=1.0)),
+                      "unsupported checkpoint version"),
+    "version-2": ("header", _header(lambda h: h.update(version=2)),
+                  "unsupported checkpoint version"),
+    "format": ("header", _header(lambda h: h.update(format="other")),
+               "unsupported checkpoint version"),
+    "dtype-big-endian": ("header", _header(lambda h: h.update(dtype=">f4")),
+                         "unsupported checkpoint dtype '>f4'"),
+    "dtype-int32": ("header", _header(lambda h: h.update(dtype="<i4")),
+                    "unsupported checkpoint dtype '<i4'"),
+    "dtype-void": ("header", _header(lambda h: h.update(dtype="V4")),
+                   "unsupported checkpoint dtype 'V4'"),
+    "dtype-bytes": ("header", _header(lambda h: h.update(dtype="S4")),
+                    "unsupported checkpoint dtype 'S4'"),
+    "dtype-missing": ("header", _header(lambda h: h.pop("dtype")), "corrupted checkpoint header"),
+    "truncated-header": ("header", lambda raw: raw[:40], "corrupted checkpoint header"),
+    "truncated-payload": ("header", lambda raw: raw[:-4], "truncated checkpoint payload"),
+    "payload-nan": ("payload", ("stem.linear.w", np.nan), "(stem.linear.w out of range)"),
+    "payload-inf": ("payload", ("classifier.linear.b", -np.inf),
+                    "(classifier.linear.b out of range)"),
+    "negative-variance": ("payload", ("running_var", -1.0), "bn_in.running_var out of range"),
+    "cifar-label-10": ("cifar", np.append(np.repeat(np.arange(10), 10), 10),
+                       "(label 10 > 9)"),
+    "cifar-too-few": ("cifar", np.repeat(np.arange(10), [10, 10, 10, 9] + [10] * 6),
+                      "CIFAR-10 class 3 has 45 images, fewer than the 50"),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_corrupt_input_exits_2_with_one_error_line_and_no_run_dir(tmp_path, capsys, case):
+    """A checkpoint or a CIFAR-10 directory that saving or the real batches
+    never produce is refused before any output: ``eval`` of a mutated
+    san-tiny checkpoint, and ``train`` on five synthetic batches with 50
+    images per class in all, plus label-10 records or less one of class 3."""
+    kind, mutation, message = BOUNDARY_CASES[case]
+    out = tmp_path / "out"
+    if kind == "cifar":
+        for name in CIFAR_TRAIN_FILES:
+            records = np.zeros((len(mutation), CIFAR_RECORD), np.uint8)
+            records[:, 0] = mutation
+            records.tofile(tmp_path / name)
+        argv = ["train", "--model", "san-tiny", "--data", "cifar10", "--data-root",
+                str(tmp_path), "--epochs", "1", "--limit", "20"]
+    else:
+        model = build_model(named_spec("san-tiny"))
+        if kind == "payload":
+            suffix, value = mutation
+            stored = [p.data for n, p in model.named_parameters() if n.endswith(suffix)]
+            stored += [b for n, b in model.named_buffers() if n.endswith(suffix)]
+            stored[0].flat[0] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        if kind == "header":
+            path.write_bytes(mutation(path.read_bytes()))
+        argv = ["eval", "--checkpoint", str(path), "--data", "blobs", "--limit", "20"]
+    code, err = user_stderr(capsys, argv + ["--out", str(out)])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out.exists()

@@ -202,10 +202,12 @@ def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
         T.slot_aggregate(w, v, 5)
     with pytest.raises(T.DimensionError):
         T.slot_aggregate(w, v, 3, slots=[0] * 9)
-    # weights, neighbor and tail layer (w, b) shapes that do not fit values [1, 4, 3, 3]
+    # weights, neighbor and tail layer (w, b) shapes that do not fit values
+    # [N, 4, 3, 3], N the weights' batch
     for weights, neighbor, mlp in [
         ((1, 2, 9, 3, 3), (1, 3, 3, 3), ()),                     # neighbor width is not D
-        ((1, 2, 9, 3, 3), (2, 2, 3, 3), ()),                     # neighbor batch neither 1 nor N
+        ((1, 2, 9, 3, 3), (2, 2, 3, 3), ()),                     # neighbor batch is not N
+        ((2, 2, 9, 3, 3), (1, 2, 3, 3), ()),                     # batch-1 neighbor under N = 2
         ((1, 2, 9, 3, 3), (1, 2, 3, 2), ()),                     # neighbor map of another size
         ((1, 2, 4, 3, 3), (1, 2, 3, 3), ()),                     # neither one slot nor K
         ((1, 2, 1, 3, 3), None, [((2, 3), (2,))]),               # tail input width is not D
@@ -215,7 +217,7 @@ def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
     ]:
         tail = [(_zeros(*ws), _zeros(*bs)) for ws, bs in mlp]
         with pytest.raises(T.DimensionError):
-            T.slot_aggregate(_zeros(*weights), v, 3, mlp=tail,
+            T.slot_aggregate(_zeros(*weights), _zeros(weights[0], 4, 3, 3), 3, mlp=tail,
                              neighbor=None if neighbor is None else _zeros(*neighbor))
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sanet.tensor as T
+from sanet.attention import AttentionConfig, VectorAttention, pairwise_attention
 from sanet.gradcheck import check_gradients
 from sanet.models import ModelSpec, StageSpec, build_model, named_spec
 from sanet.reference import naive_linear
@@ -498,24 +499,19 @@ class TestUnfold:
         with pytest.raises(ConfigError):
             T.unfold(Tensor(np.zeros((1, 1, 4, 4))), 2)
 
-    @pytest.mark.parametrize("k,x_batch,base_shape,slots", [
-        (3, 2, (2, 3, 1, 4, 5), None),
-        (3, 2, (2, 3, 9, 4, 5), None),
-        (3, 1, (2, 3, 9, 4, 5), None),
-        (3, 1, (2, 3, 1, 4, 5), [4, 0, 8, 1, 7, 2, 6, 3, 5]),
-        (1, 2, (2, 3, 1, 4, 5), None),
-        (5, 2, (2, 3, 25, 4, 5), list(np.random.default_rng(33).permutation(25))),
-    ], ids=["center-addend", "per-slot-addend", "batch1-neighbor", "batch1-permuted",
-            "k1-view", "permuted-k5"])
+    @pytest.mark.parametrize("k,base_shape,slots", [
+        (3, (2, 3, 1, 4, 5), None),
+        (3, (2, 3, 9, 4, 5), None),
+        (1, (2, 3, 1, 4, 5), None),
+        (5, (2, 3, 25, 4, 5), list(np.random.default_rng(33).permutation(25))),
+    ], ids=["center-addend", "per-slot-addend", "k1-view", "permuted-k5"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_addend_matches_take_then_add_bitwise(self, k, x_batch, base_shape, slots, dtype):
+    def test_addend_matches_take_then_add_bitwise(self, k, base_shape, slots, dtype):
         """The neighbor addend that ``slot_aggregate`` reads slot by slot equals
         ``add(base, take(unfold(x), slots))`` aggregated as whole weights, bit
-        for bit, forward and backward.  A batch-1 neighbor under batch-N
-        weights (the position-only neighbor of Hadamard and dot) must sum its
-        gradient over the batch before scattering, as the separate add does."""
+        for bit, forward and backward."""
         rng = np.random.default_rng(34)
-        x = rng.normal(size=(x_batch, 3, 4, 5)).astype(dtype)
+        x = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
         base = rng.normal(size=base_shape).astype(dtype)
         values = rng.normal(size=(2, 6, 4, 5)).astype(dtype)
         proj = rng.normal(size=(2, 6, 4, 5)).astype(dtype)
@@ -817,18 +813,18 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("depth,weight_slots,neighbor_batch,permuted,k", [
         (1, 1, 2, False, 3),
-        (1, "K", 1, True, 5),
-        (2, 1, 1, True, 3),
+        (1, "K", 2, True, 5),
+        (2, 1, 2, True, 3),
         (2, "K", 2, False, 5),
         (2, "K", None, True, 3),
         (3, 1, 2, True, 5),
-        (3, "K", 1, False, 3),
+        (3, "K", 2, False, 3),
     ])
     def test_slot_aggregate_with_weight_mlp(self, depth, weight_slots, neighbor_batch,
                                             permuted, k):
         """Every input of the per-slot weight perceptron, ``mlp(weights[:, :, s] +
-        shift_s(neighbor))``: weights with one slot or K, a batch-1 or batch-N
-        neighbor (or none), and each tail layer's ``w`` and ``b``."""
+        shift_s(neighbor))``: weights with one slot or K, a batch-N neighbor
+        (or none), and each tail layer's ``w`` and ``b``."""
         rng = np.random.default_rng(26 + 7 * depth + k)
         n, h, w = 2, 4, 3  # at k=5 the footprint is wider than the map
         widths = {1: [2], 2: [3, 2], 3: [3, 4, 2]}[depth]  # D, hidden..., G
@@ -990,6 +986,51 @@ class TestSplitMatchesOnePart:
         split, one, did_split = _split_and_one_part(run, monkeypatch)
         assert did_split and np.isnan(split[0]).any()
         _assert_all_equal(split, one)
+
+    @pytest.mark.parametrize("dtype,tail_tol", [(np.float32, 1e-3), (np.float64, 1e-10)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("position", ["absolute", "relative"])
+    @pytest.mark.parametrize("relation", ["hadamard", "dot"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairwise_attention_with_a_position_neighbor(self, n, relation, position, dtype,
+                                                         tail_tol, monkeypatch):
+        """Hadamard and dot pass their position term to ``slot_aggregate`` as a
+        full-batch neighbor, so that call splits too.  Output and gradients are
+        the one-part bits, except the perceptron tail's, which each half sums
+        on its own (the tolerances of the per-image comparison)."""
+        rng = np.random.default_rng(80 + n)
+        cfg = AttentionConfig(relation=relation, position=position, footprint=3, r1=4, r2=2,
+                              share=2)
+        params = VectorAttention(16, cfg, rng, dtype=dtype)
+        for _, p in params.named_parameters():
+            p.data = rng.normal(scale=0.5, size=p.shape).astype(dtype)
+        x = rng.normal(size=(n, 16, 4, 5)).astype(dtype)
+        proj = Tensor(rng.normal(size=(n, params.dims.cm, 4, 5)).astype(dtype))
+        names = [name for name, _ in params.named_parameters()]
+        split_by, in_halves = set(), T._in_halves
+
+        def record(fn, size, split):  # names the primitive of each split call
+            if split:
+                split_by.add(fn.__qualname__.split(".")[0])
+            return in_halves(fn, size, split)
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            for _, p in params.named_parameters():
+                p.grad = None
+            out = pairwise_attention(xt, params)
+            T.sum(T.mul(out, proj)).backward()
+            return [out.data, xt.grad] + [p.grad for _, p in params.named_parameters()]
+
+        monkeypatch.setattr(T, "_in_halves", record)
+        split, one, _ = _split_and_one_part(run, monkeypatch)
+        assert "slot_aggregate" in split_by
+        tail = {2 + names.index(name) for name in ("mlp.1.w", "mlp.1.b")}  # after out and dx
+        _assert_all_equal([a for i, a in enumerate(split) if i not in tail],
+                          [b for i, b in enumerate(one) if i not in tail])
+        for i in tail:
+            assert split[i].dtype == one[i].dtype
+            assert np.abs(split[i] - one[i]).max() <= tail_tol * np.abs(one[i]).max()
 
 
 class TestBatchSplit:
