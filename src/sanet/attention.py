@@ -55,7 +55,7 @@ FOOTPRINT_SIDES = (1, 3, 5, 7, 9, 11)
 _type_hints = cache(get_type_hints)  # a dataclass's hints, read once per class
 
 
-def check_fields(spec, positive=(), nonnegative=(), choices=None):
+def check_fields(spec, positive=(), nonnegative=(), choices=None, at_most=None):
     """Check each field of the dataclass ``spec`` against its annotation, then
     against the range its class declares; each message names the field.
 
@@ -63,7 +63,8 @@ def check_fields(spec, positive=(), nonnegative=(), choices=None):
     dataclass) holds exactly that type, so a bool is no int; a ``float`` field
     holds a finite ``int`` or ``float``; a ``tuple[X, ...]`` field a tuple of
     ``X``.  A field named in ``positive`` is at least 1, one named in
-    ``nonnegative`` at least 0, and one keyed in ``choices`` one of its values.
+    ``nonnegative`` at least 0, one keyed in ``choices`` one of its values,
+    and one keyed in ``at_most`` at most its bound.
     """
     for name, kind in _type_hints(type(spec)).items():
         value = getattr(spec, name)
@@ -82,6 +83,8 @@ def check_fields(spec, positive=(), nonnegative=(), choices=None):
             raise ConfigError(f"{name} must be non-negative, got {value}")
         if choices and name in choices and value not in choices[name]:
             raise ConfigError(f"{name} must be one of {choices[name]}, got {value!r}")
+        if at_most and name in at_most and value > at_most[name]:
+            raise ConfigError(f"{name} must be at most {at_most[name]}, got {value}")
 
 
 def check_unread(spec, readers: dict, reader: str, noun: str):

@@ -106,11 +106,11 @@ def _emit_manifest(out_dir, command, config):
 def cmd_count(args) -> int:
     spec = _resolve_spec(args)
     report = cost_report(spec)
+    payload = report.to_dict()
+    if args.verify_runtime:  # builds the model, so before the manifest
+        payload["runtime_check"] = verify_against_runtime(spec)
     out = args.out or f"runs/count-{spec.name}"
     _emit_manifest(out, "count", {"spec": asdict(spec), "input_hw": spec.input_hw})
-    payload = report.to_dict()
-    if args.verify_runtime:
-        payload["runtime_check"] = verify_against_runtime(spec)
     _write_json(os.path.join(out, "cost.json"), payload)
     if args.verify_runtime and not payload["runtime_check"]["matches"]:
         print("symbolic/runtime parameter mismatch", file=sys.stderr)

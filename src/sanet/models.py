@@ -36,6 +36,15 @@ class NonFiniteLogits(ArithmeticError):
     """The network produced a NaN or infinite logit, so no accuracy can be read."""
 
 
+# Upper bounds of a spec, far above the named networks: ResNet-152 has 36
+# blocks in one stage, and the named networks reach 2048 channels and 1000
+# classes (SAN19 and ResNet-50 have about 21M and 25M parameters).
+MAX_BLOCKS = 1024
+MAX_WIDTH = 65536
+MAX_CLASSES = 2**20
+MAX_PARAMS = 2**30  # to build: 4 GiB of float32
+
+
 @dataclass(frozen=True)
 class StageSpec:
     """One resolution stage: channel width, block count, footprint side.
@@ -50,7 +59,8 @@ class StageSpec:
     footprint: int = 7
 
     def __post_init__(self):
-        check_fields(self, positive=("channels", "blocks"))
+        check_fields(self, positive=("channels", "blocks"),
+                     at_most={"channels": MAX_WIDTH, "blocks": MAX_BLOCKS})
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,8 @@ class ModelSpec:
 
     def __post_init__(self):
         check_fields(self, positive=("stem_channels", "classes", "input_hw"),
-                     choices={"arch": ("san", "resnet")})
+                     choices={"arch": ("san", "resnet")},
+                     at_most={"stem_channels": MAX_WIDTH, "classes": MAX_CLASSES})
         if not self.stages:
             raise ConfigError("model needs at least one stage")
         if self.name in ("", ".", "..") or any(
@@ -177,14 +188,25 @@ def named_spec(name: str, classes: int | None = None, **overrides) -> ModelSpec:
 class SANetwork(Module):
     """A network made unit by unit from ``unit_plan``, in forward order (which
     fixes the rng draws).  The stem, the ``stages`` lists, ``bn_out`` (ResNet
-    only) and the classifier register in that order (the checkpoint order)."""
+    only) and the classifier register in that order (the checkpoint order).
+    A spec of more than ``MAX_PARAMS`` parameters is refused before the unit
+    that would pass the bound is built, and so is one whose unit numpy cannot
+    allocate."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.spec = spec
         self.units = []  # (CostReport name, unit), in forward order
-        for name, stage, build, _ in unit_plan(spec):
-            module = build(rng, dtype)
+        params = 0
+        for name, stage, build, (unit_params, _) in unit_plan(spec):
+            params += unit_params
+            if params > MAX_PARAMS:
+                raise ConfigError(f"{spec.name} has more than {MAX_PARAMS:,} parameters, "
+                                  f"too many to build")
+            try:
+                module = build(rng, dtype)
+            except MemoryError as exc:
+                raise ConfigError(f"{spec.name}: {name} is too large to build ({exc})") from exc
             self.units.append((name, module))
             if stage is None:
                 setattr(self, name, module)
@@ -306,8 +328,10 @@ def load_checkpoint(path) -> Module:
         if header.get(kind) != want:
             raise CheckpointError(f"{path}: checkpoint does not match the spec's {kind}")
     offset = 8 + hlen
-    if len(raw) - offset != sum(a.size for _, _, a in arrays) * dtype.itemsize:
-        raise CheckpointError(f"{path}: truncated checkpoint payload")
+    described = sum(a.size for _, _, a in arrays) * dtype.itemsize
+    if len(raw) - offset != described:
+        raise CheckpointError(f"{path}: checkpoint payload is {len(raw) - offset} bytes, "
+                              f"its header describes {described}")
     for _, name, a in arrays:
         nbytes = a.size * dtype.itemsize
         a[...] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(a.shape)

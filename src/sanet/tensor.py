@@ -24,9 +24,8 @@ and BLAS release the GIL (see ``_in_halves``).  Each half writes only its
 own slice of the output and the gradients.  Batch-1 calls, such as
 inference on one image and ``sanet gradcheck``, start no thread, and the
 other primitives run on the calling thread.  The split is always two
-halves, whatever the core count, so results do not depend on the machine;
-only the weight perceptron's tail gradients in ``slot_aggregate`` differ in
-rounding from a single pass.
+halves, whatever the core count, and a split call is bit for bit its
+one-part run, so results do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -315,7 +314,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``_in_halves``): each half maps its images and adds the bias and the
     addend, and in backward writes its images of the input gradient and of
     the per-image weight products, which the calling thread then sums over
-    the batch.  Split or not, output and gradients are the same bits.
+    the batch.
     """
     if x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise DimensionError(
@@ -400,8 +399,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     backward (see ``_in_halves``); each half does its own channels'
     statistics, running-buffer update and gradients.  Every reduction is a
     ``"nchw->c"`` einsum, which sums a channel slice as it sums the whole
-    map, so output, gradients and running buffers are the same bits split
-    or not.
+    map.
     """
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects an NCHW tensor")
@@ -521,10 +519,15 @@ def _in_halves(part_fn, n: int, split: bool) -> list:
     Unsplit, ``part_fn(0, n)`` runs on the calling thread.  Split,
     ``[0, n // 2)`` runs on the one worker thread, in a copy of the caller's
     context so that numpy's error state holds there too, while
-    ``[n // 2, n)`` runs on the calling thread.  Each part writes only its
-    own slice of the caller's buffers.  The worker's part is always
+    ``[n // 2, n)`` runs on the calling thread.  The worker's part is always
     waited for, also when the caller's part raises; the worker's exception,
     if any, is raised here.
+
+    One rule makes a split call bit for bit its one-part run: each part
+    writes only its own slice of buffers that the caller allocated, and
+    every sum across the split axis (a weight gradient summed over the
+    images, say) runs on the calling thread after the parts, over the
+    whole buffer, as one part would have summed it.
     """
     if not split:
         return [part_fn(0, n)]
@@ -599,8 +602,7 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     on the tape.  A batch of ``N >= 2`` runs as two halves of its images,
     forward and backward (see ``_in_halves``): each half pads its images,
     writes their maxima and winning slots, and scatters their gradient
-    into its own images of the padded gradient map, the same bits as one
-    part.
+    into its own images of the padded gradient map.
     """
     if x.data.ndim != 4:
         raise DimensionError("max_pool expects an NCHW tensor")
@@ -677,10 +679,9 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     Every image is computed on its own, so a batch of ``N >= 2`` runs as two
     fixed halves, forward and backward: images ``[0, N // 2)`` on one worker
     thread and ``[N // 2, N)`` on the calling thread, each writing only its
-    own images of the output and the gradients (see ``_in_halves``).  Split
-    or not, the output and the weight, value and neighbor gradients are bit
-    for bit those of one pass; only the tail ``(w, b)`` gradients, summed
-    per half and then added, may round differently.
+    own images of the output and the gradients (see ``_in_halves``).  The
+    tail ``(w, b)`` gradients are kept per image, as ``linear`` keeps its
+    weight gradient, and summed over the batch once both halves are done.
     """
     if values.data.ndim != 4:
         raise DimensionError("slot_aggregate expects an NCHW value map")
@@ -741,14 +742,14 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         gw = (np.empty if per_slot else np.zeros)(weights.shape, dtype=g.dtype)
         gv5 = np.zeros((n, groups, share, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
         gn = None if neighbor is None else np.zeros((n, d) + gv5.shape[3:], dtype=g.dtype)
+        gtail = [(np.zeros((n,) + wt.shape, g.dtype), np.zeros((n,) + bt.shape, g.dtype))
+                 for wt, bt in mlp]  # per image
 
         def accumulate(lo, hi):
-            """Fill images ``lo:hi`` of every gradient; return this part's tail sums."""
+            """Fill images ``lo:hi`` of every gradient, the per-image tail sums included."""
             part = slice(lo, hi)
             (v5p, nbp), g5p, gv5p, gwp = padded(part), g5[part], gv5[part], gw[part]
             gnp = None if gn is None else gn[part]
-            gtail = [(np.zeros_like(wt.data, dtype=g.dtype), np.zeros_like(bt.data, dtype=g.dtype))
-                     for wt, bt in mlp]
             for s in range(k * k) if slots is None else np.argsort(slots):  # footprint order
                 a, inputs = slot_weights(s, part, nbp)
                 ga = np.einsum("ngshw,ngshw->nghw", g5p, v5p[windows[s]])
@@ -756,8 +757,8 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
                 for (wt, _), r, (gwt, gbt) in zip(mlp[::-1], inputs[::-1], gtail[::-1]):
                     g3 = ga.reshape(hi - lo, ga.shape[1], -1)
                     r3 = r.reshape(hi - lo, r.shape[1], -1)
-                    gwt += np.matmul(g3, np.moveaxis(r3, 1, 2)).sum(axis=0)
-                    gbt += g3.sum(axis=(0, 2))
+                    gwt[part] += np.matmul(g3, np.moveaxis(r3, 1, 2))
+                    gbt[part] += g3.sum(axis=2)
                     ga = np.matmul(wt.data.T[None], g3).reshape(r.shape)
                     ga *= r > 0
                 if per_slot:
@@ -766,16 +767,13 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
                     gwp[:, :, 0] += ga
                 if gnp is not None:
                     gnp[windows[s]] += ga
-            return gtail
 
-        tails = _in_halves(accumulate, n, n >= 2)
-        gtail = tails[0] if len(tails) == 1 else [
-            (gw0 + gw1, gb0 + gb1) for (gw0, gb0), (gw1, gb1) in zip(*tails)]
+        _in_halves(accumulate, n, n >= 2)
         inner = (Ellipsis, slice(pad, pad + h), slice(pad, pad + w))
         grads = [gw, gv5.reshape(n, cm, h + 2 * pad, w + 2 * pad)[inner]]
         if gn is not None:
             grads.append(gn[inner])
-        return tuple(grads) + tuple(gt for pair in gtail for gt in pair)
+        return tuple(grads) + tuple(gt.sum(axis=0) for pair in gtail for gt in pair)
 
     return _node(out.reshape(n, cm, h, w), parents, bwd)
 

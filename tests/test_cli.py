@@ -673,7 +673,12 @@ BOUNDARY_CASES = {
                     "unsupported checkpoint dtype 'S4'"),
     "dtype-missing": ("header", _header(lambda h: h.pop("dtype")), "corrupted checkpoint header"),
     "truncated-header": ("header", lambda raw: raw[:40], "corrupted checkpoint header"),
-    "truncated-payload": ("header", lambda raw: raw[:-4], "truncated checkpoint payload"),
+    "truncated-payload": ("header", lambda raw: raw[:-4],
+                          "checkpoint payload is 53044 bytes, its header describes 53048"),
+    "extra-payload-byte": ("header", lambda raw: raw + b"\0",
+                           "checkpoint payload is 53049 bytes, its header describes 53048"),
+    "dtype-wider-than-payload": ("header", _header(lambda h: h.update(dtype="<f8")),
+                                 "checkpoint payload is 53048 bytes, its header describes 106096"),
     "payload-nan": ("payload", ("stem.linear.w", np.nan), "(stem.linear.w out of range)"),
     "payload-inf": ("payload", ("classifier.linear.b", -np.inf),
                     "(classifier.linear.b out of range)"),
@@ -716,3 +721,92 @@ def test_corrupt_input_exits_2_with_one_error_line_and_no_run_dir(tmp_path, caps
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+_DROP = object()  # a spec-file mutation that deletes the key
+_SWEEP_VALUES = [_DROP, None, True, 0, -1, 1, 3, 2**70, 1.5, float("nan"), "x", [1], {"a": 1}]
+
+
+def _sweep(model):
+    """Every key of ``model``'s spec file (the spec's, its attention's and every
+    stage's) dropped or set to each of ``_SWEEP_VALUES``, and one extra key."""
+    spec = named_spec(model)
+    keys = [f.name for f in dataclasses.fields(spec)]
+    keys += [f"attention.{f.name}" for f in dataclasses.fields(spec.attention)]
+    keys += [f"stages.{f.name}" for f in dataclasses.fields(StageSpec)]
+    rows = {f"{model}-{key}-{value!r:.12}": (model, {key: value}, ["count"], ...)
+            for key in keys for value in _SWEEP_VALUES}
+    rows[f"{model}-extra"] = (model, {"extra": 1}, ["count"], "extra")
+    return rows
+
+
+TRAIN_BLOBS = ["train", "--limit", "20", "--epochs", "1"]
+# case -> (named spec, {key: value} edits, command, a part of the one error line,
+# None for exit 0, or ... for either); "stages.<key>" edits every stage
+SPEC_FILE_CASES = {
+    "resnet-blocks-2**70": ("resnet26", {"stages.blocks": 2**70}, ["count"],
+                            "blocks must be at most 1024, got 1180591620717411303424"),
+    "resnet-blocks-10**6": ("resnet26", {"stages.blocks": 10**6}, ["count"],
+                            "blocks must be at most 1024"),
+    "san-blocks-2**70": ("san-tiny", {"stages.blocks": 2**70}, ["count"],
+                         "blocks must be at most 1024"),
+    "widths-2**40-verify": ("san-tiny", {"stem_channels": 2**40, "stages.channels": 2**40},
+                            ["count", "--verify-runtime"], "channels must be at most 65536"),
+    "widths-2**40-train": ("san-tiny", {"stem_channels": 2**40, "stages.channels": 2**40},
+                           TRAIN_BLOBS, "channels must be at most 65536"),
+    "classes-2**62-verify": ("san-tiny", {"classes": 2**62}, ["count", "--verify-runtime"],
+                             "classes must be at most 1048576"),
+    "resnet-at-every-bound": ("resnet26", {"stages.blocks": 1024, "stages.channels": 65536,
+                                           "stem_channels": 65536, "classes": 2**20},
+                              ["count"], None),
+    "resnet-too-large-to-build": ("resnet26", {"stages.channels": 65536},
+                                  ["count", "--verify-runtime"],
+                                  "more than 1,073,741,824 parameters, too many to build"),
+    "san-tiny-verify": ("san-tiny", {}, ["count", "--verify-runtime"], None),
+    "resnet26-verify": ("resnet26", {}, ["count", "--verify-runtime"], None),
+    **_sweep("san-tiny"),
+    **_sweep("resnet26"),
+}
+
+
+@pytest.mark.parametrize("case", SPEC_FILE_CASES)
+def test_spec_file_exits_0_or_2_with_one_error_line_and_no_run_dir(tmp_path, capsys, case):
+    """A mutated san-tiny or resnet26 spec file either runs or is refused, in
+    a few milliseconds, with one ``error:`` line before any output."""
+    model, edits, command, message = SPEC_FILE_CASES[case]
+    spec = dataclasses.asdict(named_spec(model))
+    for key, value in edits.items():
+        owner, _, field = key.rpartition(".")
+        for part in {"": [spec], "attention": [spec["attention"]], "stages": spec["stages"]}[owner]:
+            if value is _DROP:
+                del part[field]
+            else:
+                part[field] = value
+    path, out = tmp_path / "spec.json", tmp_path / "out"
+    path.write_text(json.dumps(spec))
+    code, err = user_stderr(capsys, command + ["--spec-file", str(path), "--out", str(out)])
+    if message is None or (message is ... and code == 0):
+        assert code == 0 and out.exists()
+    else:
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message is ... or message in err
+        assert not out.exists()
+
+
+def test_out_of_memory_exits_2_with_one_error_line_and_no_run_dir(tmp_path, capsys,
+                                                                    monkeypatch):
+    """A unit that numpy cannot allocate, within the parameter bound, is
+    refused with numpy's message before the manifest."""
+    import sanet.blocks
+
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(sanet.blocks.Classifier, "__init__", unallocatable)
+    out = tmp_path / "out"
+    for argv in (["count", "--verify-runtime"], TRAIN_BLOBS):
+        code, err = user_stderr(capsys, argv + ["--model", "san-tiny", "--out", str(out)])
+        assert code == 2 and err == ("error: san-tiny: classifier is too large to build "
+                                     "(Unable to allocate 64.0 GiB for an array)\n")
+        assert not out.exists()

@@ -248,10 +248,9 @@ SPLIT_CASES = [("per-slot", False, (4,)), ("per-slot", False, (3, 4)),
 def test_split_batch_matches_per_image_calls(n, weights_kind, has_neighbor, widths, ordered,
                                              dtype):
     """A batch of two or more runs as two halves, one on a worker thread.  It
-    must equal the per-image calls concatenated: bit for bit in the output and
-    the weight, value and neighbor gradients, and within tolerance in the tail
-    gradients, which each half sums on its own.  Two identical calls agree
-    bit for bit."""
+    must equal the per-image calls concatenated, bit for bit, in the output and
+    the weight, value and neighbor gradients, and their sum over the batch in
+    the tail gradients.  Two identical calls agree bit for bit."""
     rng = np.random.default_rng(40 + n)
     k, h, w, d, g = 3, 4, 5, widths[0], widths[-1]
 
@@ -279,9 +278,8 @@ def test_split_batch_matches_per_image_calls(n, weights_kind, has_neighbor, widt
     for got, repeat, parts in zip(whole, again, zip(*(maps for maps, _ in images))):
         assert np.array_equal(got, np.concatenate(parts))
         assert np.array_equal(got, repeat)
-    tol = REL_TOL if dtype == np.float64 else DRIFT_REL
     for got, repeat, parts in zip(whole_tail, again_tail, zip(*(grads for _, grads in images))):
-        assert _rel_err(got, np.sum(parts, axis=0)) <= tol
+        assert np.array_equal(got, np.sum(parts, axis=0))
         assert np.array_equal(got, repeat)
 
 

@@ -987,17 +987,55 @@ class TestSplitMatchesOnePart:
         assert did_split and np.isnan(split[0]).any()
         _assert_all_equal(split, one)
 
-    @pytest.mark.parametrize("dtype,tail_tol", [(np.float32, 1e-3), (np.float64, 1e-10)],
-                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ordered", [False, True], ids=["slots", "slot_order"])
+    @pytest.mark.parametrize("weights_kind,has_neighbor,widths", [
+        ("per-slot", False, (4,)), ("per-slot", False, (3, 4)),
+        ("shared", True, (3, 4)), ("shared", True, (3, 5, 4))],
+        ids=["per-slot", "per-slot-tail", "shared-tail1", "shared-tail2"])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_slot_aggregate(self, n, weights_kind, has_neighbor, widths, ordered, dtype,
+                            monkeypatch):
+        """Per-slot weights as the strided view patchwise passes, per-slot
+        weights under a tail layer, and shared weights with a neighbor under
+        one and two tail layers, whose ``(w, b)`` gradients sum over images."""
+        rng = np.random.default_rng(90 + n)
+        k, h, w, d, g = 3, 4, 5, widths[0], widths[-1]
+
+        def draw(*shape):
+            return rng.normal(size=shape).astype(dtype)
+
+        if weights_kind == "per-slot":
+            weights = draw(n, k * k, d, h, w).transpose(0, 2, 1, 3, 4)
+        else:
+            weights = draw(n, d, 1, h, w)
+        arrays = [weights, draw(n, 2 * g, h, w)] + ([draw(n, d, h, w)] if has_neighbor else [])
+        arrays += [a for fan_in, fan_out in zip(widths[:-1], widths[1:])
+                   for a in (draw(fan_out, fan_in), draw(fan_out))]
+        slots = list(rng.permutation(k * k)) if ordered else None
+        proj = Tensor(draw(n, 2 * g, h, w))
+
+        def run():
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            tail = leaves[3 if has_neighbor else 2:]
+            out = T.slot_aggregate(leaves[0], leaves[1], k, slots=slots,
+                                   neighbor=leaves[2] if has_neighbor else None,
+                                   mlp=list(zip(tail[::2], tail[1::2])))
+            T.sum(T.mul(out, proj)).backward()
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        split, one, did_split = _split_and_one_part(run, monkeypatch)
+        assert did_split
+        _assert_all_equal(split, one)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("position", ["absolute", "relative"])
     @pytest.mark.parametrize("relation", ["hadamard", "dot"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_pairwise_attention_with_a_position_neighbor(self, n, relation, position, dtype,
-                                                         tail_tol, monkeypatch):
+                                                         monkeypatch):
         """Hadamard and dot pass their position term to ``slot_aggregate`` as a
-        full-batch neighbor, so that call splits too.  Output and gradients are
-        the one-part bits, except the perceptron tail's, which each half sums
-        on its own (the tolerances of the per-image comparison)."""
+        full-batch neighbor, so that call splits too."""
         rng = np.random.default_rng(80 + n)
         cfg = AttentionConfig(relation=relation, position=position, footprint=3, r1=4, r2=2,
                               share=2)
@@ -1006,7 +1044,6 @@ class TestSplitMatchesOnePart:
             p.data = rng.normal(scale=0.5, size=p.shape).astype(dtype)
         x = rng.normal(size=(n, 16, 4, 5)).astype(dtype)
         proj = Tensor(rng.normal(size=(n, params.dims.cm, 4, 5)).astype(dtype))
-        names = [name for name, _ in params.named_parameters()]
         split_by, in_halves = set(), T._in_halves
 
         def record(fn, size, split):  # names the primitive of each split call
@@ -1025,12 +1062,7 @@ class TestSplitMatchesOnePart:
         monkeypatch.setattr(T, "_in_halves", record)
         split, one, _ = _split_and_one_part(run, monkeypatch)
         assert "slot_aggregate" in split_by
-        tail = {2 + names.index(name) for name in ("mlp.1.w", "mlp.1.b")}  # after out and dx
-        _assert_all_equal([a for i, a in enumerate(split) if i not in tail],
-                          [b for i, b in enumerate(one) if i not in tail])
-        for i in tail:
-            assert split[i].dtype == one[i].dtype
-            assert np.abs(split[i] - one[i]).max() <= tail_tol * np.abs(one[i]).max()
+        _assert_all_equal(split, one)
 
 
 class TestBatchSplit:
