@@ -287,8 +287,9 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     the zero key and zero position of a zero-padded neighbor.  Returns
     ``(base, neighbor)``: the center map ``[N, d1, 1, H, W]`` (for Hadamard
     and dot, the ``[N, d1, K, H, W]`` product term with the center added)
-    and the neighbor map ``[N, d1, H, W]`` or None, for ``slot_aggregate``
-    to add slot by slot.
+    and the neighbor map ``[N, d1, H, W]`` (for Hadamard and dot, the
+    position term ``[1, d1, H, W]``, the same for every image) or None, for
+    ``slot_aggregate`` to add slot by slot.
     """
     cfg, d = params.cfg, params.dims.d
     layer = params.mlp[0]
@@ -302,8 +303,6 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
             rel = T.sum(rel, axis=1, keepdims=True)
         center = None if center is None else T.reshape(center, (1, layer.w.shape[0], 1, h, w))
         base = T.linear(rel, T.take(layer.w, range(rel_cols), axis=1), layer.b, add=center)
-        if neighbor is not None:  # the position term is the same for every image
-            neighbor = T.broadcast_to(neighbor, (n,) + neighbor.shape[1:])
         return base, neighbor
     key_cols = range(d, 2 * d) if cfg.relation == "concatenation" else range(d)
     w_key = T.take(layer.w, key_cols, axis=1)

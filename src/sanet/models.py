@@ -7,8 +7,8 @@ created, its fields are type-checked, its name (part of default run
 directories) and footprints checked, and values no builder reads rejected.
 The builders make, run and name the units of ``accounting.unit_plan``,
 the one walk over a spec, bit-reproducibly from a seed.  A checkpoint
-stores one list of arrays, the parameters and then the buffers; loading
-checks both name-and-shape lists and writes each array in place, and
+stores one list of float32 arrays, the parameters and then the buffers;
+loading checks both name-and-shape lists and writes each array in place, and
 rejects what saving never writes: another version or dtype code, a
 non-finite value or a negative running variance.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .accounting import unit_plan
 from .attention import FAMILY_FIELDS, AttentionConfig, check_fields, check_unread
 from .module import Module, ModuleList
-from .tensor import ConfigError, Tensor, no_grad
+from .tensor import ConfigError, Tensor, UsageError, no_grad
 
 
 class CheckpointError(RuntimeError):
@@ -259,6 +259,7 @@ def predict(model: Module, images: np.ndarray, batch_size: int = INFERENCE_BATCH
 
 _CKPT_MAGIC = b"SANC"
 _CKPT_VERSION = 1
+_CKPT_DTYPE = np.dtype("<f4")  # checkpoints hold float32, the training dtype
 
 
 def _stored_arrays(model: Module) -> list[tuple[str, str, np.ndarray]]:
@@ -275,15 +276,16 @@ def _layout(arrays) -> dict:
 
 
 def save_checkpoint(model: Module, path):
-    """Write spec + parameters + buffers: JSON header, then raw little-endian
-    buffers in declaration order."""
+    """Write a float32 network (another dtype is a ``UsageError``): a JSON header
+    with the spec, then its raw little-endian parameters and buffers in order."""
     arrays = _stored_arrays(model)
-    dtype_code = "<f8" if arrays[0][2].dtype == np.float64 else "<f4"
+    if other := {a.dtype.name for _, _, a in arrays} - {"float32"}:
+        raise UsageError(f"save_checkpoint: checkpoints hold float32, not {sorted(other)}")
     header = {
         "format": "sanet-checkpoint",
         "version": _CKPT_VERSION,
         "spec": asdict(model.spec),
-        "dtype": dtype_code,
+        "dtype": _CKPT_DTYPE.str,
         **_layout(arrays),
     }
     blob = json.dumps(header).encode()
@@ -292,11 +294,11 @@ def save_checkpoint(model: Module, path):
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for _, _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=dtype_code).tobytes())
+            fh.write(np.ascontiguousarray(a, dtype=_CKPT_DTYPE).tobytes())
 
 
 def load_checkpoint(path) -> Module:
-    """Rebuild the model a checkpoint describes, bit-exactly."""
+    """Rebuild the float32 model a checkpoint describes, bit-exactly."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -312,9 +314,8 @@ def load_checkpoint(path) -> Module:
                 or version != _CKPT_VERSION):
             raise CheckpointError(f"{path}: unsupported checkpoint version")
         spec = spec_from_dict(header["spec"])
-        if header["dtype"] not in ("<f4", "<f8"):  # the codes save_checkpoint writes
+        if header["dtype"] != _CKPT_DTYPE.str:  # the one code save_checkpoint writes
             raise CheckpointError(f"{path}: unsupported checkpoint dtype {header['dtype']!r}")
-        dtype = np.dtype(header["dtype"])
     except CheckpointError:
         raise
     except ConfigError as exc:
@@ -322,20 +323,19 @@ def load_checkpoint(path) -> Module:
     except Exception as exc:
         raise CheckpointError(f"{path}: corrupted checkpoint header ({exc})") from exc
 
-    model = build_model(spec, seed=0, dtype=dtype.type)
+    model = build_model(spec, seed=0)
     arrays = _stored_arrays(model)
     for kind, want in _layout(arrays).items():
         if header.get(kind) != want:
             raise CheckpointError(f"{path}: checkpoint does not match the spec's {kind}")
     offset = 8 + hlen
-    described = sum(a.size for _, _, a in arrays) * dtype.itemsize
+    described = sum(a.nbytes for _, _, a in arrays)
     if len(raw) - offset != described:
         raise CheckpointError(f"{path}: checkpoint payload is {len(raw) - offset} bytes, "
                               f"its header describes {described}")
     for _, name, a in arrays:
-        nbytes = a.size * dtype.itemsize
-        a[...] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(a.shape)
-        offset += nbytes
+        a[...] = np.frombuffer(raw[offset : offset + a.nbytes], _CKPT_DTYPE).reshape(a.shape)
+        offset += a.nbytes
         if not np.isfinite(a).all() or name.endswith("running_var") and (a < 0).any():
             raise CheckpointError(f"{path}: corrupted checkpoint payload ({name} out of range)")
     return model

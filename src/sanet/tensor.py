@@ -10,9 +10,9 @@ parents, closure and gradient as soon as it has been processed, so only
 the leaves and the loss keep ``grad``, and a second backward through the
 same graph raises ``UsageError``.
 
-Feature maps use NCHW layout throughout.  Two dtypes are supported:
-float64 for verification (gradient checks, oracle comparisons) and
-float32 for training.
+Feature maps use NCHW layout throughout.  A graph runs in one dtype, float64
+for verification (gradient checks, oracle comparisons) or float32 for
+training: an operand of another dtype is rejected, never cast (``_node``).
 
 Every image of a batch is computed on its own, except that batch norm
 couples images through its per-channel statistics.  So ``linear``,
@@ -39,7 +39,7 @@ import numpy as np
 
 
 class DimensionError(ValueError):
-    """Operand shapes are incompatible with the requested operation."""
+    """Operand shapes or dtypes are incompatible with the requested operation."""
 
 
 class ConfigError(ValueError):
@@ -107,8 +107,12 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _node(data: np.ndarray, parents, backward_fn) -> Tensor:
-    """Wrap a forward result, recording parents when grads are live."""
+    """Wrap a forward result, recording parents when grads are live; one graph, one dtype."""
     out = Tensor(data)
+    for p in parents:
+        if p.dtype != out.dtype:
+            raise DimensionError(f"{backward_fn.__qualname__.split('.')[0]}: a {p.dtype} "
+                                 f"operand in a {out.dtype} graph")
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -306,9 +310,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``[Cout, Cin]``.  Every location is mapped independently:
     ``out[n, o, ...] = sum_i weight[o, i] * x[n, i, ...] + bias[o] + add[n, o, ...]``.
     ``bias`` and ``add`` (a residual or position map, which must broadcast
-    to the output) are summed in place, each in the wider of its own dtype
-    and that of the sum so far, so no sum node keeps the output alive.  The
-    backward reads ``x`` and ``weight``, never the output.
+    to the output) are summed in place, so no sum node keeps the output
+    alive.  The backward reads ``x`` and ``weight``, never the output.
 
     A batch of ``N >= 2`` runs as two halves of its images (see
     ``_in_halves``): each half maps its images and adds the bias and the
@@ -336,25 +339,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             raise DimensionError(f"linear: addend {add.shape} does not broadcast to {out_shape}")
         parents.append(add)
         terms.append(add.data)
-    product_dtype = np.result_type(weight.data, x.data)
-    data = np.empty(out_shape, np.result_type(product_dtype, *terms))
+    data = np.empty(out_shape, x.dtype)
 
     def forward(lo, hi):
         o = data[lo:hi]
-        y = np.matmul(weight.data, x3[lo:hi], out=o.reshape(hi - lo, c_out, -1)
-                      if o.dtype == product_dtype else None).reshape(o.shape)
-        for t in terms:  # the bias, then the addend, each in the wider dtype so far
-            y = y.astype(np.result_type(y, t), copy=False)
-            y += t[lo:hi] if t.ndim == y.ndim and t.shape[0] == n else t
-        if y is not o:
-            o[...] = y
+        np.matmul(weight.data, x3[lo:hi], out=o.reshape(hi - lo, c_out, -1))
+        for t in terms:  # the bias, then the addend
+            o += t[lo:hi] if t.ndim == o.ndim and t.shape[0] == n else t
 
     _in_halves(forward, n, n >= 2)
 
     def bwd(g):
         g3 = g.reshape(n, c_out, -1)
-        gx = np.empty((n,) + x3.shape[1:], np.result_type(weight.data, g))
-        gw = np.empty((n,) + weight.shape, np.result_type(g, x.data))  # per image
+        gx = np.empty((n,) + x3.shape[1:], g.dtype)
+        gw = np.empty((n,) + weight.shape, g.dtype)  # per image
 
         def backward(lo, hi):
             np.matmul(weight.data.T, g3[lo:hi], out=gx[lo:hi])
@@ -406,12 +404,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     n, c = x.shape[:2]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError("batch_norm: affine parameter length must equal channels")
+    dtypes = {a.dtype.name for a in (gamma.data, beta.data, running_mean, running_var)}
+    if dtypes != {x.dtype.name}:  # before any running buffer moves
+        raise DimensionError(f"batch_norm: dtypes {sorted(dtypes)} in a {x.dtype} graph")
     m = x.data.size // c
     # the running mean is copied, as it may move before backward
     stats = () if training else (running_mean.copy(), running_var)
-    # one full-size buffer, promoted up front so the in-place steps never downcast
-    dtype = np.result_type(x.data, gamma.data, beta.data, *stats)
-    data = np.empty(x.shape, dtype)
+    data = np.empty(x.shape, x.dtype)
     gamma4, beta4 = (t.data.reshape(1, c, 1, 1) for t in (gamma, beta))
 
     def forward(lo, hi):
@@ -419,7 +418,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         xs, out = x.data[:, lo:hi], data[:, lo:hi]
         if training:
             mean = np.einsum("nchw->c", xs) / m
-            np.subtract(xs, mean.reshape(1, -1, 1, 1), out=out, dtype=dtype)
+            np.subtract(xs, mean.reshape(1, -1, 1, 1), out=out)
             var = np.einsum("nchw,nchw->c", out, out) / m
             running_mean[lo:hi] = (1.0 - BN_MOMENTUM) * running_mean[lo:hi] + BN_MOMENTUM * mean
             running_var[lo:hi] = (1.0 - BN_MOMENTUM) * running_var[lo:hi] + BN_MOMENTUM * var
@@ -432,7 +431,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
             out *= scale
             out += beta4[:, lo:hi]
         else:
-            np.multiply(xs, scale, out=out, dtype=dtype)
+            np.multiply(xs, scale, out=out)
             out += beta4[:, lo:hi] - mean * scale
         np.maximum(out, 0, out=out)
         return mean, inv_std, scale
@@ -442,21 +441,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                             for t in zip(*_in_halves(forward, c, split)))
 
     def bwd(g):
-        # one dtype for both einsum operands: a cast would sum in buffered chunks
-        # that depend on the slice, and the split would change the bits
-        wide = np.result_type(g, data)
-        gx = np.empty(g.shape, wide)
+        gx = np.empty(g.shape, g.dtype)
 
         def mask(lo, hi):
             np.multiply(g[:, lo:hi], data[:, lo:hi] > 0, out=gx[:, lo:hi])
 
         _in_halves(mask, c, split)
-        rebuilt = np.empty(x.shape, wide)  # after the masks, so the peak stays at two maps
+        rebuilt = np.empty(x.shape, x.dtype)  # after the masks, so the peak stays at two maps
 
         def backward(lo, hi):
             """Fill channels ``lo:hi`` of ``dx``; return their ``dgamma``, ``dbeta``."""
             gs, centered = gx[:, lo:hi], rebuilt[:, lo:hi]
-            np.subtract(x.data[:, lo:hi], mean[:, lo:hi], out=centered, dtype=wide)
+            np.subtract(x.data[:, lo:hi], mean[:, lo:hi], out=centered)
             inv, sc = inv_std[:, lo:hi], scale[:, lo:hi]
             dgamma = np.einsum("nchw,nchw->c", gs, centered).reshape(1, -1, 1, 1) * inv
             dbeta = np.einsum("nchw->c", gs).reshape(1, -1, 1, 1)
@@ -508,7 +504,9 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-_worker = None  # (pid, pool): the one thread that runs the first half of a split call
+_worker: list[ThreadPoolExecutor] = []  # the one thread that runs the first half of a split
+if hasattr(os, "register_at_fork"):  # a forked child has no copy of the thread: drop the pool
+    os.register_at_fork(after_in_child=_worker.clear)
 
 
 def _in_halves(part_fn, n: int, split: bool) -> list:
@@ -531,10 +529,9 @@ def _in_halves(part_fn, n: int, split: bool) -> list:
     """
     if not split:
         return [part_fn(0, n)]
-    global _worker
-    if _worker is None or _worker[0] != os.getpid():  # a forked child has no worker thread
-        _worker = os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="sanet-half")
-    first = _worker[1].submit(contextvars.copy_context().run, part_fn, 0, n // 2)
+    if not _worker:
+        _worker.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="sanet-half"))
+    first = _worker[0].submit(contextvars.copy_context().run, part_fn, 0, n // 2)
     try:
         second = part_fn(n // 2, n)
     finally:
@@ -662,14 +659,15 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
 
     ``a_s = mlp(weights[:, :, s] + shift_s(neighbor))``.  ``weights`` is
     ``[N, D, K, H, W]`` with ``K = k*k``, or ``[N, D, 1, H, W]`` shared by
-    every slot; the optional ``neighbor`` is ``[N, D, H, W]``, read
-    zero-padded at slot ``s``'s offset as ``unfold`` gathers it; ``mlp`` is
-    a sequence of ``(w, b)`` layers from ``D`` to ``G`` channels, each
-    preceded by a ReLU (none by default, so ``D = G``).  Each slot's weights
-    are built, used and dropped, and backward builds them again, so no
-    ``[N, D, K, H, W]`` array is kept for it.  Backward visits the slots
-    in footprint order, as ``unfold``'s backward does, so the neighbor
-    gradient is scattered in the same order as that of a gathered neighbor.
+    every slot; the optional ``neighbor``, ``[N, D, H, W]`` or ``[1, D, H, W]``
+    shared by every image, is read zero-padded at slot ``s``'s offset as
+    ``unfold`` gathers it; ``mlp`` is a sequence of ``(w, b)`` layers from
+    ``D`` to ``G`` channels, each preceded by a ReLU (none by default, so
+    ``D = G``).  Each slot's weights are built, used and dropped, and
+    backward builds them again, so no ``[N, D, K, H, W]`` array is kept for
+    it.  Backward visits the slots in footprint order, as ``unfold``'s
+    backward does, so the neighbor gradient is scattered in the same order
+    as that of a gathered neighbor.
 
     The value map is padded once, each half padding its own images, and
     read through the k*k windows of ``footprint_windows``, so no
@@ -680,8 +678,9 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     fixed halves, forward and backward: images ``[0, N // 2)`` on one worker
     thread and ``[N // 2, N)`` on the calling thread, each writing only its
     own images of the output and the gradients (see ``_in_halves``).  The
-    tail ``(w, b)`` gradients are kept per image, as ``linear`` keeps its
-    weight gradient, and summed over the batch once both halves are done.
+    tail ``(w, b)`` gradients, and a shared neighbor's, are kept per image,
+    as ``linear`` keeps its weight gradient, and summed over the batch once
+    both halves are done.
     """
     if values.data.ndim != 4:
         raise DimensionError("slot_aggregate expects an NCHW value map")
@@ -695,7 +694,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         groups = wt.shape[0]
     if (not chained or cm % groups
             or weights.shape not in ((n, d, k * k, h, w), (n, d, 1, h, w))
-            or neighbor is not None and neighbor.shape != (n, d, h, w)):
+            or neighbor is not None and neighbor.shape not in ((n, d, h, w), (1, d, h, w))):
         raise DimensionError(
             f"slot_aggregate: weights {weights.shape}, neighbor {getattr(neighbor, 'shape', None)} "
             f"and layers {[wt.shape for wt, _ in mlp]} do not fit values {values.shape} "
@@ -723,11 +722,12 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
 
     def padded(part):  # images ``part``, made again in backward, not kept on the tape
         v5 = np.pad(values.data[part], pads).reshape(-1, groups, share, h + 2 * pad, w + 2 * pad)
-        return v5, None if neighbor is None else np.pad(neighbor.data[part], pads)
+        nb = None if neighbor is None else neighbor.data[part if len(neighbor.data) == n else ...]
+        return v5, None if nb is None else np.pad(nb, pads)  # a shared neighbor is padded whole
 
     parents = (weights, values) + (() if neighbor is None else (neighbor,))
     parents += tuple(t for pair in mlp for t in pair)
-    out = np.zeros((n, groups, share, h, w), dtype=np.result_type(*(t.data for t in parents)))
+    out = np.zeros((n, groups, share, h, w), values.dtype)
 
     def aggregate(lo, hi):
         part = slice(lo, hi)
@@ -772,7 +772,7 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         inner = (Ellipsis, slice(pad, pad + h), slice(pad, pad + w))
         grads = [gw, gv5.reshape(n, cm, h + 2 * pad, w + 2 * pad)[inner]]
         if gn is not None:
-            grads.append(gn[inner])
+            grads.append(_unbroadcast(gn[inner], neighbor.shape))
         return tuple(grads) + tuple(gt.sum(axis=0) for pair in gtail for gt in pair)
 
     return _node(out.reshape(n, cm, h, w), parents, bwd)

@@ -652,6 +652,14 @@ def _header(edit):
     return lambda raw: rewrite_header(raw, edit)
 
 
+def _float64_payload(raw):
+    """``raw`` as a float64 network would be stored: a ``"<f8"`` header over
+    every value widened to float64."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    payload = np.frombuffer(raw[8 + hlen :], "<f4").astype("<f8").tobytes()
+    return rewrite_header(raw[: 8 + hlen], lambda h: h.update(dtype="<f8")) + payload
+
+
 # case -> (what is mutated, how, a part of the one error line); the CIFAR-10
 # cases give the labels of each of the five batches
 BOUNDARY_CASES = {
@@ -678,7 +686,8 @@ BOUNDARY_CASES = {
     "extra-payload-byte": ("header", lambda raw: raw + b"\0",
                            "checkpoint payload is 53049 bytes, its header describes 53048"),
     "dtype-wider-than-payload": ("header", _header(lambda h: h.update(dtype="<f8")),
-                                 "checkpoint payload is 53048 bytes, its header describes 106096"),
+                                 "unsupported checkpoint dtype '<f8'"),
+    "float64-payload": ("header", _float64_payload, "unsupported checkpoint dtype '<f8'"),
     "payload-nan": ("payload", ("stem.linear.w", np.nan), "(stem.linear.w out of range)"),
     "payload-inf": ("payload", ("classifier.linear.b", -np.inf),
                     "(classifier.linear.b out of range)"),

@@ -207,7 +207,7 @@ def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
     for weights, neighbor, mlp in [
         ((1, 2, 9, 3, 3), (1, 3, 3, 3), ()),                     # neighbor width is not D
         ((1, 2, 9, 3, 3), (2, 2, 3, 3), ()),                     # neighbor batch is not N
-        ((2, 2, 9, 3, 3), (1, 2, 3, 3), ()),                     # batch-1 neighbor under N = 2
+        ((3, 2, 9, 3, 3), (2, 2, 3, 3), ()),                     # neighbor batch neither 1 nor N
         ((1, 2, 9, 3, 3), (1, 2, 3, 2), ()),                     # neighbor map of another size
         ((1, 2, 4, 3, 3), (1, 2, 3, 3), ()),                     # neither one slot nor K
         ((1, 2, 1, 3, 3), None, [((2, 3), (2,))]),               # tail input width is not D
