@@ -14,16 +14,21 @@ pointwise channel layer, builds both the weight perceptron here and the
 projections of the residual blocks.
 
 All operators share the same value path: a channel-reducing linear map
-(no bias, so zero-padded locations contribute exactly zero) whose map is
-aggregated in place by ``slot_aggregate``, one shifted slice per footprint
-slot, under weights broadcast over groups of ``share`` consecutive
-channels.  Pairwise attention, for every relation, splits the first
-perceptron layer into a per-location center map and a bias-free neighbor
-map (Hadamard and dot add the center into one per-slot term, the layer
-applied to the query-key product) and passes both, with the other
-perceptron layers, to ``slot_aggregate``, which builds each slot's weights
-in turn and again in backward, so no per-(location, slot) perceptron array
-stays on the tape.  Patchwise concatenation's first layer is a convolution.
+(no bias, so zero-padded locations contribute exactly zero) that
+``slot_aggregate`` applies to the layer input itself, image by image in
+forward and again in backward, so no value map stays on the tape.  It
+aggregates the values in place, one shifted slice per footprint slot, under
+weights broadcast over groups of ``share`` consecutive channels.  Pairwise
+attention, for every relation, splits the first perceptron layer into a
+per-location center map and a neighbor map (Hadamard and dot add the
+center into one per-slot term, the layer applied to the query-key product)
+and passes both, with the other perceptron layers, to ``slot_aggregate``,
+which builds each slot's weights in turn and again in backward, so no
+per-(location, slot) perceptron array stays on the tape.  For summation,
+subtraction and concatenation the first layer composes with the query and
+key maps, so both of its maps are read straight from the input and no
+query or key map is built.  Patchwise concatenation's first layer is a
+convolution.
 """
 
 from __future__ import annotations
@@ -243,11 +248,16 @@ def position_map(h: int, w: int, w_pos: Tensor, dtype) -> Tensor:
     return T.linear(Tensor(grid), w_pos)
 
 
-def _qkv(x: Tensor, params: VectorAttention):
-    q = T.linear(x, params.w_query, params.b_query)
-    k = T.linear(x, params.w_key, params.b_key)
-    v = T.linear(x, params.w_value)
-    return q, k, v
+def _qk(x: Tensor, params: VectorAttention):
+    return T.linear(x, params.w_query, params.b_query), T.linear(x, params.w_key, params.b_key)
+
+
+def _composed(outer: Tensor, w: Tensor, b: Tensor, bias: Tensor | None = None):
+    """``(outer . w, outer . b + bias)``: the weight and bias that map ``x`` to
+    ``outer . (w x + b) + bias`` in one ``linear``, built on the tape."""
+    d = w.shape[0]
+    weight = T.reshape(T.linear(T.reshape(w, (1, d, -1)), outer), (outer.shape[0], -1))
+    return weight, T.reshape(T.linear(T.reshape(b, (1, d)), outer, bias), (-1,))
 
 
 def pairwise_attention(x: Tensor, params: VectorAttention,
@@ -263,18 +273,16 @@ def pairwise_attention(x: Tensor, params: VectorAttention,
     not depend on it.
     """
     cfg = params.cfg
-    q, k, v = _qkv(x, params)
     p = None
     if cfg.position != "none":
         p = position_map(x.shape[2], x.shape[3], params.w_pos, x.dtype)
-    base, neighbor = _first_layer(q, k, p, params, slot_order)
+    base, neighbor = _first_layer(x, p, params, slot_order)
     tail = [(layer.w, layer.b) for layer in list(params.mlp)[1:]]
-    return T.slot_aggregate(base, v, cfg.footprint, slots=slot_order,
+    return T.slot_aggregate(base, x, params.w_value, cfg.footprint, slots=slot_order,
                             neighbor=neighbor, mlp=tail)
 
 
-def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
-                 params: VectorAttention, slot_order):
+def _first_layer(x: Tensor, p: Tensor | None, params: VectorAttention, slot_order):
     """First perceptron layer of every (location, slot) pair, split in two.
 
     The layer is linear in its input, so it splits into a center map, a
@@ -282,23 +290,30 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     per-slot product term.  For subtraction with relative position,
     ``W[q_i - k_j ; p_i - p_j] + b = (W[q_i ; p_i] + b) - W[k_j ; p_j]``;
     for Hadamard, with ``W = [W_r, W_p]``, ``W[q_i * k_j ; p_i - p_j] + b =
-    (W_r (q_i * k_j) + b + W_p p_i) - W_p p_j``.  The neighbor map has no
-    bias, so an out-of-map slot gathers zero, exactly the layer's share of
-    the zero key and zero position of a zero-padded neighbor.  Returns
-    ``(base, neighbor)``: the center map ``[N, d1, 1, H, W]`` (for Hadamard
-    and dot, the ``[N, d1, K, H, W]`` product term with the center added)
-    and the neighbor map ``[N, d1, H, W]`` (for Hadamard and dot, the
-    position term ``[1, d1, H, W]``, the same for every image) or None, for
+    (W_r (q_i * k_j) + b + W_p p_i) - W_p p_j``.
+
+    For summation, subtraction and concatenation, ``q = W_q x + b_q`` and
+    ``k = W_k x + b_k`` compose with the layer's query and key columns
+    ``W_1q`` and ``W_1k`` (negated for subtraction), so both maps are read
+    from ``x``: ``center = (W_1q W_q) x + (W_1q b_q + b)`` and
+    ``neighbor = (W_1k W_k) x + W_1k b_k``, plus the position terms; ``q``
+    and ``k`` are never built.  The neighbor map is zero-padded, so an
+    out-of-map slot gathers zero, exactly the layer's share of the zero key
+    and zero position of a zero-padded neighbor.  Returns ``(base,
+    neighbor)``: the center map ``[N, d1, 1, H, W]`` (for Hadamard and dot,
+    the ``[N, d1, K, H, W]`` product term with the center added) and the
+    neighbor map ``[N, d1, H, W]`` (for Hadamard and dot, the position term
+    ``[1, d1, H, W]``, the same for every image) or None, for
     ``slot_aggregate`` to add slot by slot.
     """
     cfg, d = params.cfg, params.dims.d
     layer = params.mlp[0]
-    n, _, h, w = q.shape
+    n, _, h, w = x.shape
     rel_cols = relation_width(cfg, params.dims)
     pos = None if p is None else T.linear(p, T.take(layer.w, range(rel_cols, rel_cols + 2), axis=1))
     center, neighbor = (pos, T.neg(pos)) if cfg.position == "relative" else (None, pos)
     if cfg.relation in ("hadamard", "dot"):
-        rel = _key_products(q, k, cfg.footprint, slot_order)
+        rel = _key_products(*_qk(x, params), cfg.footprint, slot_order)
         if cfg.relation == "dot":
             rel = T.sum(rel, axis=1, keepdims=True)
         center = None if center is None else T.reshape(center, (1, layer.w.shape[0], 1, h, w))
@@ -308,8 +323,10 @@ def _first_layer(q: Tensor, k: Tensor, p: Tensor | None,
     w_key = T.take(layer.w, key_cols, axis=1)
     if cfg.relation == "subtraction":
         w_key = T.neg(w_key)
-    center = T.linear(q, T.take(layer.w, range(d), axis=1), layer.b, add=center)
-    neighbor = T.linear(k, w_key, add=neighbor)
+    w_query = T.take(layer.w, range(d), axis=1)
+    center = T.linear(x, *_composed(w_query, params.w_query, params.b_query, layer.b),
+                      add=center)
+    neighbor = T.linear(x, *_composed(w_key, params.w_key, params.b_key), add=neighbor)
     return T.reshape(center, (n, layer.w.shape[0], 1, h, w)), neighbor
 
 
@@ -339,7 +356,7 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
     """
     cfg, dims, layers = params.cfg, params.dims, list(params.mlp)
     n, _, h, w = x.shape
-    q, k, v = _qkv(x, params)
+    q, k = _qk(x, params)
     if cfg.relation == "concatenation":
         first = layers[0]
         blocks = T.reshape(first.w, (-1, dims.slots + 1, dims.d))
@@ -363,7 +380,7 @@ def patchwise_attention(x: Tensor, params: VectorAttention) -> Tensor:
         flat = T.softmax(flat, axis=1)
     wts = T.reshape(flat, (n, dims.slots, -1, h, w))
     wts = T.transpose(wts, (0, 2, 1, 3, 4))
-    return T.slot_aggregate(wts, v, cfg.footprint)
+    return T.slot_aggregate(wts, x, params.w_value, cfg.footprint)
 
 
 class Linear(Module):

@@ -151,30 +151,15 @@ def load_dataset(kind: str, root: str | None = None, limit: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pad ``AUGMENT_PAD`` zeros, randomly crop back to native size, flip horizontally p=0.5.
-
-    Training path only; operates on one uint8 [3, H, W] image and is
-    byte-deterministic given the generator state.
-    """
-    _, h, w = image.shape
-    pad = AUGMENT_PAD
-    padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
-    dy = int(rng.integers(0, 2 * pad + 1))
-    dx = int(rng.integers(0, 2 * pad + 1))
-    out = padded[:, dy : dy + h, dx : dx + w]
-    if rng.random() < 0.5:
-        out = out[:, :, ::-1]
-    return np.ascontiguousarray(out)
-
-
 def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``augment`` applied to each uint8 [3, H, W] image of ``images`` in turn.
+    """Pad each uint8 [3, H, W] image of ``images`` with ``AUGMENT_PAD``
+    zeros, randomly crop it back to native size and flip it horizontally
+    with p=0.5.
 
-    The batch is padded once and each image's crop, flipped or not, is
-    copied into one output array.  The generator is drawn in ``augment``'s
-    order, image by image, so the result is byte-identical to stacking
-    ``augment(image, rng)`` over the batch.
+    Training path only.  The batch is padded once and each image's crop,
+    flipped or not, is copied into one output array.  The generator is drawn
+    image by image, the two crop offsets and then the flip coin, so the
+    result is byte-deterministic given the generator state.
     """
     _, _, h, w = images.shape
     pad = AUGMENT_PAD

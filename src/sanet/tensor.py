@@ -26,6 +26,10 @@ inference on one image and ``sanet gradcheck``, start no thread, and the
 other primitives run on the calling thread.  The split is always two
 halves, whatever the core count, and a split call is bit for bit its
 one-part run, so results do not depend on the machine.
+
+``slot_aggregate`` takes the attention input and its value weight, not a
+value map: it projects the values in each half and again in backward, so no
+value map stays on the tape.
 """
 
 from __future__ import annotations
@@ -647,14 +651,16 @@ def max_pool(x: Tensor, k: int = 2, stride: int = 2, pad: int = 0) -> Tensor:
     return _node(data, (x,), bwd)
 
 
-def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
+def slot_aggregate(weights: Tensor, x: Tensor, w_value: Tensor, k: int, slots=None,
                    neighbor: Tensor | None = None, mlp=()) -> Tensor:
     """Weighted sum of a value map over each location's k*k footprint.
 
-    ``values`` is ``[N, Cm, H, W]``.  Slot ``s`` pairs with footprint slot
-    ``slots[s]`` (row-major offsets, identity by default), and out-of-map
-    neighbors are zero.  Its weights ``a_s``, ``[N, G, H, W]`` with ``Cm`` a
-    multiple of ``G``, each scale ``Cm / G`` consecutive value channels:
+    ``values = linear(x, w_value)``, with ``x`` ``[N, C, H, W]`` and the
+    bias-free ``w_value`` ``[Cm, C]``, so zero-padded ``x`` gives zero-padded
+    values.  Slot ``s`` pairs with footprint slot ``slots[s]`` (row-major
+    offsets, identity by default), and out-of-map neighbors are zero.  Its
+    weights ``a_s``, ``[N, G, H, W]`` with ``Cm`` a multiple of ``G``, each
+    scale ``Cm / G`` consecutive value channels:
     ``out[n, c, i, j] = sum_s a_s[n, c // (Cm/G), i, j] * values[n, c, i + dy_s, j + dx_s]``.
 
     ``a_s = mlp(weights[:, :, s] + shift_s(neighbor))``.  ``weights`` is
@@ -669,24 +675,29 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     backward does, so the neighbor gradient is scattered in the same order
     as that of a gathered neighbor.
 
-    The value map is padded once, each half padding its own images, and
-    read through the k*k windows of ``footprint_windows``, so no
-    ``[N, Cm, K, H, W]`` gather is built in either direction; the backward
-    pads the value and neighbor maps again, so no padded copy is kept.
+    Each half projects its images' values, one GEMM per image as in
+    ``linear``, pads them and reads them through the k*k windows of
+    ``footprint_windows``, so no ``[N, Cm, K, H, W]`` gather is built in
+    either direction.  Backward projects and pads the values and the
+    neighbor map again, so no value map is kept, padded or not, and maps the
+    padded value gradient to ``dx`` through ``w_value`` and to the
+    ``w_value`` gradient through ``x``.
 
     Every image is computed on its own, so a batch of ``N >= 2`` runs as two
     fixed halves, forward and backward: images ``[0, N // 2)`` on one worker
     thread and ``[N // 2, N)`` on the calling thread, each writing only its
     own images of the output and the gradients (see ``_in_halves``).  The
-    tail ``(w, b)`` gradients, and a shared neighbor's, are kept per image,
-    as ``linear`` keeps its weight gradient, and summed over the batch once
-    both halves are done.
+    ``w_value`` and tail ``(w, b)`` gradients, and a shared neighbor's, are
+    kept per image, as ``linear`` keeps its weight gradient, and summed over
+    the batch once both halves are done.
     """
-    if values.data.ndim != 4:
-        raise DimensionError("slot_aggregate expects an NCHW value map")
+    if x.data.ndim != 4 or w_value.data.ndim != 2 or w_value.shape[1] != x.shape[1]:
+        raise DimensionError(
+            f"slot_aggregate: value weight {w_value.shape} does not map x {x.shape}")
     if k < 1 or k % 2 == 0:
         raise ConfigError(f"footprint side must be odd and positive, got {k}")
-    n, cm, h, w = values.shape
+    n, c, h, w = x.shape
+    cm = w_value.shape[0]
     d = groups = weights.shape[1]
     chained = True
     for wt, bt in mlp:  # each layer maps the previous width to its own
@@ -697,13 +708,15 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
             or neighbor is not None and neighbor.shape not in ((n, d, h, w), (1, d, h, w))):
         raise DimensionError(
             f"slot_aggregate: weights {weights.shape}, neighbor {getattr(neighbor, 'shape', None)} "
-            f"and layers {[wt.shape for wt, _ in mlp]} do not fit values {values.shape} "
+            f"and layers {[wt.shape for wt, _ in mlp]} do not fit {cm} values of x {x.shape} "
             f"and footprint {k}"
         )
     share, pad = cm // groups, (k - 1) // 2
     windows = footprint_windows(k, h, w, slots=slots, who="slot_aggregate")
     per_slot = weights.shape[2] > 1
     pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+    x3 = x.data.reshape(n, c, h * w)
+    inner = (Ellipsis, slice(pad, pad + h), slice(pad, pad + w))
 
     def slot_weights(s, part, nb):
         """The weights of slot ``s`` for images ``part`` and the rectified
@@ -721,13 +734,14 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
         return a, inputs
 
     def padded(part):  # images ``part``, made again in backward, not kept on the tape
-        v5 = np.pad(values.data[part], pads).reshape(-1, groups, share, h + 2 * pad, w + 2 * pad)
+        values = np.matmul(w_value.data, x3[part]).reshape(-1, cm, h, w)
+        v5 = np.pad(values, pads).reshape(-1, groups, share, h + 2 * pad, w + 2 * pad)
         nb = None if neighbor is None else neighbor.data[part if len(neighbor.data) == n else ...]
         return v5, None if nb is None else np.pad(nb, pads)  # a shared neighbor is padded whole
 
-    parents = (weights, values) + (() if neighbor is None else (neighbor,))
+    parents = (weights, x, w_value) + (() if neighbor is None else (neighbor,))
     parents += tuple(t for pair in mlp for t in pair)
-    out = np.zeros((n, groups, share, h, w), values.dtype)
+    out = np.zeros((n, groups, share, h, w), x.dtype)
 
     def aggregate(lo, hi):
         part = slice(lo, hi)
@@ -740,15 +754,17 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
     def bwd(g):
         g5 = g.reshape(n, groups, share, h, w)
         gw = (np.empty if per_slot else np.zeros)(weights.shape, dtype=g.dtype)
-        gv5 = np.zeros((n, groups, share, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        gn = None if neighbor is None else np.zeros((n, d) + gv5.shape[3:], dtype=g.dtype)
+        gx = np.empty(x3.shape, g.dtype)
+        gwv = np.empty((n,) + w_value.shape, g.dtype)  # per image
+        gn = None if neighbor is None else np.zeros((n, d, h + 2 * pad, w + 2 * pad), g.dtype)
         gtail = [(np.zeros((n,) + wt.shape, g.dtype), np.zeros((n,) + bt.shape, g.dtype))
                  for wt, bt in mlp]  # per image
 
         def accumulate(lo, hi):
-            """Fill images ``lo:hi`` of every gradient, the per-image tail sums included."""
+            """Fill images ``lo:hi`` of every gradient, the per-image sums included."""
             part = slice(lo, hi)
-            (v5p, nbp), g5p, gv5p, gwp = padded(part), g5[part], gv5[part], gw[part]
+            (v5p, nbp), g5p, gwp = padded(part), g5[part], gw[part]
+            gv5p = np.zeros(v5p.shape, g.dtype)
             gnp = None if gn is None else gn[part]
             for s in range(k * k) if slots is None else np.argsort(slots):  # footprint order
                 a, inputs = slot_weights(s, part, nbp)
@@ -767,10 +783,12 @@ def slot_aggregate(weights: Tensor, values: Tensor, k: int, slots=None,
                     gwp[:, :, 0] += ga
                 if gnp is not None:
                     gnp[windows[s]] += ga
+            gv = gv5p.reshape(hi - lo, cm, h + 2 * pad, w + 2 * pad)[inner].reshape(hi - lo, cm, -1)
+            np.matmul(w_value.data.T, gv, out=gx[part])
+            np.matmul(gv, np.moveaxis(x3[part], 1, 2), out=gwv[part])
 
         _in_halves(accumulate, n, n >= 2)
-        inner = (Ellipsis, slice(pad, pad + h), slice(pad, pad + w))
-        grads = [gw, gv5.reshape(n, cm, h + 2 * pad, w + 2 * pad)[inner]]
+        grads = [gw, gx.reshape(x.shape), gwv.sum(axis=0)]
         if gn is not None:
             grads.append(_unbroadcast(gn[inner], neighbor.shape))
         return tuple(grads) + tuple(gt.sum(axis=0) for pair in gtail for gt in pair)

@@ -197,39 +197,43 @@ def _zeros(*shape):
 
 def test_slot_aggregate_rejects_a_footprint_that_does_not_match_the_weights():
     w = Tensor(np.zeros((1, 2, 9, 3, 3)))
-    v = Tensor(np.zeros((1, 4, 3, 3)))
+    x, w_value = Tensor(np.zeros((1, 4, 3, 3))), Tensor(np.eye(4))
     with pytest.raises(T.DimensionError):
-        T.slot_aggregate(w, v, 5)
+        T.slot_aggregate(w, x, w_value, 5)
     with pytest.raises(T.DimensionError):
-        T.slot_aggregate(w, v, 3, slots=[0] * 9)
-    # weights, neighbor and tail layer (w, b) shapes that do not fit values
-    # [N, 4, 3, 3], N the weights' batch
-    for weights, neighbor, mlp in [
-        ((1, 2, 9, 3, 3), (1, 3, 3, 3), ()),                     # neighbor width is not D
-        ((1, 2, 9, 3, 3), (2, 2, 3, 3), ()),                     # neighbor batch is not N
-        ((3, 2, 9, 3, 3), (2, 2, 3, 3), ()),                     # neighbor batch neither 1 nor N
-        ((1, 2, 9, 3, 3), (1, 2, 3, 2), ()),                     # neighbor map of another size
-        ((1, 2, 4, 3, 3), (1, 2, 3, 3), ()),                     # neither one slot nor K
-        ((1, 2, 1, 3, 3), None, [((2, 3), (2,))]),               # tail input width is not D
-        ((1, 2, 1, 3, 3), None, [((2, 2), (2,)), ((2, 3), (2,))]),  # layers do not chain
-        ((1, 2, 1, 3, 3), None, [((2, 2), (3,))]),               # bias length is not the width
-        ((1, 2, 1, 3, 3), (1, 2, 3, 3), [((3, 2), (3,))]),       # G = 3 does not divide Cm = 4
+        T.slot_aggregate(w, x, w_value, 3, slots=[0] * 9)
+    # weights, neighbor, tail layer (w, b) and value weight shapes that do not
+    # fit x [N, 4, 3, 3], N the weights' batch, and Cm = 4 values
+    for weights, neighbor, mlp, value in [
+        ((1, 2, 9, 3, 3), (1, 3, 3, 3), (), (4, 4)),                # neighbor width is not D
+        ((1, 2, 9, 3, 3), (2, 2, 3, 3), (), (4, 4)),                # neighbor batch is not N
+        ((3, 2, 9, 3, 3), (2, 2, 3, 3), (), (4, 4)),                # neighbor batch neither 1 nor N
+        ((1, 2, 9, 3, 3), (1, 2, 3, 2), (), (4, 4)),                # neighbor map of another size
+        ((1, 2, 4, 3, 3), (1, 2, 3, 3), (), (4, 4)),                # neither one slot nor K
+        ((1, 2, 1, 3, 3), None, [((2, 3), (2,))], (4, 4)),          # tail input width is not D
+        ((1, 2, 1, 3, 3), None, [((2, 2), (2,)), ((2, 3), (2,))], (4, 4)),  # layers do not chain
+        ((1, 2, 1, 3, 3), None, [((2, 2), (3,))], (4, 4)),          # bias length is not the width
+        ((1, 2, 1, 3, 3), (1, 2, 3, 3), [((3, 2), (3,))], (4, 4)),  # G = 3 does not divide Cm = 4
+        ((1, 2, 9, 3, 3), None, (), (4, 3)),                        # value weight reads 3 channels
     ]:
         tail = [(_zeros(*ws), _zeros(*bs)) for ws, bs in mlp]
         with pytest.raises(T.DimensionError):
-            T.slot_aggregate(_zeros(*weights), _zeros(weights[0], 4, 3, 3), 3, mlp=tail,
-                             neighbor=None if neighbor is None else _zeros(*neighbor))
+            T.slot_aggregate(_zeros(*weights), _zeros(weights[0], 4, 3, 3), _zeros(*value), 3,
+                             mlp=tail, neighbor=None if neighbor is None else _zeros(*neighbor))
 
 
-def _aggregate_and_grads(weights, values, neighbor, tail, k, slots, proj):
+def _aggregate_and_grads(weights, x, w_value, neighbor, tail, k, slots, proj):
     """One ``slot_aggregate`` call on fresh leaves: its output with the
-    weight, value and neighbor gradients, and the perceptron tail gradients."""
-    leaves = [Tensor(a, requires_grad=True) for a in (weights, values, neighbor) if a is not None]
+    weight, input and neighbor gradients, and the value weight and
+    perceptron tail gradients."""
+    leaves = [Tensor(a, requires_grad=True) for a in (weights, x, neighbor) if a is not None]
     layers = [(Tensor(wt, requires_grad=True), Tensor(bt, requires_grad=True)) for wt, bt in tail]
-    out = T.slot_aggregate(leaves[0], leaves[1], k, slots=slots,
+    wv = Tensor(w_value, requires_grad=True)
+    out = T.slot_aggregate(leaves[0], leaves[1], wv, k, slots=slots,
                            neighbor=leaves[2] if neighbor is not None else None, mlp=layers)
     T.sum(T.mul(out, Tensor(proj))).backward()
-    return [out.data] + [t.grad for t in leaves], [t.grad for pair in layers for t in pair]
+    per_image = [out.data] + [t.grad for t in leaves]
+    return per_image, [wv.grad] + [t.grad for pair in layers for t in pair]
 
 
 # (weights, neighbor, widths D, ..., G): per-slot [N, G, K, H, W] weights as
@@ -249,8 +253,9 @@ def test_split_batch_matches_per_image_calls(n, weights_kind, has_neighbor, widt
                                              dtype):
     """A batch of two or more runs as two halves, one on a worker thread.  It
     must equal the per-image calls concatenated, bit for bit, in the output and
-    the weight, value and neighbor gradients, and their sum over the batch in
-    the tail gradients.  Two identical calls agree bit for bit."""
+    the weight, input and neighbor gradients, and their sum over the batch in
+    the value weight and tail gradients.  Two identical calls agree bit for
+    bit."""
     rng = np.random.default_rng(40 + n)
     k, h, w, d, g = 3, 4, 5, widths[0], widths[-1]
 
@@ -261,14 +266,14 @@ def test_split_batch_matches_per_image_calls(n, weights_kind, has_neighbor, widt
         weights = draw(n, k * k, d, h, w).transpose(0, 2, 1, 3, 4)
     else:
         weights = draw(n, d, 1, h, w)
-    values, proj = draw(n, 2 * g, h, w), draw(n, 2 * g, h, w)
+    x, w_value, proj = draw(n, 3, h, w), draw(2 * g, 3), draw(n, 2 * g, h, w)
     neighbor = draw(n, d, h, w) if has_neighbor else None
     tail = [(draw(fan_out, fan_in), draw(fan_out))
             for fan_in, fan_out in zip(widths[:-1], widths[1:])]
     slots = list(rng.permutation(k * k)) if ordered else None
 
     def call(part):
-        return _aggregate_and_grads(weights[part], values[part],
+        return _aggregate_and_grads(weights[part], x[part], w_value,
                                     None if neighbor is None else neighbor[part],
                                     tail, k, slots, proj[part])
 

@@ -407,17 +407,20 @@ MIXED_DTYPE_CALLS = {
     "batch_norm-running-var": (lambda: T.batch_norm(_f32(2, 3, 4, 4), _f32(3), _f32(3),
                                                     np.zeros(3, np.float32), np.ones(3),
                                                     training=False), DimensionError),
-    "slot_aggregate-neighbor": (lambda: T.slot_aggregate(_f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), 3,
-                                                         neighbor=_f64(2, 2, 3, 3)),
-                                DimensionError),
+    "slot_aggregate-value-weight": (lambda: T.slot_aggregate(
+        _f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), _f64(4, 4), 3), DimensionError),
+    "slot_aggregate-neighbor": (lambda: T.slot_aggregate(
+        _f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), _f32(4, 4), 3, neighbor=_f64(2, 2, 3, 3)),
+        DimensionError),
     "slot_aggregate-batch1-neighbor": (lambda: T.slot_aggregate(
-        _f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), 3, neighbor=_f64(1, 2, 3, 3)), DimensionError),
-    "slot_aggregate-tail-w": (lambda: T.slot_aggregate(_f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), 3,
-                                                       mlp=[(_f64(2, 2), _f32(2))]),
-                              DimensionError),
-    "slot_aggregate-tail-b": (lambda: T.slot_aggregate(_f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), 3,
-                                                       mlp=[(_f32(2, 2), _f64(2))]),
-                              DimensionError),
+        _f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), _f32(4, 4), 3, neighbor=_f64(1, 2, 3, 3)),
+        DimensionError),
+    "slot_aggregate-tail-w": (lambda: T.slot_aggregate(
+        _f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), _f32(4, 4), 3, mlp=[(_f64(2, 2), _f32(2))]),
+        DimensionError),
+    "slot_aggregate-tail-b": (lambda: T.slot_aggregate(
+        _f32(2, 2, 1, 3, 3), _f32(2, 4, 3, 3), _f32(4, 4), 3, mlp=[(_f32(2, 2), _f64(2))]),
+        DimensionError),
     "mul": (lambda: T.mul(_f32(2, 3), _f64(2, 3)), DimensionError),
     "add": (lambda: T.add(_f64(2, 3), _f32(3)), DimensionError),
     "concat": (lambda: T.concat([_f32(2, 3), _f64(2, 3)], axis=1), DimensionError),
@@ -532,7 +535,8 @@ class TestUnfold:
     def test_addend_matches_take_then_add_bitwise(self, k, base_shape, slots, dtype):
         """The neighbor addend that ``slot_aggregate`` reads slot by slot equals
         ``add(base, take(unfold(x), slots))`` aggregated as whole weights, bit
-        for bit, forward and backward."""
+        for bit, forward and backward.  An identity value weight passes the
+        values through exactly."""
         rng = np.random.default_rng(34)
         x = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
         base = rng.normal(size=base_shape).astype(dtype)
@@ -541,19 +545,19 @@ class TestUnfold:
         results = []
         for fused in (False, True):
             xt, bt = Tensor(x, requires_grad=True), Tensor(base, requires_grad=True)
-            vt = Tensor(values, requires_grad=True)
+            vt, wv = Tensor(values, requires_grad=True), Tensor(np.eye(6, dtype=dtype))
             if fused:
-                out = T.slot_aggregate(bt, vt, k, slots=slots, neighbor=xt)
+                out = T.slot_aggregate(bt, vt, wv, k, slots=slots, neighbor=xt)
             elif base_shape[2] == 1:
                 # A shared addend commutes with the take; adding it first sums
                 # its gradient over footprint slots in the order backward visits them.
                 weights = T.add(bt, T.unfold(xt, k))
                 weights = weights if slots is None else T.take(weights, slots, axis=2)
-                out = T.slot_aggregate(weights, vt, k, slots=slots)
+                out = T.slot_aggregate(weights, vt, wv, k, slots=slots)
             else:
                 u = T.unfold(xt, k)
                 weights = T.add(bt, u if slots is None else T.take(u, slots, axis=2))
-                out = T.slot_aggregate(weights, vt, k, slots=slots)
+                out = T.slot_aggregate(weights, vt, wv, k, slots=slots)
             T.sum(T.mul(out, Tensor(proj))).backward()
             results.append((out.data, xt.grad, bt.grad, vt.grad))
         for want, got in zip(*results):
@@ -671,13 +675,18 @@ class TestBackward:
             tracemalloc.stop()
         assert live < 2**20, f"{live / 2**20:.1f} MiB live after backward"
 
-    def test_tiny_forward_tape_holds_each_map_once(self):
-        """A train-mode san-tiny forward at b=8 leaves at most 7 MiB on the
+    @pytest.mark.parametrize("relation", ["summation", "subtraction", "concatenation"])
+    def test_tiny_forward_tape_holds_each_map_once(self, relation):
+        """A train-mode san-tiny forward at b=8 leaves at most 5.3 MiB on the
         tape: batch norm keeps no normalized copy of its input, the residual
-        and position sums add no node of their own, and ``slot_aggregate``
-        keeps no padded value map.  (With those three copies it was 9.9 MiB.)"""
-        live = _forward_tape_bytes("san-tiny")
-        assert live <= 7 * 2**20, f"{live / 2**20:.2f} MiB live after forward"
+        and position sums add no node of their own, the first perceptron
+        layer reads the input through composed weights, so no query or key
+        map is built, and ``slot_aggregate`` projects its values itself and
+        keeps no value map, padded or not.  (With the normalized, sum and
+        padded copies it was 9.9 MiB; with the query, key and value maps,
+        5.94-5.97 MiB.)"""
+        live = _forward_tape_bytes(named_spec("san-tiny", relation=relation))
+        assert live <= 5.3 * 2**20, f"{live / 2**20:.2f} MiB live after forward"
 
     @pytest.mark.parametrize("overrides,mib", [
         ({"family": "patchwise", "relation": "concatenation"}, 14),
@@ -830,9 +839,11 @@ class TestFiniteDifferences:
             (5, (3, 2), None),  # footprint wider than the map on both axes
         ]:
             w = Tensor(rng.normal(size=(2, 3, k * k) + hw), requires_grad=True)
-            v = Tensor(rng.normal(size=(2, 6) + hw), requires_grad=True)
+            x = Tensor(rng.normal(size=(2, 4) + hw), requires_grad=True)
+            wv = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
             _fd_case(f"slot_aggregate/k={k}/{hw}",
-                     lambda: T.slot_aggregate(w, v, k, slots=slots), {"w": w, "v": v})
+                     lambda: T.slot_aggregate(w, x, wv, k, slots=slots),
+                     {"w": w, "x": x, "w_value": wv})
 
     @pytest.mark.parametrize("depth,weight_slots,neighbor_batch,permuted,k", [
         (1, 1, 2, False, 3),
@@ -847,7 +858,8 @@ class TestFiniteDifferences:
                                             permuted, k):
         """Every input of the per-slot weight perceptron, ``mlp(weights[:, :, s] +
         shift_s(neighbor))``: weights with one slot or K, a batch-N neighbor
-        (or none), and each tail layer's ``w`` and ``b``."""
+        (or none), and each tail layer's ``w`` and ``b``; and the input and
+        value weight the values are projected from."""
         rng = np.random.default_rng(26 + 7 * depth + k)
         n, h, w = 2, 4, 3  # at k=5 the footprint is wider than the map
         widths = {1: [2], 2: [3, 2], 3: [3, 4, 2]}[depth]  # D, hidden..., G
@@ -855,7 +867,8 @@ class TestFiniteDifferences:
         leaves = {
             "weights": Tensor(rng.normal(size=(n, widths[0], k * k if weight_slots == "K" else 1,
                                                h, w)), requires_grad=True),
-            "values": Tensor(rng.normal(size=(n, 4, h, w)), requires_grad=True),
+            "x": Tensor(rng.normal(size=(n, 3, h, w)), requires_grad=True),
+            "w_value": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
         }
         if neighbor_batch is not None:
             leaves["neighbor"] = Tensor(rng.normal(size=(neighbor_batch, widths[0], h, w)),
@@ -866,8 +879,9 @@ class TestFiniteDifferences:
                          Tensor(rng.normal(size=fan_out), requires_grad=True)))
             leaves[f"w{i}"], leaves[f"b{i}"] = tail[-1]
         _fd_case(f"slot_aggregate/mlp_depth={depth}/k={k}",
-                 lambda: T.slot_aggregate(leaves["weights"], leaves["values"], k, slots=slots,
-                                          neighbor=leaves.get("neighbor"), mlp=tail),
+                 lambda: T.slot_aggregate(leaves["weights"], leaves["x"], leaves["w_value"], k,
+                                          slots=slots, neighbor=leaves.get("neighbor"),
+                                          mlp=tail),
                  leaves)
         # no input may pass vacuously with an all-zero gradient
         assert all(np.abs(leaf.grad).max() > 0 for leaf in leaves.values())
@@ -1018,9 +1032,10 @@ class TestSplitMatchesOnePart:
                             monkeypatch):
         """Per-slot weights as the strided view patchwise passes, per-slot
         weights under a tail layer, and shared weights with a neighbor under
-        one and two tail layers, whose ``(w, b)`` gradients sum over images;
-        a batch-1 neighbor, as Hadamard's and dot's position term, is read by
-        every image and its gradient sums over them."""
+        one and two tail layers, whose ``(w, b)`` gradients sum over images,
+        as the value weight's does; a batch-1 neighbor, as Hadamard's and
+        dot's position term, is read by every image and its gradient sums
+        over them."""
         rng = np.random.default_rng(90 + n)
         k, h, w, d, g = 3, 4, 5, widths[0], widths[-1]
 
@@ -1032,7 +1047,7 @@ class TestSplitMatchesOnePart:
         else:
             weights = draw(n, d, 1, h, w)
         has_neighbor = neighbor_batch is not None
-        arrays = [weights, draw(n, 2 * g, h, w)]
+        arrays = [weights, draw(n, 3, h, w), draw(2 * g, 3)]
         if has_neighbor:
             arrays.append(draw(n if neighbor_batch == "n" else 1, d, h, w))
         arrays += [a for fan_in, fan_out in zip(widths[:-1], widths[1:])
@@ -1042,9 +1057,9 @@ class TestSplitMatchesOnePart:
 
         def run():
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
-            tail = leaves[3 if has_neighbor else 2:]
-            out = T.slot_aggregate(leaves[0], leaves[1], k, slots=slots,
-                                   neighbor=leaves[2] if has_neighbor else None,
+            tail = leaves[4 if has_neighbor else 3:]
+            out = T.slot_aggregate(leaves[0], leaves[1], leaves[2], k, slots=slots,
+                                   neighbor=leaves[3] if has_neighbor else None,
                                    mlp=list(zip(tail[::2], tail[1::2])))
             T.sum(T.mul(out, proj)).backward()
             return [out.data] + [leaf.grad for leaf in leaves]
@@ -1101,6 +1116,7 @@ class TestBatchSplit:
         ``over="ignore"`` with warnings as errors it stays silent, as the
         caller's own half would."""
         ones, big = np.ones((4, 2, 3, 3), np.float32), np.float32(1e30)
+        identity = Tensor(np.eye(2, dtype=np.float32))
 
         def weights(first):  # images 0 and 1, the worker's half, get ``first``
             w = np.ones((4, 2, 9, 3, 3), np.float32)
@@ -1108,13 +1124,14 @@ class TestBatchSplit:
             return Tensor(w, requires_grad=True)
 
         def forward():
-            T.slot_aggregate(weights(big), Tensor(ones * big), 3)
+            T.slot_aggregate(weights(big), Tensor(ones * big), identity, 3)
 
-        def backward():  # the value gradient, 1e20 * 1e20, overflows
+        def backward():  # dx, 1e20 times the 9e20 value gradient, overflows in its GEMM
             proj = ones.copy()
-            proj[:2] = 1e20
+            proj[:2] = 1e10
             with np.errstate(over="ignore"):
-                out = T.slot_aggregate(weights(1e20), Tensor(ones, requires_grad=True), 3)
+                out = T.slot_aggregate(weights(1e10), Tensor(ones, requires_grad=True),
+                                       Tensor(np.full((2, 2), 1e20, np.float32)), 3)
                 loss = T.sum(T.mul(out, Tensor(proj)))
             loss.backward()
 
@@ -1126,8 +1143,8 @@ class TestBatchSplit:
                 run()
         # the caller's half raises too; the worker is joined and serves the next call
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            T.slot_aggregate(weights(big), Tensor(np.full_like(ones, big)), 3)
-        out = T.slot_aggregate(weights(2.0), Tensor(ones), 3)
+            T.slot_aggregate(weights(big), Tensor(np.full_like(ones, big)), identity, 3)
+        out = T.slot_aggregate(weights(2.0), Tensor(ones), identity, 3)
         assert np.all(np.isfinite(out.data))
 
     def test_linear_and_batch_norm_halves_run_under_the_callers_error_state(self):
@@ -1211,7 +1228,8 @@ class TestBatchSplit:
             counts.append(threading.active_count())
             before, workers = set(threading.enumerate()), set()
             for _ in range(4):
-                slot_aggregate(Tensor(np.ones((4, 2, 9, 3, 3))), Tensor(np.ones((4, 2, 3, 3))), 3)
+                slot_aggregate(Tensor(np.ones((4, 2, 9, 3, 3))), Tensor(np.ones((4, 2, 3, 3))),
+                               Tensor(np.eye(2)), 3)
                 counts.append(threading.active_count())
                 workers |= set(threading.enumerate()) - before
             print(json.dumps({"counts": counts, "workers": len(workers)}))
@@ -1231,7 +1249,8 @@ class TestBatchSplit:
             import numpy as np
             from sanet.tensor import Tensor, slot_aggregate
             def call():
-                slot_aggregate(Tensor(np.ones((4, 2, 9, 3, 3))), Tensor(np.ones((4, 2, 3, 3))), 3)
+                slot_aggregate(Tensor(np.ones((4, 2, 9, 3, 3))), Tensor(np.ones((4, 2, 3, 3))),
+                               Tensor(np.eye(2)), 3)
             call()
             pid = os.fork()
             if pid == 0:

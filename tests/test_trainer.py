@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sanet.data import augment, augment_batch, load_dataset, make_blobs
+from sanet.data import AUGMENT_PAD, augment_batch, load_dataset, make_blobs
 from sanet.gradcheck import check_gradients
 from sanet.models import build_model, named_spec
 from sanet.tensor import ConfigError, Tensor
@@ -22,12 +22,27 @@ from sanet.training import (
 )
 
 
+def augment(image, rng):
+    """The reference for ``augment_batch``, one uint8 [3, H, W] image at a
+    time: pad ``AUGMENT_PAD`` zeros, crop back to native size at two drawn
+    offsets, then flip horizontally on a drawn coin."""
+    _, h, w = image.shape
+    pad = AUGMENT_PAD
+    padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
+    dy = int(rng.integers(0, 2 * pad + 1))
+    dx = int(rng.integers(0, 2 * pad + 1))
+    out = padded[:, dy : dy + h, dx : dx + w]
+    if rng.random() < 0.5:
+        out = out[:, :, ::-1]
+    return np.ascontiguousarray(out)
+
+
 class TestAugment:
     def test_matches_manual_draw_sequence(self):
         """Crop offsets then the flip coin, drawn in that order."""
         rng = np.random.default_rng(7)
         img = np.random.default_rng(8).integers(0, 256, (3, 32, 32), dtype=np.uint8)
-        out = augment(img, rng)
+        out = augment_batch(img[None], rng)[0]
 
         ref = np.random.default_rng(7)
         padded = np.pad(img, ((0, 0), (4, 4), (4, 4)))
