@@ -100,13 +100,13 @@ class Transition(Module):
         self.linear = Linear(c_in, c_out, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.bn(x)
-        _, _, height, width = h.shape
+        # checked before the norm, so a refused input moves no running statistic
+        _, _, height, width = x.shape
         if height % 2 or width % 2:
             raise DimensionError(
                 f"transition pooling needs even spatial extents, got {height}x{width}"
             )
-        return self.linear(T.max_pool(h, 2, 2))
+        return self.linear(T.max_pool(self.bn(x), 2, 2))
 
 
 class Stem(Module):

@@ -678,10 +678,13 @@ def slot_aggregate(weights: Tensor, x: Tensor, w_value: Tensor, k: int, slots=No
     Each half projects its images' values, one GEMM per image as in
     ``linear``, pads them and reads them through the k*k windows of
     ``footprint_windows``, so no ``[N, Cm, K, H, W]`` gather is built in
-    either direction.  Backward projects and pads the values and the
-    neighbor map again, so no value map is kept, padded or not, and maps the
-    padded value gradient to ``dx`` through ``w_value`` and to the
-    ``w_value`` gradient through ``x``.
+    either direction.  Each slot's product, forward and backward, is formed
+    in one contiguous buffer per half: the weights are broadcast into it by
+    copy and multiplied in place by the window, which rounds as
+    ``a_s * window`` but never multiplies a zero-stride operand.  Backward
+    projects and pads the values and the neighbor map again, so no value map
+    is kept, padded or not, and maps the padded value gradient to ``dx``
+    through ``w_value`` and to the ``w_value`` gradient through ``x``.
 
     Every image is computed on its own, so a batch of ``N >= 2`` runs as two
     fixed halves, forward and backward: images ``[0, N // 2)`` on one worker
@@ -743,11 +746,17 @@ def slot_aggregate(weights: Tensor, x: Tensor, w_value: Tensor, k: int, slots=No
     parents += tuple(t for pair in mlp for t in pair)
     out = np.zeros((n, groups, share, h, w), x.dtype)
 
+    def weighted(prod, a, v):  # ``a[:, :, None] * v`` into ``prod``, no zero-stride operand
+        np.copyto(prod, a[:, :, None])
+        prod *= v
+        return prod
+
     def aggregate(lo, hi):
         part = slice(lo, hi)
         o, (v5p, nbp) = out[part], padded(part)
+        prod = np.empty(o.shape, o.dtype)
         for s, window in enumerate(windows):
-            o += slot_weights(s, part, nbp)[0][:, :, None] * v5p[window]
+            o += weighted(prod, slot_weights(s, part, nbp)[0], v5p[window])
 
     _in_halves(aggregate, n, n >= 2)
 
@@ -764,12 +773,13 @@ def slot_aggregate(weights: Tensor, x: Tensor, w_value: Tensor, k: int, slots=No
             """Fill images ``lo:hi`` of every gradient, the per-image sums included."""
             part = slice(lo, hi)
             (v5p, nbp), g5p, gwp = padded(part), g5[part], gw[part]
-            gv5p = np.zeros(v5p.shape, g.dtype)
+            gv5p, prod = np.zeros(v5p.shape, g.dtype), np.empty(g5p.shape, g.dtype)
             gnp = None if gn is None else gn[part]
             for s in range(k * k) if slots is None else np.argsort(slots):  # footprint order
                 a, inputs = slot_weights(s, part, nbp)
+                gv5p[windows[s]] += weighted(prod, a, g5p)
+                del a  # before the einsum, so the step peak does not rise
                 ga = np.einsum("ngshw,ngshw->nghw", g5p, v5p[windows[s]])
-                gv5p[windows[s]] += g5p * a[:, :, None]
                 for (wt, _), r, (gwt, gbt) in zip(mlp[::-1], inputs[::-1], gtail[::-1]):
                     g3 = ga.reshape(hi - lo, ga.shape[1], -1)
                     r3 = r.reshape(hi - lo, r.shape[1], -1)

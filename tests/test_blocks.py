@@ -1,5 +1,7 @@
 """Residual blocks, transitions, stem, and classifier head."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,36 @@ class TestTransition:
         with pytest.raises(DimensionError):
             with no_grad():
                 tr(Tensor(np.zeros((1, 4, 5, 6), dtype=np.float32)))
+
+    def test_odd_extent_rejected_before_the_norm_moves_its_statistics(self):
+        tr = Transition(4, 8, np.random.default_rng(14))
+        before = tr.bn.running_mean.copy(), tr.bn.running_var.copy()
+        x = Tensor(np.random.default_rng(17).normal(size=(2, 4, 5, 6)).astype(np.float32))
+        with pytest.raises(DimensionError):
+            tr(x)
+        assert tr.bn.running_mean.tobytes() == before[0].tobytes()
+        assert tr.bn.running_var.tobytes() == before[1].tobytes()
+
+    def test_normalized_map_is_freed_once_pooled(self, monkeypatch):
+        """Under no_grad nothing keeps the norm's output once the pool has read it."""
+        tr = Transition(4, 8, np.random.default_rng(18))
+        pooled, alive = [], []
+        max_pool, linear = T.max_pool, tr.linear.forward
+
+        def spy_pool(h, *args):
+            pooled.append(weakref.ref(h.data))
+            return max_pool(h, *args)
+
+        def spy_linear(h):
+            alive.append(pooled[0]() is not None)
+            return linear(h)
+
+        monkeypatch.setattr(T, "max_pool", spy_pool)
+        monkeypatch.setattr(tr.linear, "forward", spy_linear)
+        with no_grad():
+            out = tr(Tensor(np.ones((1, 4, 8, 8), dtype=np.float32)))
+        assert out.shape == (1, 8, 4, 4)
+        assert alive == [False]
 
     def test_parameter_count(self):
         """The expanding linear holds 64*256 weights + 256 biases = 16,640;

@@ -5,8 +5,9 @@ split the first pairwise perceptron layer into per-location maps.
 Here they are compared, forward and backward, with a reference that
 gathers every footprint with ``unfold``, builds the relation slot by slot
 and aggregates the gathered values with the einsum-style weighted slot sum,
-in float64 on random shapes.  ``max_pool``, which folds the window maximum
-over strided slices, is compared bit for bit with an ``argmax`` over copied
+in float64 on random shapes.  ``slot_aggregate`` is also compared bit for
+bit with an explicit float32 slot loop, and ``max_pool``, which folds the
+window maximum over strided slices, with an ``argmax`` over copied
 windows.  A bounded float32-vs-float64 drift check of one san-tiny training
 step closes the file.
 """
@@ -286,6 +287,71 @@ def test_split_batch_matches_per_image_calls(n, weights_kind, has_neighbor, widt
     for got, repeat, parts in zip(whole_tail, again_tail, zip(*(grads for _, grads in images))):
         assert np.array_equal(got, np.sum(parts, axis=0))
         assert np.array_equal(got, repeat)
+
+
+def reference_slot_loop(weights, x, neighbor, tail, k, slots, g):
+    """``slot_aggregate``'s output and input gradient for an identity value
+    weight, by an explicit float32 slot loop over the zero-padded values:
+    ``o += a_s[:, :, None] * v[window_s]`` in slot order, then the scatter
+    ``gv[window_s] += g * a_s[:, :, None]`` in footprint order."""
+    n, c, h, w = x.shape
+    pad = (k - 1) // 2
+    pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+    order = list(range(k * k)) if slots is None else [int(s) for s in slots]
+    nb = None if neighbor is None else np.pad(neighbor, pads)
+
+    def window(s):
+        dy, dx = divmod(order[s], k)
+        return Ellipsis, slice(dy, dy + h), slice(dx, dx + w)
+
+    def a(s):
+        a_s = weights[:, :, s if weights.shape[2] > 1 else 0]
+        if nb is not None:
+            a_s = a_s + nb[window(s)]
+        for wt, bt in tail:
+            a_s = np.einsum("od,ndhw->nohw", wt, np.maximum(a_s, 0)) + bt[:, None, None]
+        return a_s
+
+    groups = a(0).shape[1]
+    v = np.pad(x, pads).reshape(n, groups, c // groups, h + 2 * pad, w + 2 * pad)
+    o = np.zeros((n, groups, c // groups, h, w), np.float32)
+    for s in range(k * k):
+        o += a(s)[:, :, None] * v[window(s)]
+    gv = np.zeros(v.shape, np.float32)
+    g5 = g.reshape(o.shape)
+    for s in np.argsort(order):
+        gv[window(s)] += g5 * a(s)[:, :, None]
+    return o.reshape(x.shape), gv.reshape(n, c, h + 2 * pad, w + 2 * pad)[:, :, pad:-pad, pad:-pad]
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["slots", "slot_order"])
+@pytest.mark.parametrize("depth", [0, 1], ids=["no-tail", "tail1"])
+@pytest.mark.parametrize("weights_kind", ["per-slot", "shared"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_slot_aggregate_rounds_as_the_explicit_slot_loop(n, weights_kind, depth, ordered):
+    """Output and input gradient equal the explicit float32 slot loop bit for
+    bit, so the slot products round as ``a_s * v`` and every sum runs in the
+    same order.  The value weight is the identity and the weights, neighbor
+    and tail are integers, so the values, ``a_s`` and ``dx`` carry no rounding
+    of their own and only the products and the slot sums are compared."""
+    rng = np.random.default_rng(60 + n)
+    k, c, h, w, d = 3, 6, 4, 5, 3
+
+    def ints(*shape):
+        return rng.integers(-3, 4, size=shape).astype(np.float32)
+
+    weights = ints(n, d, k * k if weights_kind == "per-slot" else 1, h, w)
+    neighbor = ints(n, d, h, w) if weights_kind == "shared" else None
+    tail = [(ints(d, d), ints(d))] if depth else []
+    x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    proj = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    slots = list(rng.permutation(k * k)) if ordered else None
+
+    (out, _, gx, *_), _ = _aggregate_and_grads(weights, x, np.eye(c, dtype=np.float32),
+                                               neighbor, tail, k, slots, proj)
+    want, want_gx = reference_slot_loop(weights, x, neighbor, tail, k, slots, proj)
+    assert np.array_equal(_bits(out), _bits(want))
+    assert np.array_equal(_bits(gx), _bits(want_gx))
 
 
 def reference_max_pool(x, k, stride, pad):
